@@ -34,7 +34,6 @@ from .features import (
     fit_sfa,
     piecewise_rul_labels,
     select_num_slow_features,
-    select_window_length,
 )
 from .network import ModelConfig, init_parameters, model_forward, predict, squash
 from .optim import Adam
@@ -48,7 +47,6 @@ from .tensor import Tensor, backward, no_grad
 from .training import (
     TrainConfig,
     TrainReport,
-    derive_hyperparams,
     sensitivity_grid,
     train,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "fit_sfa",
     "piecewise_rul_labels",
     "select_num_slow_features",
-    "select_window_length",
     "ModelConfig",
     "init_parameters",
     "model_forward",
@@ -88,7 +85,6 @@ __all__ = [
     "no_grad",
     "TrainConfig",
     "TrainReport",
-    "derive_hyperparams",
     "sensitivity_grid",
     "train",
 ]

@@ -144,17 +144,8 @@ def _features_path(raw: str) -> Path:
     return p / "features.json" if p.is_dir() else p
 
 
-def _load_features(raw: str):
-    arrays = ckpt.load_arrays(_features_path(raw))
-    pipe = F.pipeline_from_arrays(arrays)
-    condition = None
-    if "condition_centers" in arrays:
-        condition = P.ConditionNormalizer(
-            centers=arrays["condition_centers"],
-            means=arrays["condition_means"],
-            stds=arrays["condition_stds"],
-        )
-    return pipe, condition
+def _load_features(raw: str) -> F.FeaturePipeline:
+    return F.pipeline_from_arrays(ckpt.load_arrays(_features_path(raw)))
 
 
 def _model_config_from_doc(doc: dict) -> network.ModelConfig:
@@ -169,13 +160,12 @@ def _model_config_from_doc(doc: dict) -> network.ModelConfig:
     return network.ModelConfig(**kwargs)
 
 
-def _build_training_batch(cfg: dict, data_dir: Path, pipe, condition) -> F.FrameBatch:
+def _build_training_batch(cfg: dict, data_dir: Path, pipe) -> F.FrameBatch:
     if cfg["dataset"] == "milling":
         train_runs, _ = _load_milling(cfg, data_dir)
         return P.build_frames_milling(train_runs, pipe)
     data = _load_series_dataset(cfg, data_dir, need_test=False)
-    return P.build_frames(data["train"], pipe, float(cfg["rul_max"]),
-                          condition=condition)
+    return P.build_frames(data["train"], pipe, float(cfg["rul_max"]))
 
 
 # ---------------------------------------------------------------- commands
@@ -214,28 +204,17 @@ def cmd_fit_features(args) -> int:
     t0 = time.perf_counter()
     data_dir = Path(args.data_dir)
     settings = C.feature_settings_from(cfg)
-    condition = None
     if cfg["dataset"] == "milling":
         if settings.per_condition:
             raise C.ConfigError(
                 ["features.per_condition is not available for the milling dataset"]
             )
         train_runs, _ = _load_milling(cfg, data_dir)
-        pipe, diag = P.fit_features_milling(train_runs, settings)
-        dump_units = [(r.unit_id, r.sensors, 0 if r.is_normal else None)
-                      for r in train_runs]
+        series = [P.milling_run_series(r) for r in train_runs]
     else:
-        data = _load_series_dataset(cfg, data_dir, need_test=False)
-        pipe, diag, condition = P.fit_features(data["train"], settings)
-        dump_units = [(s.unit_id, P._series_matrix(s, condition), s.change_point)
-                      for s in data["train"]]
-
-    arrays = F.pipeline_to_arrays(pipe)
-    if condition is not None:
-        arrays["condition_centers"] = condition.centers
-        arrays["condition_means"] = condition.means
-        arrays["condition_stds"] = condition.stds
-    ckpt.save_arrays(out / "features.json", arrays)
+        series = _load_series_dataset(cfg, data_dir, need_test=False)["train"]
+    pipe, diag, _ = P.fit_features(series, settings)
+    ckpt.save_arrays(out / "features.json", F.pipeline_to_arrays(pipe))
 
     _write_json(out / "features_meta.json", {
         "num_slow": diag.num_slow,
@@ -244,7 +223,7 @@ def cmd_fit_features(args) -> int:
         "lambdas": [float(x) for x in diag.lambdas],
         "retained_channels": diag.retained_channels,
         "acf_band": diag.acf_band,
-        "per_condition": condition is not None,
+        "per_condition": pipe.condition is not None,
     })
     _write_csv(out / "slowness.csv", ["index", "lambda"],
                [[i + 1, float(x)] for i, x in enumerate(diag.lambdas)])
@@ -258,11 +237,11 @@ def cmd_fit_features(args) -> int:
               + [f"z{c:02d}" for c in diag.retained_channels]
               + [f"slow{i + 1}" for i in range(diag.num_slow)])
     rows = []
-    for uid, matrix, cp in dump_units:
-        z, slow = pipe.transform(matrix)
+    for s in series:
+        z, slow = pipe.transform(s.sensors, s.settings)
         for k in range(z.shape[0]):
-            stage = "degradation" if (cp is None or k >= cp) else "normal"
-            rows.append([uid, k + 1, stage] + list(z[k]) + list(slow[k]))
+            stage = "normal" if k < s.change_point else "degradation"
+            rows.append([s.unit_id, k + 1, stage] + list(z[k]) + list(slow[k]))
     _write_csv(out / "features_dump.csv", header, rows)
     artifacts.append("features_dump.csv")
 
@@ -275,10 +254,10 @@ def cmd_fit_features(args) -> int:
 def cmd_train(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
-    pipe, condition = _load_features(args.features)
+    pipe = _load_features(args.features)
     include_slow, use_lstm = P.variant_flags(args.variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
-    batch = _build_training_batch(cfg, Path(args.data_dir), pipe_v, condition)
+    batch = _build_training_batch(cfg, Path(args.data_dir), pipe_v)
     model_cfg = C.resolve_model_config(
         cfg,
         frame_channels=pipe_v.frame_channels,
@@ -326,7 +305,7 @@ def cmd_evaluate(args) -> int:
     params = ckpt.arrays_to_tensors(
         ckpt.load_arrays(model_dir / "checkpoint.json"), requires_grad=False
     )
-    pipe, condition = _load_features(args.features)
+    pipe = _load_features(args.features)
     include_slow, _ = P.variant_flags(variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
 
@@ -339,12 +318,7 @@ def cmd_evaluate(args) -> int:
     truths = [s.true_rul for s in series]
     if any(t is None for t in truths):
         raise ValueError("evaluation units lack true residual life")
-    preprocess = None
-    if condition is not None:
-        preprocess = lambda s: condition.apply(s.sensors, s.settings)
-    ids, preds = E.last_point_predictions(
-        params, model_cfg, pipe_v, series, label_scale, preprocess=preprocess
-    )
+    ids, preds = E.last_point_predictions(params, model_cfg, pipe_v, series, label_scale)
     clip = bool(cfg["evaluation"]["clip"]) and not args.no_clip
     report = E.build_report(
         ids, truths, preds, variant=variant, seed=model_doc.get("seed"),
@@ -363,8 +337,8 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
-    pipe, condition = _load_features(args.features)
-    batch = _build_training_batch(cfg, Path(args.data_dir), pipe, condition)
+    pipe = _load_features(args.features)
+    batch = _build_training_batch(cfg, Path(args.data_dir), pipe)
     base_config = C.resolve_model_config(
         cfg,
         frame_channels=pipe.frame_channels,

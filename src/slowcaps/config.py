@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 from typing import Any
 
 from .data import SyntheticSpec
 from .network import ModelConfig
 from .pipeline import FeatureSettings
-from .training import TrainConfig, derive_hyperparams
+from .training import TrainConfig
 
 __all__ = [
     "ConfigError",
@@ -30,6 +31,8 @@ __all__ = [
     "resolve_model_config",
     "config_digest",
 ]
+
+log = logging.getLogger("slowcaps.config")
 
 
 class ConfigError(ValueError):
@@ -388,27 +391,27 @@ def resolve_model_config(
 ) -> ModelConfig:
     """Fill the architecture from the config, deriving unset fields.
 
-    ``frame_channels`` is the input width of each frame;
-    ``plain_channels`` is the retained sensor-channel count feeding the
-    derivation rules.  Capsule dimensionality, advanced capsule
-    count/size and channel split default to the coupling rules on
-    (plain channels, slow count); explicit config values win.
+    ``frame_channels`` is the input width of each frame.  With P slow
+    features (``num_slow``) over J retained sensor channels
+    (``plain_channels``), unset fields follow the coupling rules: basic
+    capsule dimension floor((P+J)/2), at least 1; P advanced capsules of
+    dimension J+P; filters // dimension basic capsule channels.  Explicit
+    config values win.  Filters that the capsule dimension in use does
+    not divide are bumped to its next multiple.
     """
+    p, j = int(num_slow), int(plain_channels)
+    if p < 1 or j < 1:
+        raise ValueError("num_slow and plain_channels must be positive")
     m = cfg["model"]
-    base = derive_hyperparams(
-        num_slow=num_slow,
-        n_channels=plain_channels,
-        window=window,
-        conv_filters=int(m["filters"]),
-        lstm_units=int(m["lstm_units"]),
-    )
     bc = m["basic_capsule"]
     ac = m["advanced_capsule"]
-    caps_dim = int(bc["dimensions"]) if bc["dimensions"] is not None else base.caps_dim
+    caps_dim = int(bc["dimensions"]) if bc["dimensions"] is not None else max((p + j) // 2, 1)
     filters = int(m["filters"])
     if filters % caps_dim != 0:
-        filters = base.conv_filters if base.conv_filters % caps_dim == 0 \
-            else caps_dim * max(1, round(filters / caps_dim))
+        bumped = -(-filters // caps_dim) * caps_dim
+        log.info("bumping conv filters %d -> %d to divide capsule dim %d",
+                 filters, bumped, caps_dim)
+        filters = bumped
     caps_channels = int(bc["channels"]) if bc["channels"] is not None \
         else filters // caps_dim
     try:
@@ -422,10 +425,9 @@ def resolve_model_config(
             caps_channels=caps_channels,
             caps_kernel=tuple(bc["kernel_size"]) if bc["kernel_size"] is not None else None,
             caps_stride=tuple(bc["strides"]),
-            num_advanced=int(ac["number"]) if ac["number"] is not None
-            else base.num_advanced,
+            num_advanced=int(ac["number"]) if ac["number"] is not None else p,
             advanced_dim=int(ac["dimensions"]) if ac["dimensions"] is not None
-            else base.advanced_dim,
+            else j + p,
             routing_iterations=int(m["routing_iterations"]),
             lstm_units=int(m["lstm_units"]),
             sequence_length=int(m["sequence_length"]) if use_lstm else 1,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,6 @@ __all__ = [
     "milling_protocol_split",
     "generate_synthetic",
     "export_cmapss_format",
-    "split_units",
 ]
 
 log = logging.getLogger("slowcaps.data")
@@ -95,9 +95,12 @@ def _read_space_table(path) -> list[list[float]]:
             if not stripped:
                 continue
             try:
-                rows.append([float(tok) for tok in stripped.split()])
+                row = [float(tok) for tok in stripped.split()]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {ln}") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{ln}: non-finite value")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -253,6 +256,9 @@ def load_milling(
                 wear = float(row[12]) if row[12].strip() else None
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {ln}") from exc
+            values = params + sensors + ([] if wear is None else [wear])
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{ln}: non-finite value")
             entry = raw.setdefault(
                 (case, run),
                 {"material": material, "params": params, "sensors": [], "wear": wear},
@@ -495,22 +501,3 @@ def export_cmapss_format(
         rul_path.write_text("\n".join(str(r) for r in ruls) + "\n", encoding="utf-8")
         paths["rul"] = rul_path
     return paths
-
-
-def split_units(
-    series: list[RunToFailureSeries],
-    fraction: float,
-    rng: np.random.Generator,
-) -> tuple[list[RunToFailureSeries], list[RunToFailureSeries]]:
-    """Partition whole units at random; no unit contributes to both sides."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if len(series) < 2:
-        raise ValueError("need at least two units to split")
-    n_held = int(round(fraction * len(series)))
-    n_held = min(max(n_held, 1), len(series) - 1)
-    order = rng.permutation(len(series))
-    held_idx = set(order[:n_held].tolist())
-    held = [s for i, s in enumerate(series) if i in held_idx]
-    kept = [s for i, s in enumerate(series) if i not in held_idx]
-    return kept, held

@@ -169,16 +169,18 @@ def build_report(
     )
 
 
-def final_sequence(raw_matrix, pipe: FeaturePipeline, seq_len: int) -> np.ndarray:
+def final_sequence(raw_matrix, pipe: FeaturePipeline, seq_len: int,
+                   settings=None) -> np.ndarray:
     """Build the last frame sequence of a series, shape (S, window, C).
 
     The sequence ends at the final available sample.  Series shorter
     than window + S - 1 rows are left-padded by repeating their earliest
-    row, so one prediction is always possible.
+    row, so one prediction is always possible.  ``settings`` are the
+    operating settings a per-condition pipeline needs.
     """
     if seq_len < 1:
         raise ValueError("sequence length must be >= 1")
-    hybrid = pipe.hybrid(raw_matrix)
+    hybrid = pipe.hybrid(raw_matrix, settings)
     need = pipe.window + seq_len - 1
     if hybrid.shape[0] < need:
         pad = np.repeat(hybrid[:1], need - hybrid.shape[0], axis=0)
@@ -193,19 +195,13 @@ def last_point_predictions(
     pipe: FeaturePipeline,
     series_list,
     label_scale: float = 1.0,
-    preprocess=None,
 ) -> tuple[list[str], np.ndarray]:
-    """One prediction per unit at its last available cycle.
-
-    ``preprocess`` optionally maps a series to the raw sensor matrix fed
-    to the pipeline (e.g. per-condition standardization); by default the
-    series' sensors are used as-is.
-    """
+    """One prediction per unit at its last available cycle."""
     if not series_list:
         raise ValueError("no evaluation units")
-    matrices = [preprocess(s) if preprocess else s.sensors for s in series_list]
     seqs = np.stack([
-        final_sequence(m, pipe, config.sequence_length) for m in matrices
+        final_sequence(s.sensors, pipe, config.sequence_length, s.settings)
+        for s in series_list
     ])
     preds = network.predict(seqs, params, config, label_scale)
     return [s.unit_id for s in series_list], preds

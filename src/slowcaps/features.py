@@ -4,7 +4,7 @@ The pipeline treats each run-to-failure series as a normal stage followed
 by a degradation stage, split at a per-unit change point.  Steps:
 
 1. z-score normalization fitted on pooled normal-stage data only, applied
-   to every sample;
+   to every sample (optionally after a z-score per operating condition);
 2. linear slow feature extraction: directions w minimizing the mean
    squared temporal difference of w'x subject to unit variance and mutual
    decorrelation on the normal data.  Solved by whitening the static
@@ -31,16 +31,16 @@ __all__ = [
     "NormalizationStats",
     "SlowFeatureModel",
     "FrameBatch",
+    "ConditionNormalizer",
     "FeaturePipeline",
     "drop_constant_channels",
     "fit_normalizer",
     "apply_normalizer",
-    "invert_normalizer",
+    "fit_condition_normalizer",
     "fit_sfa",
     "select_num_slow_features",
     "sample_acf",
     "select_window_from_acf",
-    "select_window_length",
     "piecewise_rul_labels",
     "fuse_and_slice",
     "concat_batches",
@@ -74,10 +74,14 @@ def drop_constant_channels(matrices: Iterable[np.ndarray], tol: float = 1e-10) -
     """Boolean mask of channels whose pooled standard deviation exceeds tol.
 
     Flat channels carry no degradation information and would break the
-    z-score; they are removed before any normalization.
+    z-score; they are removed before any normalization.  Non-finite
+    input is rejected: its standard deviation would compare as flat.
     """
     segs = _as_segments(matrices)
     pooled = np.vstack(segs)
+    bad = np.flatnonzero(~np.isfinite(pooled).all(axis=0))
+    if bad.size:
+        raise ValueError(f"non-finite values in channel(s) {bad.tolist()}")
     std = pooled.std(axis=0)
     mask = std > tol
     if not mask.any():
@@ -127,11 +131,50 @@ def apply_normalizer(matrix, stats: NormalizationStats) -> np.ndarray:
     return (m - stats.mean) / stats.std
 
 
-def invert_normalizer(matrix, stats: NormalizationStats) -> np.ndarray:
-    m = _as_matrix(matrix)
-    if m.shape[1] != stats.mean.shape[0]:
-        raise ValueError("channel count does not match fitted stats")
-    return m * stats.std + stats.mean
+@dataclass
+class ConditionNormalizer:
+    """Per-operating-condition z-score applied before the shared chain.
+
+    Conditions are identified by their rounded setting vectors; each
+    row is standardized with the statistics of its nearest condition
+    center, fitted per condition on normal-stage training rows.
+    """
+
+    centers: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+
+    def apply(self, sensors: np.ndarray, settings: np.ndarray | None) -> np.ndarray:
+        if settings is None:
+            raise ValueError("per-condition normalization needs settings")
+        d = settings[:, None, :] - self.centers[None, :, :]
+        nearest = np.argmin((d * d).sum(axis=2), axis=1)
+        return (sensors - self.means[nearest]) / self.stds[nearest]
+
+
+def fit_condition_normalizer(series_list, tol: float = 1e-12) -> ConditionNormalizer:
+    """Fit per-condition statistics on the normal stage of each series."""
+    groups: dict[tuple, list] = {}
+    for s in series_list:
+        if s.settings is None:
+            raise ValueError(f"unit {s.unit_id} has no settings columns")
+        cp = s.change_point
+        for x, c in zip(s.sensors[:cp], np.round(s.settings[:cp], 1)):
+            groups.setdefault(tuple(c), []).append(x)
+    centers, means, stds = [], [], []
+    for key in sorted(groups):
+        block = np.asarray(groups[key])
+        if block.shape[0] < 2:
+            raise ValueError(f"operating condition {key} has fewer than two normal samples")
+        std = block.std(axis=0)
+        centers.append(key)
+        means.append(block.mean(axis=0))
+        stds.append(np.where(std < tol, 1.0, std))
+    return ConditionNormalizer(
+        centers=np.asarray(centers, dtype=np.float64),
+        means=np.asarray(means),
+        stds=np.asarray(stds),
+    )
 
 
 @dataclass
@@ -188,10 +231,6 @@ class SlowFeatureModel:
         if not 1 <= n <= self.n_channels:
             raise ValueError(f"cannot project onto {n} of {self.n_channels} directions")
         return m @ self.weights[:, :n]
-
-    def project_residual(self, matrix) -> np.ndarray:
-        m = _as_matrix(matrix)
-        return m @ self.residual_basis
 
 
 def fit_sfa(segments, ridge_scale: float = 1e-8) -> SlowFeatureModel:
@@ -297,15 +336,6 @@ def select_window_from_acf(acf, n_samples: int) -> int:
         )
         return max_lag
     return int(below[0]) + 1
-
-
-def select_window_length(series, max_lag: int | None = None) -> int:
-    """Window length from one series: first ACF entry into the noise band."""
-    v = np.asarray(series, dtype=np.float64).ravel()
-    if max_lag is None:
-        max_lag = min(v.size - 2, 200)
-    acf = sample_acf(v, max_lag)
-    return select_window_from_acf(acf, v.size)
 
 
 def piecewise_rul_labels(n_samples: int, change_point: int, rul_max: float) -> np.ndarray:
@@ -444,11 +474,12 @@ def concat_batches(batches: Sequence[FrameBatch]) -> FrameBatch:
 
 @dataclass
 class FeaturePipeline:
-    """Fitted feature chain: channel mask, z-score stats, slow directions.
+    """Fitted feature chain: condition z-score, channel mask, stats, slow basis.
 
     ``transform`` maps a raw series matrix to its normalized channels and
     slow features; ``hybrid`` concatenates the two, matching the frame
-    channel layout (retained channels first, slow features after).
+    channel layout (retained channels first, slow features after).  With
+    a ``condition`` normalizer both need the series' operating settings.
     """
 
     channel_mask: np.ndarray
@@ -456,6 +487,7 @@ class FeaturePipeline:
     sfa: SlowFeatureModel
     window: int
     include_slow: bool = True
+    condition: ConditionNormalizer | None = None
 
     def __post_init__(self):
         self.channel_mask = np.asarray(self.channel_mask, dtype=bool)
@@ -478,13 +510,15 @@ class FeaturePipeline:
     def frame_channels(self) -> int:
         return self.n_retained + (self.num_slow if self.include_slow else 0)
 
-    def transform(self, raw_matrix) -> tuple[np.ndarray, np.ndarray]:
+    def transform(self, raw_matrix, settings=None) -> tuple[np.ndarray, np.ndarray]:
         m = _as_matrix(raw_matrix)
         if m.shape[1] != self.channel_mask.size:
             raise ValueError(
                 f"raw channel count {m.shape[1]} does not match mask "
                 f"({self.channel_mask.size})"
             )
+        if self.condition is not None:
+            m = self.condition.apply(m, settings)
         z = apply_normalizer(m[:, self.channel_mask], self.stats)
         if self.include_slow:
             slow = self.sfa.project(z, self.num_slow)
@@ -492,8 +526,8 @@ class FeaturePipeline:
             slow = np.empty((z.shape[0], 0))
         return z, slow
 
-    def hybrid(self, raw_matrix) -> np.ndarray:
-        z, slow = self.transform(raw_matrix)
+    def hybrid(self, raw_matrix, settings=None) -> np.ndarray:
+        z, slow = self.transform(raw_matrix, settings)
         return np.hstack([z, slow]) if slow.shape[1] else z
 
     def without_slow(self) -> "FeaturePipeline":
@@ -502,7 +536,7 @@ class FeaturePipeline:
 
 def pipeline_to_arrays(pipe: FeaturePipeline) -> dict[str, np.ndarray]:
     """Flatten a fitted pipeline into named float arrays (checkpoint form)."""
-    return {
+    arrays = {
         "channel_mask": pipe.channel_mask.astype(np.float64),
         "norm_mean": pipe.stats.mean,
         "norm_std": pipe.stats.std,
@@ -515,6 +549,11 @@ def pipeline_to_arrays(pipe: FeaturePipeline) -> dict[str, np.ndarray]:
         "window": np.asarray(float(pipe.window)),
         "include_slow": np.asarray(1.0 if pipe.include_slow else 0.0),
     }
+    if pipe.condition is not None:
+        arrays["condition_centers"] = pipe.condition.centers
+        arrays["condition_means"] = pipe.condition.means
+        arrays["condition_stds"] = pipe.condition.stds
+    return arrays
 
 
 def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
@@ -526,10 +565,18 @@ def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
         cov_diff=arrays["sfa_cov_diff"],
         num_slow=int(arrays["num_slow"]),
     )
+    condition = None
+    if "condition_centers" in arrays:
+        condition = ConditionNormalizer(
+            centers=arrays["condition_centers"],
+            means=arrays["condition_means"],
+            stds=arrays["condition_stds"],
+        )
     return FeaturePipeline(
         channel_mask=arrays["channel_mask"] > 0.5,
         stats=NormalizationStats(mean=arrays["norm_mean"], std=arrays["norm_std"]),
         sfa=sfa,
         window=int(arrays["window"]),
         include_slow=bool(float(arrays["include_slow"]) > 0.5),
+        condition=condition,
     )

@@ -1,15 +1,16 @@
 """End-to-end orchestration shared by the CLI and the test harness.
 
-Fitting order for run-to-failure data: drop flat channels, fit z-score
-statistics on pooled normal segments, extract slow directions from the
-normalized normal segments, pick the retained count from the slowness
-spectrum, pick the window length from the averaged degradation-stage
-autocorrelation of the first slow feature, then slice hybrid frames
-labeled with the piece-wise RUL target.
+Fitting order: optionally standardize per operating condition, drop
+flat channels, fit z-score statistics on pooled normal segments, extract
+slow directions from the normalized normal segments, pick the retained
+count from the slowness spectrum, pick the window length from the
+averaged degradation-stage autocorrelation of the first slow feature,
+then slice hybrid frames labeled with the piece-wise RUL target.
 
-Milling runs reuse the same machinery: the first cut of each case plays
-the normal stage, every cut becomes a short unit whose frames all carry
-the run-level label.
+Milling cuts go through the same fit once wrapped as series by
+``milling_run_series``: the first cut of each case is the normal stage,
+the other cuts are degradation.  For training every cut becomes a short
+unit whose frames all carry the run-level label.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from .data import MillingRun, RunToFailureSeries
 from .evaluation import EvaluationReport, build_report, last_point_predictions, \
     sequence_predictions
 from .features import FeaturePipeline, FrameBatch
-from .training import TrainConfig, TrainReport, derive_hyperparams, train
+from .training import TrainConfig, TrainReport, train
 
 __all__ = [
     "FeatureSettings",
     "FeatureDiagnostics",
-    "ConditionNormalizer",
     "fit_features",
     "build_frames",
-    "milling_normal_runs",
-    "fit_features_milling",
     "build_frames_milling",
     "milling_run_series",
     "ABLATION_VARIANTS",
@@ -72,75 +70,21 @@ class FeatureDiagnostics:
     ridge: float
 
 
-@dataclass
-class ConditionNormalizer:
-    """Per-operating-condition z-score applied before the shared pipeline.
-
-    Conditions are identified by their rounded setting vectors; each
-    row is standardized with the statistics of its nearest condition
-    center, fitted per condition on normal-stage training rows.
-    """
-
-    centers: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-
-    def apply(self, sensors: np.ndarray, settings: np.ndarray) -> np.ndarray:
-        if settings is None:
-            raise ValueError("per-condition normalization needs settings")
-        d = settings[:, None, :] - self.centers[None, :, :]
-        nearest = np.argmin((d * d).sum(axis=2), axis=1)
-        return (sensors - self.means[nearest]) / self.stds[nearest]
-
-
-def fit_condition_normalizer(
-    series_list: Sequence[RunToFailureSeries], tol: float = 1e-12
-) -> ConditionNormalizer:
-    rows = []
-    for s in series_list:
-        if s.settings is None:
-            raise ValueError(f"unit {s.unit_id} has no settings columns")
-        cp = s.change_point
-        for x, c in zip(s.sensors[:cp], np.round(s.settings[:cp], 1)):
-            rows.append((tuple(c), x))
-    groups: dict[tuple, list] = {}
-    for key, x in rows:
-        groups.setdefault(key, []).append(x)
-    centers, means, stds = [], [], []
-    for key in sorted(groups):
-        block = np.asarray(groups[key])
-        if block.shape[0] < 2:
-            raise ValueError(f"operating condition {key} has fewer than two normal samples")
-        std = block.std(axis=0)
-        std = np.where(std < tol, 1.0, std)
-        centers.append(key)
-        means.append(block.mean(axis=0))
-        stds.append(std)
-    return ConditionNormalizer(
-        centers=np.asarray(centers, dtype=np.float64),
-        means=np.asarray(means),
-        stds=np.asarray(stds),
-    )
-
-
-def _series_matrix(
-    s: RunToFailureSeries, condition: ConditionNormalizer | None
-) -> np.ndarray:
-    if condition is None:
-        return s.sensors
-    return condition.apply(s.sensors, s.settings)
-
-
 def fit_features(
     train_series: Sequence[RunToFailureSeries],
     settings: FeatureSettings | None = None,
-) -> tuple[FeaturePipeline, FeatureDiagnostics, ConditionNormalizer | None]:
-    """Fit the whole feature chain on training units."""
+) -> tuple[FeaturePipeline, FeatureDiagnostics, F.ConditionNormalizer | None]:
+    """Fit the whole feature chain on training units.
+
+    The third item is the pipeline's per-condition normalizer, None
+    unless ``settings.per_condition`` is set.
+    """
     st = settings or FeatureSettings()
     if not train_series:
         raise ValueError("no training units")
-    condition = fit_condition_normalizer(train_series) if st.per_condition else None
-    matrices = [_series_matrix(s, condition) for s in train_series]
+    condition = F.fit_condition_normalizer(train_series) if st.per_condition else None
+    matrices = [s.sensors if condition is None else condition.apply(s.sensors, s.settings)
+                for s in train_series]
     mask = F.drop_constant_channels(matrices, st.constant_tol)
     normal_segs = []
     for s, m in zip(train_series, matrices):
@@ -176,7 +120,7 @@ def fit_features(
             slow1 = sfa.project(z_deg, 1).ravel()
             max_lag = min(z_deg.shape[0] - 2, st.max_lag or 200)
             try:
-                acfs.append((F.sample_acf(slow1, max_lag), z_deg.shape[0]))
+                acfs.append(F.sample_acf(slow1, max_lag))
             except ValueError:
                 continue
             lengths.append(z_deg.shape[0])
@@ -184,13 +128,14 @@ def fit_features(
             raise ValueError(
                 "no degradation stage long enough to select a window; pin one"
             )
-        shortest = min(a.size for a, _ in acfs)
-        acf_mean = np.mean([a[:shortest] for a, _ in acfs], axis=0)
+        shortest = min(a.size for a in acfs)
+        acf_mean = np.mean([a[:shortest] for a in acfs], axis=0)
         n_mean = int(round(float(np.mean(lengths))))
         band = 2.0 / np.sqrt(n_mean)
         window = F.select_window_from_acf(acf_mean, n_mean)
     pipe = FeaturePipeline(
-        channel_mask=mask, stats=stats, sfa=sfa, window=window, include_slow=True
+        channel_mask=mask, stats=stats, sfa=sfa, window=window, include_slow=True,
+        condition=condition,
     )
     diag = FeatureDiagnostics(
         lambdas=sfa.lambdas.copy(),
@@ -201,7 +146,7 @@ def fit_features(
         retained_channels=np.flatnonzero(mask).tolist(),
         ridge=sfa.ridge,
     )
-    return pipe, diag, condition
+    return pipe, diag, pipe.condition
 
 
 def build_frames(
@@ -209,12 +154,11 @@ def build_frames(
     pipe: FeaturePipeline,
     rul_max: float,
     stride: int = 1,
-    condition: ConditionNormalizer | None = None,
 ) -> FrameBatch:
     """Degradation-stage frames for every unit, labeled by remaining life."""
     parts = []
     for s in series_list:
-        z, slow = pipe.transform(_series_matrix(s, condition))
+        z, slow = pipe.transform(s.sensors, s.settings)
         cp = s.change_point
         labels = F.piecewise_rul_labels(s.length, cp, rul_max)
         part = F.fuse_and_slice(
@@ -224,59 +168,6 @@ def build_frames(
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)
-
-
-def milling_normal_runs(runs: Sequence[MillingRun]) -> list[MillingRun]:
-    return [r for r in runs if r.is_normal]
-
-
-def fit_features_milling(
-    train_runs: Sequence[MillingRun],
-    settings: FeatureSettings | None = None,
-) -> tuple[FeaturePipeline, FeatureDiagnostics]:
-    """Milling variant: first cut of each case is the normal stage."""
-    st = settings or FeatureSettings()
-    if not train_runs:
-        raise ValueError("no training runs")
-    matrices = [r.sensors for r in train_runs]
-    mask = F.drop_constant_channels(matrices, st.constant_tol)
-    normal_segs = [r.sensors[:, mask] for r in train_runs if r.is_normal]
-    if not normal_segs:
-        raise ValueError("no run is flagged normal")
-    stats = F.fit_normalizer(normal_segs)
-    sfa = F.fit_sfa([F.apply_normalizer(seg, stats) for seg in normal_segs],
-                    ridge_scale=st.ridge_scale)
-    p = int(st.num_slow) if st.num_slow is not None else \
-        F.select_num_slow_features(sfa.lambdas)
-    if not 1 <= p <= sfa.n_channels:
-        raise ValueError(f"num_slow {p} outside 1..{sfa.n_channels}")
-    sfa.num_slow = p
-    if st.window is not None:
-        window = int(st.window)
-    else:
-        acfs = []
-        for r in train_runs:
-            if r.is_normal:
-                continue
-            z = F.apply_normalizer(r.sensors[:, mask], stats)
-            slow1 = sfa.project(z, 1).ravel()
-            max_lag = min(z.shape[0] - 2, st.max_lag or 200)
-            acfs.append(F.sample_acf(slow1, max_lag))
-        if not acfs:
-            raise ValueError("no degraded runs to select a window from; pin one")
-        shortest = min(a.size for a in acfs)
-        n = train_runs[0].sensors.shape[0]
-        window = F.select_window_from_acf(
-            np.mean([a[:shortest] for a in acfs], axis=0), n
-        )
-    pipe = FeaturePipeline(channel_mask=mask, stats=stats, sfa=sfa,
-                           window=window, include_slow=True)
-    diag = FeatureDiagnostics(
-        lambdas=sfa.lambdas.copy(), num_slow=p, window=window, acf=None,
-        acf_band=None, retained_channels=np.flatnonzero(mask).tolist(),
-        ridge=sfa.ridge,
-    )
-    return pipe, diag
 
 
 def build_frames_milling(
@@ -295,11 +186,16 @@ def build_frames_milling(
 
 
 def milling_run_series(run: MillingRun) -> RunToFailureSeries:
-    """Wrap a cut as a series so the last-point protocol applies per run."""
+    """Wrap a cut as a series for feature fitting and last-point scoring.
+
+    A normal cut is all normal stage (change point at its end), every
+    other cut all degradation (change point 0); the residual life is
+    the cut's label.
+    """
     return RunToFailureSeries(
         unit_id=run.unit_id,
         sensors=run.sensors,
-        change_point=run.sensors.shape[0],
+        change_point=run.sensors.shape[0] if run.is_normal else 0,
         true_rul=run.rul,
         metadata={"case": run.case_id, "run": run.run_id,
                   "wear": run.wear_filled},
@@ -349,13 +245,12 @@ def ablation_run(
     """
     if eval_mode not in ("last_point", "dense"):
         raise ValueError(f"unknown eval mode {eval_mode!r}")
-    pipe_full, _, condition = fit_features(train_series, settings)
+    pipe_full, _, _ = fit_features(train_series, settings)
 
     def run_variant(variant: str):
         include_slow, use_lstm = variant_flags(variant)
         pipe = pipe_full if include_slow else pipe_full.without_slow()
-        batch = build_frames(train_series, pipe, settings.rul_max,
-                             condition=condition)
+        batch = build_frames(train_series, pipe, settings.rul_max)
         config = make_config(pipe, variant)
         if config.use_lstm != use_lstm:
             raise ValueError(f"config factory disagrees with variant {variant}")
@@ -364,15 +259,12 @@ def ablation_run(
         if eval_mode == "last_point":
             ids, preds = last_point_predictions(
                 params, config, pipe, list(test_series), label_scale,
-                preprocess=None if condition is None
-                else (lambda s: _series_matrix(s, condition)),
             )
             truths = [s.true_rul for s in test_series]
             if any(t is None for t in truths):
                 raise ValueError("last-point evaluation needs true residual life")
         else:
-            test_batch = build_frames(test_series, pipe, settings.rul_max,
-                                      condition=condition)
+            test_batch = build_frames(test_series, pipe, settings.rul_max)
             preds, truths, ids = sequence_predictions(
                 params, config, test_batch.frames, test_batch.labels,
                 test_batch.unit_ids, config.sequence_length, label_scale,

@@ -25,18 +25,14 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
-    "scale",
     "matmul",
     "conv2d",
     "tanh",
     "sigmoid",
     "relu",
     "sqrt",
-    "softmax_over",
     "reduce_sum",
     "reduce_mean",
-    "l2_norm",
     "reshape",
     "select_step",
     "dropout",
@@ -135,9 +131,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -298,30 +291,6 @@ def div(a, b) -> Tensor:
     return make_op(out_data, (a, b), bw)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, -g)
-
-    return make_op(-a.data, (a,), bw)
-
-
-def scale(a, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    a = _as_tensor(a)
-    c = float(c)
-    if not np.isfinite(c):
-        raise FloatingPointError("scale factor must be finite")
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * c)
-
-    return make_op(a.data * c, (a,), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -390,23 +359,6 @@ def sqrt(a) -> Tensor:
     return make_op(out_data, (a,), bw)
 
 
-def softmax_over(a, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    a = _as_tensor(a)
-    if not -a.ndim <= axis < a.ndim:
-        raise ValueError(f"softmax axis {axis} out of range for shape {a.shape}")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            accumulate_grad(a, out_data * (g - inner))
-
-    return make_op(out_data, (a,), bw)
-
-
 def _expand_reduced(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
     if axis is None or keepdims:
         return g
@@ -436,24 +388,6 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
         if a.requires_grad:
             gg = _expand_reduced(np.asarray(g), axis, keepdims)
             accumulate_grad(a, np.broadcast_to(gg, a.data.shape) / denom)
-
-    return make_op(out_data, (a,), bw)
-
-
-def l2_norm(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Euclidean norm along ``axis`` (whole array when ``axis is None``).
-
-    The gradient at an exactly zero vector is taken to be zero.
-    """
-    a = _as_tensor(a)
-    out_data = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=keepdims))
-
-    def bw(g):
-        if a.requires_grad:
-            gg = _expand_reduced(np.asarray(g), axis, keepdims)
-            nn = _expand_reduced(np.asarray(out_data), axis, keepdims)
-            safe = np.where(nn > 0.0, nn, 1.0)
-            accumulate_grad(a, gg * a.data / safe)
 
     return make_op(out_data, (a,), bw)
 

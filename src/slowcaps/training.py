@@ -1,5 +1,5 @@
-"""Model fitting: minibatch Adam with early stopping, plus the
-hyper-parameter derivation rules and the two-axis sensitivity search.
+"""Model fitting: minibatch Adam with early stopping, plus the two-axis
+sensitivity search.
 
 Routing and weight updates interleave at batch granularity: every
 forward pass reruns the routing iterations, and Adam applies one update
@@ -28,7 +28,6 @@ __all__ = [
     "build_sequences",
     "split_unit_ids",
     "train",
-    "derive_hyperparams",
     "GridCell",
     "GridResult",
     "sensitivity_grid",
@@ -274,47 +273,6 @@ def train(
         wall_seconds=time.perf_counter() - t0,
     )
     return params, report
-
-
-def derive_hyperparams(
-    num_slow: int,
-    n_channels: int,
-    window: int,
-    conv_filters: int = 64,
-    lstm_units: int = 16,
-    **overrides,
-) -> network.ModelConfig:
-    """Architecture defaults from the feature dimensions.
-
-    With P slow features over J channels: the advanced layer gets P
-    capsules of dimension J+P, the basic capsule dimension is
-    floor((P+J)/2), and the basic channel count is conv_filters divided
-    by that dimension (filters are bumped to the next multiple when they
-    do not divide).  Filter count and LSTM width stay free for the
-    sensitivity search.
-    """
-    p, j = int(num_slow), int(n_channels)
-    if p < 1 or j < 1:
-        raise ValueError("num_slow and n_channels must be positive")
-    d = max((p + j) // 2, 1)
-    filters = int(conv_filters)
-    if filters % d != 0:
-        bumped = ((filters + d - 1) // d) * d
-        log.info("bumping conv filters %d -> %d to divide capsule dim %d",
-                 filters, bumped, d)
-        filters = bumped
-    kwargs = dict(
-        window_length=int(window),
-        in_channels=j + p,
-        conv_filters=filters,
-        caps_dim=d,
-        caps_channels=filters // d,
-        num_advanced=p,
-        advanced_dim=j + p,
-        lstm_units=int(lstm_units),
-    )
-    kwargs.update(overrides)
-    return network.ModelConfig(**kwargs)
 
 
 @dataclass

@@ -191,6 +191,45 @@ def test_missing_data_exits_1(tmp_path, capsys):
     assert "train_synthetic.txt" in err["message"]
 
 
+def test_non_finite_training_data_exits_1(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (workspace / "data" / "train_synthetic.txt").read_text().splitlines()
+    tokens = lines[4].split()
+    tokens[7] = "nan"  # sensor 2 of the fifth row
+    lines[4] = " ".join(tokens)
+    (data / "train_synthetic.txt").write_text("\n".join(lines) + "\n")
+    rc = main(["fit-features", "--out", str(tmp_path / "feat"),
+               "--data-dir", str(data), *SET])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert "train_synthetic.txt:5: non-finite" in err["message"]
+    assert not (tmp_path / "feat" / "features.json").exists()
+
+
+def test_per_condition_chain(workspace, tmp_path):
+    pc = SET + ["--set", "features.per_condition=true"]
+    data = str(workspace / "data")
+    steps = [
+        ["fit-features", "--out", str(tmp_path / "feat"), "--data-dir", data,
+         "--seed", "3", *pc],
+        ["train", "--out", str(tmp_path / "model"), "--data-dir", data,
+         "--features", str(tmp_path / "feat"), "--seed", "3", *pc],
+        ["evaluate", "--out", str(tmp_path / "eval"), "--data-dir", data,
+         "--model", str(tmp_path / "model"),
+         "--features", str(tmp_path / "feat"), "--seed", "3", *pc],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv[0]
+    meta = json.loads((tmp_path / "feat" / "features_meta.json").read_text())
+    assert meta["per_condition"] is True
+    saved = json.loads((tmp_path / "feat" / "features.json").read_text())
+    assert {"condition_centers", "condition_means", "condition_stds"} <= set(saved)
+    report = E.load_report(tmp_path / "eval" / "report.json")
+    assert len(report.rows) == 3 and np.isfinite(report.rmse)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
@@ -235,6 +274,25 @@ def test_fit_features_milling(tmp_path):
     meta = json.loads((tmp_path / "feat" / "features_meta.json").read_text())
     assert meta["num_slow"] == 3 and meta["window"] == 10
     assert meta["per_condition"] is False
+    dump = (tmp_path / "feat" / "features_dump.csv").read_text().splitlines()[1:]
+    stages = {}
+    for line in dump:
+        unit, _, stage = line.split(",")[:3]
+        stages.setdefault(unit, set()).add(stage)
+    # the first cut of each case is the normal stage, every later cut wears
+    assert stages["c01r01"] == {"normal"} and stages["c11r01"] == {"normal"}
+    assert stages["c01r02"] == {"degradation"} and stages["c01r03"] == {"degradation"}
+    assert sum(1 for line in dump if ",normal," in line) == 11 * 90
     # per-condition normalization is a turbofan-only feature
     rc = main(args + ["--set", "features.per_condition=true"])
     assert rc == 2
+    # an automatic window reports its noise band like a series fit
+    auto = args[:-2]  # without the pinned window
+    auto[2] = str(tmp_path / "auto")
+    assert main(auto) == 0
+    meta = json.loads((tmp_path / "auto" / "features_meta.json").read_text())
+    assert meta["acf_band"] == 2.0 / np.sqrt(90)
+    manifest = json.loads((tmp_path / "auto" / "manifest.json").read_text())
+    assert "acf.csv" in manifest["artifacts"]
+    acf = (tmp_path / "auto" / "acf.csv").read_text().splitlines()
+    assert acf[0] == "lag,acf" and acf[1] == "0,1.0"

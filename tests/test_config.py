@@ -148,9 +148,23 @@ def test_resolve_model_config_derives_unset_fields():
     assert mc.caps_channels == 8
     assert mc.num_advanced == 2
     assert mc.advanced_dim == 16
-    assert mc.conv_filters == 64
+    assert mc.conv_filters == 64       # already divisible
     assert mc.window_length == 30 and mc.in_channels == 16
     assert mc.use_lstm and mc.sequence_length == 5
+    assert mc.lstm_units == 16
+
+
+def test_resolve_model_config_small_dims_and_invalid_counts():
+    cfg = C.default_config()
+    mc = C.resolve_model_config(
+        cfg, frame_channels=3, num_slow=1, plain_channels=2, window=8
+    )
+    assert mc.caps_dim == 1
+    assert mc.caps_channels == mc.conv_filters
+    with pytest.raises(ValueError):
+        C.resolve_model_config(
+            cfg, frame_channels=5, num_slow=0, plain_channels=5, window=8
+        )
 
 
 def test_resolve_model_config_table_values_win():
@@ -173,7 +187,16 @@ def test_resolve_model_config_bumps_indivisible_filters():
         cfg, frame_channels=16, num_slow=2, plain_channels=14, window=30
     )
     assert mc.caps_dim == 8
-    assert mc.conv_filters == 32       # nearest workable multiple
+    assert mc.conv_filters == 32       # next multiple of 8 above 30
+    assert mc.caps_channels == 4
+    # the bump follows the capsule dimension in use, not the derived one
+    cfg["model"]["filters"] = 20
+    cfg["model"]["basic_capsule"]["dimensions"] = 3
+    mc = C.resolve_model_config(
+        cfg, frame_channels=16, num_slow=2, plain_channels=14, window=30
+    )
+    assert mc.caps_dim == 3 and mc.conv_filters == 21
+    assert mc.caps_channels == 7
 
 
 def test_resolve_model_config_without_lstm():

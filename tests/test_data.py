@@ -303,6 +303,26 @@ def test_load_milling_validation(tmp_path):
         D.load_milling(bad_val)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_loaders_reject_non_finite_values(tmp_path, token):
+    rows = simple_unit_rows(1, 12)
+    rows[6][7] = token
+    turbofan = tmp_path / "train.txt"
+    write_cmapss(turbofan, rows)
+    with pytest.raises(ValueError, match=f"{turbofan}:7: non-finite"):
+        D.load_cmapss(turbofan, rul_max=5.0, n_sensors=4)
+
+    milling = tmp_path / "m.csv"
+    milling.write_text(",".join(D.MILLING_COLUMNS) + "\n"
+                       f"1,1,1,1.5,0.5,200,1,2,{token},4,5,6,0.1\n")
+    with pytest.raises(ValueError, match=f"{milling}:2: non-finite"):
+        D.load_milling(milling, samples_per_run=1)
+    milling.write_text(",".join(D.MILLING_COLUMNS) + "\n"
+                       f"1,1,1,1.5,0.5,200,1,2,3,4,5,6,{token}\n")
+    with pytest.raises(ValueError, match=f"{milling}:2: non-finite"):
+        D.load_milling(milling, samples_per_run=1)
+
+
 def test_milling_protocol_split(tmp_path):
     runs = D.load_milling(milling_csv(tmp_path), samples_per_run=4)["runs"]
     train, test = D.milling_protocol_split(
@@ -316,23 +336,3 @@ def test_milling_protocol_split(tmp_path):
     single = [r for r in runs if r.material == 1]
     with pytest.raises(ValueError, match="two materials"):
         D.milling_protocol_split(single)
-
-
-# ------------------------------------------------------------ unit splits
-
-
-def test_split_units():
-    series = [
-        D.RunToFailureSeries(f"u{i}", np.zeros((5, 2)), 3) for i in range(10)
-    ]
-    kept, held = D.split_units(series, 0.3, np.random.default_rng(4))
-    assert len(held) == 3 and len(kept) == 7
-    ids = {s.unit_id for s in kept} | {s.unit_id for s in held}
-    assert ids == {s.unit_id for s in series}
-    a = D.split_units(series, 0.3, np.random.default_rng(6))
-    b = D.split_units(series, 0.3, np.random.default_rng(6))
-    assert [s.unit_id for s in a[1]] == [s.unit_id for s in b[1]]
-    with pytest.raises(ValueError):
-        D.split_units(series, 1.5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        D.split_units(series[:1], 0.5, np.random.default_rng(0))

@@ -1,12 +1,14 @@
 """Metrics, error histograms, report artifacts, prediction helpers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from slowcaps import data as D
 from slowcaps import evaluation as E
+from slowcaps import features as F
 from slowcaps import network as N
 from slowcaps.pipeline import FeatureSettings, build_frames, fit_features
 
@@ -176,12 +178,26 @@ def test_last_point_predictions_alignment(fitted):
     seqs = np.stack([E.final_sequence(s.sensors, pipe, 3) for s in series])
     np.testing.assert_allclose(preds, N.predict(seqs, params, cfg, 25.0),
                                atol=1e-12)
-    # the preprocess hook replaces the raw matrix fed to the pipeline
-    _, zeroed = E.last_point_predictions(
-        params, cfg, pipe, series, label_scale=25.0,
-        preprocess=lambda s: np.zeros_like(s.sensors),
+    # a per-condition pipeline standardizes each unit by its own settings
+    cond = F.ConditionNormalizer(
+        centers=np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]]),
+        means=np.array([[0.5] * 4, [-3.0] * 4]),
+        stds=np.array([[2.0] * 4, [0.5] * 4]),
     )
-    assert not np.allclose(preds, zeroed)
+    mixed = list(series)
+    mixed[1] = D.RunToFailureSeries(
+        unit_id=series[1].unit_id, sensors=series[1].sensors,
+        change_point=series[1].change_point,
+        settings=np.full_like(series[1].settings, 10.0),
+    )
+    _, shifted = E.last_point_predictions(
+        params, cfg, replace(pipe, condition=cond), mixed, label_scale=25.0,
+    )
+    seqs = np.stack([E.final_sequence(cond.apply(s.sensors, s.settings), pipe, 3)
+                     for s in mixed])
+    np.testing.assert_allclose(shifted, N.predict(seqs, params, cfg, 25.0),
+                               atol=1e-12)
+    assert not np.allclose(preds, shifted)
     with pytest.raises(ValueError, match="units"):
         E.last_point_predictions(params, cfg, pipe, [])
 

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from slowcaps import checkpoint as ckpt
 from slowcaps import data as D
 from slowcaps import features as F
 from slowcaps import network as N
@@ -42,6 +43,17 @@ def test_fit_features_recovers_planted_structure():
     assert diag.ridge > 0.0
     assert pipe.frame_channels == 7  # five channels + two slow features
     assert pipe.window == 24
+
+
+def test_fit_features_noise_band_uses_mean_degradation_length():
+    series = planted_series(units=4)
+    keep = [s.change_point + n for s, n in zip(series, (40, 61, 100, 100))]
+    cut = [D.RunToFailureSeries(unit_id=s.unit_id, sensors=s.sensors[:k],
+                                change_point=s.change_point, settings=s.settings[:k])
+           for s, k in zip(series, keep)]
+    _, diag, _ = P.fit_features(cut, P.FeatureSettings(rul_max=100.0, num_slow=2))
+    assert diag.acf_band == 2.0 / np.sqrt(75)  # round(mean(40, 61, 100, 100))
+    assert diag.acf.size == 39  # the shortest stage bounds the averaged lags
 
 
 def test_fit_features_pinned_settings():
@@ -152,7 +164,7 @@ def condition_series(n=4, rows=40):
 
 def test_condition_normalizer_fit_and_apply():
     series = condition_series()
-    norm = P.fit_condition_normalizer(series)
+    norm = F.fit_condition_normalizer(series)
     assert norm.centers.shape == (2, 3)
     np.testing.assert_array_equal(norm.centers[0], (0.0, 0.0, 100.0))
     np.testing.assert_array_equal(norm.centers[1], (20.0, 0.7, 100.0))
@@ -177,13 +189,13 @@ def test_condition_normalizer_validation():
     bare = D.RunToFailureSeries("x", np.zeros((4, 2)) + np.arange(4)[:, None],
                                 change_point=3)
     with pytest.raises(ValueError, match="settings"):
-        P.fit_condition_normalizer([bare])
+        F.fit_condition_normalizer([bare])
     lone = D.RunToFailureSeries(
         "y", np.random.default_rng(0).normal(size=(3, 2)), change_point=3,
         settings=np.array([[0.0, 0, 0], [0.0, 0, 0], [9.0, 9, 9]]),
     )
     with pytest.raises(ValueError, match="fewer than two"):
-        P.fit_condition_normalizer([lone])
+        F.fit_condition_normalizer([lone])
 
 
 def test_fit_features_per_condition():
@@ -192,12 +204,48 @@ def test_fit_features_per_condition():
         series, P.FeatureSettings(rul_max=10.0, num_slow=1, window=3,
                                   per_condition=True)
     )
-    assert condition is not None
+    assert condition is not None and condition is pipe.condition
     assert condition.centers.shape == (2, 3)
-    # the fitted chain consumes condition-normalized matrices
-    z, slow = pipe.transform(condition.apply(series[0].sensors,
-                                             series[0].settings))
+    # the fitted chain standardizes by condition before the shared z-score
+    s = series[0]
+    z, slow = pipe.transform(s.sensors, s.settings)
     assert z.shape == (40, 2) and slow.shape == (40, 1)
+    bare = F.FeaturePipeline(channel_mask=pipe.channel_mask, stats=pipe.stats,
+                             sfa=pipe.sfa, window=pipe.window)
+    z0, slow0 = bare.transform(condition.apply(s.sensors, s.settings))
+    np.testing.assert_array_equal(z, z0)
+    np.testing.assert_array_equal(slow, slow0)
+    np.testing.assert_array_equal(pipe.hybrid(s.sensors, s.settings),
+                                  np.hstack([z, slow]))
+    with pytest.raises(ValueError, match="settings"):
+        pipe.transform(s.sensors)
+    batch = P.build_frames(series, pipe, rul_max=10.0)
+    np.testing.assert_array_equal(batch.frames[0], np.hstack([z, slow])[30:33])
+
+
+def test_per_condition_pipeline_round_trip_and_variant():
+    series = condition_series()
+    pipe, _, _ = P.fit_features(
+        series, P.FeatureSettings(rul_max=10.0, num_slow=1, window=3,
+                                  per_condition=True)
+    )
+    s = series[1]
+    z, slow = pipe.transform(s.sensors, s.settings)
+    text = ckpt.dumps_arrays(F.pipeline_to_arrays(pipe))
+    back = F.pipeline_from_arrays(ckpt.loads_arrays(text))
+    np.testing.assert_array_equal(back.condition.centers, pipe.condition.centers)
+    z2, slow2 = back.transform(s.sensors, s.settings)
+    np.testing.assert_array_equal(z2, z)
+    np.testing.assert_array_equal(slow2, slow)
+    plain = pipe.without_slow()
+    assert plain.condition is pipe.condition
+    z3, slow3 = plain.transform(s.sensors, s.settings)
+    np.testing.assert_array_equal(z3, z)
+    assert slow3.shape == (40, 0)
+    # a pipeline fitted without conditions stores none
+    flat, _, _ = P.fit_features(series, P.FeatureSettings(num_slow=1, window=3))
+    assert not any(k.startswith("condition_") for k in F.pipeline_to_arrays(flat))
+    assert F.pipeline_from_arrays(F.pipeline_to_arrays(flat)).condition is None
 
 
 # ----------------------------------------------------------- milling path
@@ -224,43 +272,49 @@ def milling_runs(cases=3, runs_per_case=3, samples=60):
 
 def test_fit_features_milling_and_frames():
     runs = milling_runs()
-    pipe, diag = P.fit_features_milling(
-        runs, P.FeatureSettings(num_slow=2, window=10)
-    )
+    series = [P.milling_run_series(r) for r in runs]
+    pipe, diag, _ = P.fit_features(series, P.FeatureSettings(num_slow=2, window=10))
     assert diag.num_slow == 2 and diag.window == 10
     assert pipe.frame_channels == 4 + 2
+    # only the first cut of each case feeds the normal-stage statistics
+    stats = F.fit_normalizer([r.sensors for r in runs if r.is_normal])
+    np.testing.assert_allclose(pipe.stats.mean, stats.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pipe.stats.std, stats.std, rtol=0, atol=1e-12)
     batch = P.build_frames_milling(runs, pipe)
     assert set(batch.unit_ids) == {r.unit_id for r in runs}
     for r in runs[:3]:
         sel = batch.unit_slice(r.unit_id)
         assert sel.stop - sel.start == 60 - 10 + 1
         np.testing.assert_array_equal(batch.labels[sel], r.rul)
-    # automatic window selection from the degraded cuts stays sane
-    _, diag_auto = P.fit_features_milling(runs, P.FeatureSettings(num_slow=2))
+    # automatic window selection from the degraded cuts stays sane and
+    # reports its noise band like any series fit
+    _, diag_auto, _ = P.fit_features(series, P.FeatureSettings(num_slow=2))
     assert 1 <= diag_auto.window <= 60
+    assert diag_auto.acf is not None
+    assert diag_auto.acf_band == 2.0 / np.sqrt(60)
 
 
 def test_fit_features_milling_validation():
-    with pytest.raises(ValueError, match="runs"):
-        P.fit_features_milling([], P.FeatureSettings())
     runs = milling_runs()
+    with pytest.raises(ValueError, match="window"):
+        P.fit_features([P.milling_run_series(r) for r in runs],
+                       P.FeatureSettings(num_slow=1, window=0))
     for r in runs:
         r.is_normal = False
     with pytest.raises(ValueError, match="normal"):
-        P.fit_features_milling(runs, P.FeatureSettings(num_slow=1, window=5))
+        P.fit_features([P.milling_run_series(r) for r in runs],
+                       P.FeatureSettings(num_slow=1, window=5))
 
 
 def test_milling_run_series_wrapper():
-    run = milling_runs()[1]
+    first, run = milling_runs()[:2]
+    assert first.is_normal and not run.is_normal
     s = P.milling_run_series(run)
     assert s.unit_id == run.unit_id
-    assert s.change_point == run.sensors.shape[0]  # treated as all normal
+    assert s.change_point == 0  # a worn cut is all degradation
     assert s.true_rul == run.rul
     assert s.metadata["case"] == run.case_id
-    normal = P.milling_normal_runs(milling_runs())
-    assert [r.unit_id for r in normal] == [
-        r.unit_id for r in milling_runs() if r.run_id == 1
-    ]
+    assert P.milling_run_series(first).change_point == first.sensors.shape[0]
 
 
 # --------------------------------------------------------------- ablation

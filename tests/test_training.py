@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from slowcaps import config as C
 from slowcaps import network as N
 from slowcaps import training as TR
 from slowcaps.checkpoint import dumps_arrays
@@ -205,7 +206,12 @@ def test_train_report_json_dict():
 
 
 def test_derive_hyperparams_from_feature_dims():
-    cfg = TR.derive_hyperparams(2, 14, window=30)
+    # 2 slow features over 14 sensor channels: the architecture the fitting
+    # loop instantiates follows the coupling rules of the resolver
+    cfg = C.resolve_model_config(
+        C.default_config(), frame_channels=16, num_slow=2, plain_channels=14,
+        window=30,
+    )
     assert cfg.caps_dim == 8            # floor((2 + 14) / 2)
     assert cfg.conv_filters == 64       # already divisible
     assert cfg.caps_channels == 8
@@ -214,23 +220,24 @@ def test_derive_hyperparams_from_feature_dims():
     assert cfg.advanced_dim == 16
     assert cfg.window_length == 30
     assert cfg.lstm_units == 16
+    params = N.init_parameters(cfg, np.random.default_rng(0))
+    assert params["conv.kernel"].data.shape[-1] == 64
+    assert params["caps.kernel"].data.shape[-1] == 8 * 8
+    assert params["route.transform"].data.shape[1:] == (2, 16, 8)
 
 
 def test_derive_hyperparams_bumps_filters():
-    cfg = TR.derive_hyperparams(2, 14, window=30, conv_filters=30)
+    doc = C.default_config()
+    doc["model"]["filters"] = 30
+    cfg = C.resolve_model_config(
+        doc, frame_channels=16, num_slow=2, plain_channels=14, window=30
+    )
     assert cfg.caps_dim == 8
     assert cfg.conv_filters == 32       # next multiple of 8 above 30
     assert cfg.caps_channels == 4
-
-
-def test_derive_hyperparams_small_and_overrides():
-    cfg = TR.derive_hyperparams(1, 2, window=8)
-    assert cfg.caps_dim == 1
-    assert cfg.caps_channels == cfg.conv_filters
-    over = TR.derive_hyperparams(2, 14, window=30, caps_dim=4, caps_channels=16)
-    assert over.caps_dim == 4 and over.caps_channels == 16
-    with pytest.raises(ValueError):
-        TR.derive_hyperparams(0, 5, window=8)
+    params = N.init_parameters(cfg, np.random.default_rng(0))
+    assert params["conv.kernel"].data.shape[-1] == 32
+    assert params["caps.kernel"].data.shape[-1] == 4 * 8
 
 
 # ------------------------------------------------------ sensitivity grid
