@@ -59,9 +59,11 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def _as_segments(x) -> list[np.ndarray]:
+    # C order: pooled sums, and so every fitted statistic, must not
+    # depend on how the caller's slices happen to be laid out
     if isinstance(x, np.ndarray):
-        return [_as_matrix(x)]
-    segs = [_as_matrix(s) for s in x]
+        return [np.ascontiguousarray(_as_matrix(x))]
+    segs = [np.ascontiguousarray(_as_matrix(s)) for s in x]
     if not segs:
         raise ValueError("no segments provided")
     widths = {s.shape[1] for s in segs}

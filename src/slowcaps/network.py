@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, accumulate_grad, make_op
+from .tensor import Tensor, _accumulate_new, accumulate_grad, make_op
 
 __all__ = [
     "ModelConfig",
@@ -271,18 +271,27 @@ def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
 
 
 def capsule_transform(u: Tensor, w: Tensor) -> Tensor:
-    """Per-pair linear votes: u (N,I,D) and w (I,J,A,D) give (N,I,J,A)."""
+    """Per-pair linear votes: u (N,I,D) and w (I,J,A,D) give (N,I,J,A).
+
+    Computed as one matmul batched over I; the result is a transposed
+    view of the (I, N, J, A) product.
+    """
     if u.ndim != 3 or w.ndim != 4:
         raise ValueError(f"bad ranks for capsule transform: {u.shape}, {w.shape}")
     if u.shape[1] != w.shape[0] or u.shape[2] != w.shape[3]:
         raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
-    out = np.einsum("ijad,nid->nija", w.data, u.data, optimize=True)
+    n, i, d = u.shape
+    _, j, a, _ = w.shape
+    ui = u.data.transpose(1, 0, 2)
+    wi = w.data.reshape(i, j * a, d)
+    out = np.matmul(ui, wi.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, i, j, a)
 
     def bw(g):
+        gi = np.asarray(g).reshape(n, i, j * a).transpose(1, 0, 2)
         if w.requires_grad:
-            accumulate_grad(w, np.einsum("nija,nid->ijad", g, u.data, optimize=True))
+            accumulate_grad(w, np.matmul(gi.transpose(0, 2, 1), ui).reshape(i, j, a, d))
         if u.requires_grad:
-            accumulate_grad(u, np.einsum("nija,ijad->nid", g, w.data, optimize=True))
+            accumulate_grad(u, np.matmul(gi, wi).transpose(1, 0, 2))
 
     return make_op(out, (u, w), bw)
 
@@ -297,11 +306,16 @@ def capsule_weighted_sum(u_hat: Tensor, coupling: np.ndarray) -> Tensor:
     c = np.asarray(coupling, dtype=np.float64)
     if c.shape != u_hat.shape[:3]:
         raise ValueError(f"coupling shape {c.shape} does not match votes {u_hat.shape}")
+    n, i, j, a = u_hat.shape
     out = np.einsum("nij,nija->nja", c, u_hat.data, optimize=True)
 
     def bw(g):
         if u_hat.requires_grad:
-            accumulate_grad(u_hat, np.einsum("nja,nij->nija", g, c, optimize=True))
+            # laid out (I, N, J, A) like the votes, so capsule_transform's
+            # backward batches over I on contiguous slabs
+            gi = np.empty((i, n, j, a))
+            np.multiply(c.transpose(1, 0, 2)[..., None], g, out=gi)
+            _accumulate_new(u_hat, gi.transpose(1, 0, 2, 3))
 
     return make_op(out, (u_hat,), bw)
 
@@ -316,23 +330,27 @@ def routing_coefficients(
     adds each vote's agreement (dot product with the squashed output) to
     its logit.  Returns (coupling, logits) from the final iteration,
     where ``coupling`` is the softmax the final outputs were built from
-    and ``logits`` includes the final agreement update.  With
-    ``trace=True`` a per-iteration list of (coupling, logits) is
+    and ``logits`` includes the final agreement update, both (N, I, J).
+    With ``trace=True`` a per-iteration list of (coupling, logits) is
     returned as a third element.
     """
     uh = np.asarray(u_hat_values, dtype=np.float64)
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
-    b = np.zeros(uh.shape[:3])
+    # work in (n, j, i) order: the softmax reduces over an outer axis and
+    # both contractions over i and a are batched matmuls
+    ut = uh.transpose(0, 2, 1, 3)
+    b = np.zeros(ut.shape[:3])
     c = None
     steps = []
     for _ in range(iterations):
-        c = _softmax_np(b, axis=2)
-        s = np.einsum("nij,nija->nja", c, uh, optimize=True)
+        c = _softmax_np(b, axis=1)
+        s = np.matmul(c[:, :, None, :], ut)[:, :, 0]
         v = _squash_np(s)
-        b = b + np.einsum("nija,nja->nij", uh, v, optimize=True)
+        b = b + np.matmul(ut, v[..., None])[..., 0]
         if trace:
-            steps.append((c.copy(), b.copy()))
+            steps.append((c.transpose(0, 2, 1).copy(), b.transpose(0, 2, 1).copy()))
+    c, b = c.transpose(0, 2, 1), b.transpose(0, 2, 1)
     if trace:
         return c, b, steps
     return c, b
@@ -340,8 +358,8 @@ def routing_coefficients(
 
 def conv_features(frames: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
     """First stage: valid convolution over (N, window, channels, 1) + tanh."""
-    return T.tanh(T.conv2d(frames, params["conv.kernel"], params["conv.bias"],
-                           config.conv_stride))
+    return T.conv2d_tanh(frames, params["conv.kernel"], params["conv.bias"],
+                         config.conv_stride)
 
 
 def build_basic_capsules(maps: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:

@@ -27,6 +27,7 @@ __all__ = [
     "div",
     "matmul",
     "conv2d",
+    "conv2d_tanh",
     "tanh",
     "sigmoid",
     "relu",
@@ -63,6 +64,11 @@ class no_grad:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
+    # a finite sum proves every element finite; only an overflowing or
+    # non-finite sum pays for the elementwise scan
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {what}")
 
@@ -171,6 +177,15 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         # copy: g may be a view of another node's gradient buffer
         t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def _accumulate_new(t: Tensor, g: np.ndarray) -> None:
+    """:func:`accumulate_grad` for a ``g`` the caller just allocated and
+    keeps no reference to: an empty slot takes it without a copy."""
+    if t.grad is None:
+        t.grad = g
     else:
         t.grad += g
 
@@ -445,6 +460,20 @@ def conv2d(a, kernels, bias, stride=(1, 1)) -> Tensor:
     (kh, kw, C, M); ``bias`` has shape (M,).  Output spatial extents are
     floor((H-kh)/sh)+1 by floor((W-kw)/sw)+1.  No padding is applied.
     """
+    return _conv(a, kernels, bias, stride, activate=False)
+
+
+def conv2d_tanh(a, kernels, bias, stride=(1, 1)) -> Tensor:
+    """``tanh(conv2d(a, kernels, bias, stride))`` as one tape node.
+
+    The activation is applied in place on the convolution output, and
+    the backward pass forms (1 - y^2) * g from the saved output, so no
+    pre-activation map is kept.
+    """
+    return _conv(a, kernels, bias, stride, activate=True)
+
+
+def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
     a, k, b = _as_tensor(a), _as_tensor(kernels), _as_tensor(bias)
     sh, sw = int(stride[0]), int(stride[1])
     if sh < 1 or sw < 1:
@@ -465,30 +494,45 @@ def conv2d(a, kernels, bias, stride=(1, 1)) -> Tensor:
         raise ValueError(f"bias must have shape ({m},), got {b.data.shape}")
     ho = (h - kh) // sh + 1
     wo = (w - kw) // sw + 1
-    # im2col: patches laid out (N, Ho, Wo, C, kh, kw), flattened to a
-    # single dgemm against the reshaped kernel bank
+    # im2col in kernel order (N, Ho, Wo, kh, kw, C): the kernel bank
+    # reshapes to (kh*kw*C, M) without a copy, and one-row windows that
+    # tile the input (kernel == stride, or a full-width kernel) make the
+    # patch matrix a view of the input itself
     patches = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(1, 2))
-    patches = patches[:, ::sh, ::sw]
-    pm = np.ascontiguousarray(patches).reshape(n * ho * wo, cin * kh * kw)
-    km = np.ascontiguousarray(k.data.transpose(2, 0, 1, 3)).reshape(cin * kh * kw, m)
-    out4 = (pm @ km).reshape(n, ho, wo, m) + b.data
-    out_data = out4[0] if squeeze else out4
+    patches = patches[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
+    pm = patches.reshape(n * ho * wo, kh * kw * cin)
+    km = k.data.reshape(kh * kw * cin, m)
+    out = pm @ km
+    out += b.data
+    if activate:
+        np.tanh(out, out=out)
+    out4 = out.reshape(n, ho, wo, m)
+    tiles = ((kh, kw) == (sh if ho > 1 else kh, sw if wo > 1 else kw)
+             and (ho * kh, wo * kw) == (h, w))
 
     def bw(g):
-        g4 = np.asarray(g)[None] if squeeze else np.asarray(g)
+        gm = np.asarray(g).reshape(n * ho * wo, m)
+        if activate:
+            gz = np.multiply(out, out)
+            np.subtract(1.0, gz, out=gz)
+            gz *= gm
+            gm = gz
         if b.requires_grad:
-            accumulate_grad(b, g4.sum(axis=(0, 1, 2)))
-        gm = g4.reshape(n * ho * wo, m)
+            accumulate_grad(b, gm.sum(axis=0))
         if k.requires_grad:
-            gk = (pm.T @ gm).reshape(cin, kh, kw, m).transpose(1, 2, 0, 3)
-            accumulate_grad(k, gk)
+            accumulate_grad(k, (pm.T @ gm).reshape(kh, kw, cin, m))
         if a.requires_grad:
-            gx = np.zeros_like(x4)
-            for p in range(kh):
-                for q in range(kw):
-                    # each kernel offset scatters onto a strided slab
-                    gx[:, p : p + sh * (ho - 1) + 1 : sh,
-                          q : q + sw * (wo - 1) + 1 : sw, :] += g4 @ k.data[p, q].T
-            accumulate_grad(a, gx[0] if squeeze else gx)
+            g6 = (gm @ km.T).reshape(n, ho, wo, kh, kw, cin)
+            if tiles:
+                # col2im of disjoint windows that cover the input
+                gx = g6.transpose(0, 1, 3, 2, 4, 5).reshape(x4.shape)
+            else:
+                # col2im: each kernel offset adds onto a strided slab
+                gx = np.zeros_like(x4)
+                for p in range(kh):
+                    for q in range(kw):
+                        gx[:, p : p + sh * (ho - 1) + 1 : sh,
+                              q : q + sw * (wo - 1) + 1 : sw] += g6[:, :, :, p, q]
+            _accumulate_new(a, gx[0] if squeeze else gx)
 
-    return make_op(out_data, (a, k, b), bw)
+    return make_op(out4[0] if squeeze else out4, (a, k, b), bw)

@@ -67,6 +67,21 @@ def test_normalizer_pooled_stats(rng):
     np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
 
 
+def test_fits_do_not_depend_on_segment_memory_layout(rng):
+    # boolean column masks return Fortran-ordered copies; the pooled
+    # statistics must come out bit for bit as from C-ordered rows
+    segs = [rng.normal(size=(n, 6)) * [1, 2, 3, 4, 5, 6] + [1e3, -2, 7, 0.1, 5, 9]
+            for n in (57, 80, 131)]
+    f_segs = [np.asfortranarray(s) for s in segs]
+    assert not f_segs[0].flags.c_contiguous
+    c_stats, f_stats = F.fit_normalizer(segs), F.fit_normalizer(f_segs)
+    assert c_stats.mean.tobytes() == f_stats.mean.tobytes()
+    assert c_stats.std.tobytes() == f_stats.std.tobytes()
+    c_sfa, f_sfa = F.fit_sfa(segs), F.fit_sfa(f_segs)
+    assert c_sfa.weights.tobytes() == f_sfa.weights.tobytes()
+    assert c_sfa.lambdas.tobytes() == f_sfa.lambdas.tobytes()
+
+
 def test_normalizer_rejects_flat_channel():
     seg = np.column_stack([np.arange(10.0), np.full(10, 2.0)])
     with pytest.raises(ValueError):

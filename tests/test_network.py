@@ -202,6 +202,17 @@ def test_capsule_transform_validation(rng):
         )
 
 
+def test_capsule_transform_non_finite_vote_raises(rng):
+    # the votes are a transposed view of the batched product; one
+    # overflowing vote in it must still fail the finite check
+    u = rng.normal(size=(2, 5, 4))
+    u[1, 3] = 10.0
+    w = rng.normal(size=(5, 3, 6, 4))
+    w[3, 1, 2] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        N.capsule_transform(Tensor(u), Tensor(w))
+
+
 def test_capsule_weighted_sum_matches_einsum_and_fd(rng):
     uh = Tensor(rng.normal(size=(2, 5, 3, 6)), requires_grad=True)
     c = rng.dirichlet(np.ones(3), size=(2, 5))

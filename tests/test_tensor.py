@@ -1,6 +1,7 @@
 """Autodiff engine: forward values, gradients vs finite differences."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,41 @@ def test_overflow_in_op_raises():
             T.div(Tensor(1.0), Tensor(0.0))
 
 
+def test_finite_check_passes_an_overflowing_sum_silently():
+    big = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.mul(Tensor(big, requires_grad=True), Tensor(1.0))
+    np.testing.assert_array_equal(out.data, big)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_finds_one_bad_value_anywhere(rng, bad):
+    layouts = {
+        "contiguous": lambda a: a,
+        "transposed": lambda a: a.transpose(2, 0, 1),
+        "strided": lambda a: a[:, ::2, 1:],
+    }
+    for layout in layouts.values():
+        shape = layout(np.empty((4, 5, 6))).shape
+        for flat in (0, int(np.prod(shape)) // 2, int(np.prod(shape)) - 1):
+            arr = layout(rng.normal(size=(4, 5, 6)))
+            arr[np.unravel_index(flat, shape)] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError):
+                    T.make_op(arr, (), lambda g: None)
+                with pytest.raises(FloatingPointError):
+                    Tensor(arr)
+    # a non-finite sum from opposite infinities, and an overflowing sum
+    # that also hides a nan
+    for arr in ([np.inf, -np.inf], [1e308, 1e308, np.nan]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                T.make_op(np.array(arr), (), lambda g: None)
+
+
 def test_dropout_mask_and_scaling(rng):
     x = Tensor(np.ones((200, 10)), requires_grad=True)
     out = T.dropout(x, 0.4, np.random.default_rng(7))
@@ -235,11 +271,25 @@ def test_dropout_backward_uses_same_mask(rng):
     np.testing.assert_allclose(x.grad, mask, atol=1e-12)
 
 
+# (input, kernel bank, stride) for both col2im branches of conv2d: in the
+# first three the windows tile the input, so the input gradient is a
+# reshape of the column gradient; the last two overlap or skip cells
+CONV_GEOMETRIES = [
+    ((2, 4, 5, 3), (1, 5, 3, 4), (1, 1)),   # full-width kernel (1, W)
+    ((2, 5, 6, 2), (1, 2, 2, 3), (1, 2)),   # kernel == stride
+    ((1, 4, 6, 2), (2, 2, 2, 3), (2, 2)),   # kernel == stride, kh > 1
+    ((2, 4, 4, 3), (2, 2, 3, 2), (1, 1)),   # overlapping windows
+    ((1, 7, 5, 2), (3, 2, 2, 2), (2, 2)),   # strided, kh > 1, last column unused
+]
+
+
 @pytest.mark.parametrize("shape,kshape,stride", [
     ((2, 5, 6, 2), (1, 2, 2, 3), (1, 2)),
     ((1, 6, 9, 1), (1, 3, 1, 4), (1, 3)),
     ((2, 4, 4, 3), (2, 2, 3, 2), (1, 1)),
     ((1, 7, 5, 2), (3, 2, 2, 2), (2, 2)),
+    CONV_GEOMETRIES[0],
+    CONV_GEOMETRIES[2],
 ])
 def test_conv2d_forward_matches_loop_oracle(rng, shape, kshape, stride):
     x = rng.normal(size=shape)
@@ -273,6 +323,43 @@ def test_conv2d_backward_matches_fd(rng):
     assert rel_max(x.grad, num["x"]) < 1e-6
     assert rel_max(k.grad, num["k"]) < 1e-6
     assert rel_max(b.grad, num["b"]) < 1e-6
+
+
+@pytest.mark.parametrize("shape,kshape,stride", CONV_GEOMETRIES)
+def test_conv2d_gradients_match_fd_on_each_geometry(rng, shape, kshape, stride):
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    k = Tensor(rng.normal(size=kshape), requires_grad=True)
+    b = Tensor(rng.normal(size=kshape[-1]), requires_grad=True)
+    weights = Tensor(rng.normal(size=oracles.conv2d_oracle(x.data, k.data, stride).shape))
+
+    def forward():
+        return T.reduce_sum(T.mul(T.conv2d(x, k, b, stride), weights))
+
+    # the loss is linear in each coordinate, so a wide step costs no
+    # truncation error and keeps rounding noise far below the bound
+    backward(forward())
+    num = numeric_grad(lambda: float(forward().data),
+                       {"x": x.data, "k": k.data, "b": b.data}, eps=1e-4)
+    assert rel_max(x.grad, num["x"]) < 1e-6
+    assert rel_max(k.grad, num["k"]) < 1e-6
+    assert rel_max(b.grad, num["b"]) < 1e-6
+
+
+@pytest.mark.parametrize("shape,kshape,stride", CONV_GEOMETRIES)
+def test_conv2d_tanh_is_one_node_equal_to_tanh_of_conv2d(rng, shape, kshape, stride):
+    arrays = (rng.normal(size=shape), rng.normal(size=kshape), rng.normal(size=kshape[-1]))
+    fused_in = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    plain_in = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    fused = T.conv2d_tanh(*fused_in, stride)
+    plain = T.tanh(T.conv2d(*plain_in, stride))
+    np.testing.assert_allclose(fused.data, plain.data, rtol=1e-14, atol=0)
+    # one tape node: its parents are the three leaves themselves
+    assert fused._parents == tuple(fused_in)
+    weights = Tensor(rng.normal(size=fused.shape))
+    backward(T.reduce_sum(T.mul(fused, weights)))
+    backward(T.reduce_sum(T.mul(plain, weights)))
+    for f, p in zip(fused_in, plain_in):
+        np.testing.assert_allclose(f.grad, p.grad, rtol=1e-14, atol=1e-14 * np.abs(p.grad).max())
 
 
 def test_conv2d_geometry_errors(rng):
