@@ -148,18 +148,6 @@ def _load_features(raw: str) -> F.FeaturePipeline:
     return F.pipeline_from_arrays(ckpt.load_arrays(_features_path(raw)))
 
 
-def _model_config_from_doc(doc: dict) -> network.ModelConfig:
-    tuple_keys = {"conv_kernel", "conv_stride", "caps_kernel", "caps_stride",
-                  "fnn_widths"}
-    kwargs = {}
-    for key, value in doc.items():
-        if key in tuple_keys and value is not None:
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    return network.ModelConfig(**kwargs)
-
-
 def _build_training_batch(cfg: dict, data_dir: Path, pipe) -> F.FrameBatch:
     if cfg["dataset"] == "milling":
         train_runs, _ = _load_milling(cfg, data_dir)
@@ -299,7 +287,7 @@ def cmd_evaluate(args) -> int:
     model_dir = Path(args.model)
     with open(model_dir / "model_config.json", "r", encoding="utf-8") as fh:
         model_doc = json.load(fh)
-    model_cfg = _model_config_from_doc(model_doc["architecture"])
+    model_cfg = network.ModelConfig(**model_doc["architecture"])
     label_scale = float(model_doc["label_scale"])
     variant = model_doc.get("variant", "full")
     params = ckpt.arrays_to_tensors(
@@ -400,7 +388,7 @@ def cmd_ablate(args) -> int:
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
     result = P.ablation_run(
         data["train"], data["test"], settings, make_config, train_cfg,
-        variants=variants, eval_mode=args.eval_mode, jobs=args.jobs,
+        variants=variants, jobs=args.jobs,
     )
     artifacts = ["ablation_summary.csv"]
     for variant in variants:
@@ -419,7 +407,7 @@ def cmd_ablate(args) -> int:
          for r in result.summary_rows],
     )
     _write_manifest(out, "ablate", cfg, args.seed, artifacts,
-                    variants=list(variants), eval_mode=args.eval_mode)
+                    variants=list(variants), eval_mode="last_point")
     _write_timing(out, "ablate", time.perf_counter() - t0)
     return 0
 
@@ -484,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variant to run, repeatable (default: all)")
     p.add_argument("--epochs", type=int, default=None,
                    help="override the config epoch count")
-    p.add_argument("--eval-mode", default="last_point",
-                   choices=("last_point", "dense"))
     p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=cmd_ablate)
 

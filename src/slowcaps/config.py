@@ -419,12 +419,12 @@ def resolve_model_config(
             window_length=int(window),
             in_channels=int(frame_channels),
             conv_filters=filters,
-            conv_kernel=tuple(m["kernel_size"]),
-            conv_stride=tuple(m["strides"]),
+            conv_kernel=m["kernel_size"],
+            conv_stride=m["strides"],
             caps_dim=caps_dim,
             caps_channels=caps_channels,
-            caps_kernel=tuple(bc["kernel_size"]) if bc["kernel_size"] is not None else None,
-            caps_stride=tuple(bc["strides"]),
+            caps_kernel=bc["kernel_size"],
+            caps_stride=bc["strides"],
             num_advanced=int(ac["number"]) if ac["number"] is not None else p,
             advanced_dim=int(ac["dimensions"]) if ac["dimensions"] is not None
             else j + p,
@@ -432,7 +432,7 @@ def resolve_model_config(
             lstm_units=int(m["lstm_units"]),
             sequence_length=int(m["sequence_length"]) if use_lstm else 1,
             use_lstm=use_lstm,
-            fnn_widths=tuple(int(w) for w in m["fnn"]["widths"]),
+            fnn_widths=m["fnn"]["widths"],
             dropout=float(m["fnn"]["dropout"]),
         )
     except ValueError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import network
 from .features import FeaturePipeline
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -226,12 +226,7 @@ def sequence_predictions(
     from .training import build_sequences  # local import, avoids a cycle
 
     x, y, uids = build_sequences(frames, labels, unit_ids, seq_len)
-    preds = np.empty(y.size)
-    with no_grad():
-        for lo in range(0, y.size, chunk):
-            hi = min(lo + chunk, y.size)
-            preds[lo:hi] = network.predict(x[lo:hi], params, config, label_scale)
-    return preds, y, uids
+    return network.predict(x, params, config, label_scale, chunk), y, uids
 
 
 def _report_csv_text(report: EvaluationReport) -> str:

@@ -25,8 +25,6 @@ from .tensor import Tensor, _accumulate_new, accumulate_grad, make_op
 
 __all__ = [
     "ModelConfig",
-    "RoutingState",
-    "ForwardState",
     "init_parameters",
     "parameter_count",
     "squash",
@@ -181,19 +179,6 @@ class ModelConfig:
         return self.lstm_units if self.use_lstm else self.advanced_flat_size
 
 
-@dataclass
-class RoutingState:
-    """Final routing logits and coupling coefficients for one forward pass."""
-
-    logits: np.ndarray
-    coupling: np.ndarray
-
-
-@dataclass
-class ForwardState:
-    routing: RoutingState
-
-
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -320,9 +305,7 @@ def capsule_weighted_sum(u_hat: Tensor, coupling: np.ndarray) -> Tensor:
     return make_op(out, (u_hat,), bw)
 
 
-def routing_coefficients(
-    u_hat_values: np.ndarray, iterations: int, trace: bool = False
-):
+def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
     """Run routing-by-agreement on plain vote arrays.
 
     Logits start at zero.  Each iteration takes the softmax over the
@@ -331,8 +314,6 @@ def routing_coefficients(
     its logit.  Returns (coupling, logits) from the final iteration,
     where ``coupling`` is the softmax the final outputs were built from
     and ``logits`` includes the final agreement update, both (N, I, J).
-    With ``trace=True`` a per-iteration list of (coupling, logits) is
-    returned as a third element.
     """
     uh = np.asarray(u_hat_values, dtype=np.float64)
     if iterations < 1:
@@ -342,18 +323,12 @@ def routing_coefficients(
     ut = uh.transpose(0, 2, 1, 3)
     b = np.zeros(ut.shape[:3])
     c = None
-    steps = []
     for _ in range(iterations):
         c = _softmax_np(b, axis=1)
         s = np.matmul(c[:, :, None, :], ut)[:, :, 0]
         v = _squash_np(s)
         b = b + np.matmul(ut, v[..., None])[..., 0]
-        if trace:
-            steps.append((c.transpose(0, 2, 1).copy(), b.transpose(0, 2, 1).copy()))
-    c, b = c.transpose(0, 2, 1), b.transpose(0, 2, 1)
-    if trace:
-        return c, b, steps
-    return c, b
+    return c.transpose(0, 2, 1), b.transpose(0, 2, 1)
 
 
 def conv_features(frames: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
@@ -380,23 +355,22 @@ def dynamic_routing(
     params: Mapping[str, Tensor],
     config: ModelConfig,
     coupling_override: np.ndarray | None = None,
-) -> tuple[Tensor, ForwardState]:
+) -> tuple[Tensor, np.ndarray]:
     """Route basic capsules to advanced capsules.
 
     The iterative agreement loop runs on detached vote values; only the
     final coupling-weighted sum and squash are recorded for gradients.
-    ``coupling_override`` substitutes a fixed coupling array (used to
-    hold the routing constant while probing the loss surface).
+    Returns the advanced capsules and the coupling (N, I, J) they were
+    built from.  ``coupling_override`` substitutes a fixed coupling array
+    (used to hold the routing constant while probing the loss surface).
     """
     u_hat = capsule_transform(u, params["route.transform"])
     if coupling_override is not None:
         c = np.asarray(coupling_override, dtype=np.float64)
-        b = np.zeros_like(c)
     else:
-        c, b = routing_coefficients(u_hat.data, config.routing_iterations)
-    s = capsule_weighted_sum(u_hat, c)
-    v = squash(s)
-    return v, ForwardState(routing=RoutingState(logits=b, coupling=c))
+        c, _ = routing_coefficients(u_hat.data, config.routing_iterations)
+    v = squash(capsule_weighted_sum(u_hat, c))
+    return v, c
 
 
 def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
@@ -457,12 +431,12 @@ def model_forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     coupling_override: np.ndarray | None = None,
-) -> tuple[Tensor, ForwardState]:
+) -> tuple[Tensor, np.ndarray]:
     """Full forward pass on a batch of frame sequences.
 
     ``frames`` has shape (B, S, window, channels); a single sequence
     (S, window, channels) is promoted to a batch of one.  Returns the
-    per-sample scalar outputs (B,) and the routing state of the flat
+    per-sample scalar outputs (B,) and the routing coupling of the flat
     (B*S) frame batch.
     """
     x = frames if isinstance(frames, Tensor) else Tensor(frames)
@@ -481,7 +455,7 @@ def model_forward(
     flat = T.reshape(x, (batch * steps, window, channels, 1))
     maps = conv_features(flat, params, config)
     u = build_basic_capsules(maps, params, config)
-    v, state = dynamic_routing(u, params, config, coupling_override)
+    v, coupling = dynamic_routing(u, params, config, coupling_override)
     flat_v = T.reshape(v, (batch * steps, config.advanced_flat_size))
     if config.use_lstm:
         seq = T.reshape(flat_v, (batch, steps, config.advanced_flat_size))
@@ -489,7 +463,7 @@ def model_forward(
     else:
         head_in = flat_v
     y = regression_head(head_in, params, config, mode, rng)
-    return y, state
+    return y, coupling
 
 
 def predict(
@@ -497,8 +471,21 @@ def predict(
     params: Mapping[str, Tensor],
     config: ModelConfig,
     label_scale: float = 1.0,
+    chunk: int = 512,
 ) -> np.ndarray:
-    """Inference-mode forward pass returning plain RUL estimates."""
+    """Inference-mode RUL estimates, ``chunk`` sequences per forward pass.
+
+    ``frames`` is (B, S, window, channels) or a single sequence
+    (S, window, channels); returns (B,) outputs times ``label_scale``.
+    """
+    x = np.asarray(frames)
+    if x.ndim == 3:
+        x = x[None]
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    out = np.empty(x.shape[0])
     with T.no_grad():
-        y, _ = model_forward(frames, params, config, mode="eval")
-    return y.data * float(label_scale)
+        for lo in range(0, x.shape[0], chunk):
+            y, _ = model_forward(x[lo : lo + chunk], params, config, mode="eval")
+            out[lo : lo + chunk] = y.data * float(label_scale)
+    return out

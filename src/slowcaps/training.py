@@ -20,7 +20,7 @@ import numpy as np
 from . import network
 from .features import FrameBatch
 from .optim import Adam
-from .tensor import Tensor, backward, no_grad, reduce_mean, mul, sub
+from .tensor import Tensor, backward, reduce_mean, mul, sub
 
 __all__ = [
     "TrainConfig",
@@ -162,17 +162,6 @@ def _forward_loss(x, y_scaled, params, config, mode, rng):
     return reduce_mean(mul(err, err)), pred
 
 
-def _eval_mse(x, y_scaled, params, config, chunk: int = 512) -> float:
-    sse = 0.0
-    with no_grad():
-        for lo in range(0, y_scaled.size, chunk):
-            hi = min(lo + chunk, y_scaled.size)
-            pred, _ = network.model_forward(x[lo:hi], params, config, mode="eval")
-            d = pred.data - y_scaled[lo:hi]
-            sse += float(d @ d)
-    return sse / y_scaled.size
-
-
 def train(
     config: network.ModelConfig,
     batch: FrameBatch,
@@ -246,7 +235,8 @@ def train(
                 ) from None
             sse += loss.item() * sel.size
         train_losses.append(sse / n_tr)
-        val_mse = _eval_mse(x_va, ys_va, params, config)
+        d = network.predict(x_va, params, config) - ys_va
+        val_mse = float(d @ d) / ys_va.size
         val_losses.append(val_mse)
         if val_mse < best_val - cfg.min_delta:
             best_val = val_mse
@@ -354,7 +344,7 @@ def sensitivity_grid(
         seed = _cell_seed(cfg.seed, f, u)
         cell_cfg = replace(cfg, seed=seed)
         params, report = train(config, batch, cell_cfg, val_units=val_units)
-        preds = _predict_chunked(x_va, params, config, cfg.label_scale)
+        preds = network.predict(x_va, params, config, cfg.label_scale)
         return GridCell(
             conv_filters=f, lstm_units=u,
             rmse=_rmse(preds, y_va),
@@ -394,14 +384,6 @@ def sensitivity_grid(
                 break
     assert best is not None
     return GridResult(best=best, cells=cells)
-
-
-def _predict_chunked(x, params, config, label_scale: float, chunk: int = 512) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], chunk):
-        hi = min(lo + chunk, x.shape[0])
-        out[lo:hi] = network.predict(x[lo:hi], params, config, label_scale)
-    return out
 
 
 def _better(a: GridCell, b: GridCell | None) -> bool:

@@ -106,8 +106,8 @@ def test_criterion_03_full_model_gradient_check():
 
     # freeze the routing coupling so the measured loss is the same
     # function the backward pass differentiates
-    _, state = N.model_forward(frames, params, config)
-    coupling = state.routing.coupling.copy()
+    _, coupling = N.model_forward(frames, params, config)
+    coupling = coupling.copy()
 
     def loss_tensor():
         y, _ = N.model_forward(frames, params, config,

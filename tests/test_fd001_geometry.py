@@ -46,8 +46,8 @@ def test_fd001_geometry_gradient_spot_check():
 
     # freeze the routing coupling so the measured loss is the same
     # function the backward pass differentiates
-    _, state = N.model_forward(frames, params, config)
-    coupling = state.routing.coupling.copy()
+    _, coupling = N.model_forward(frames, params, config)
+    coupling = coupling.copy()
 
     def loss_tensor():
         y, _ = N.model_forward(frames, params, config, coupling_override=coupling)
@@ -117,9 +117,12 @@ for _ in range(3):
     frames = T.Tensor(rng.normal(size=(320, 28, 16, 1)))
     weights = T.Tensor(rng.normal(size=(320, 2, 16)))
     u = N.build_basic_capsules(N.conv_features(frames, params, config), params, config)
-    v, state = N.dynamic_routing(u, params, config)
+    v, _ = N.dynamic_routing(u, params, config)
+    with T.no_grad():
+        votes = N.capsule_transform(u, params["route.transform"]).data
     digest.update(v.data.tobytes())
-    digest.update(np.ascontiguousarray(state.routing.logits).tobytes())
+    digest.update(np.ascontiguousarray(
+        N.routing_coefficients(votes, config.routing_iterations)[1]).tobytes())
     adam.zero_grad()
     T.backward(T.reduce_sum(T.mul(v, weights)))
     adam.step()

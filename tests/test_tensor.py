@@ -127,15 +127,6 @@ def test_reshape_and_select_step_backward(rng):
         T.select_step(x, 3)
 
 
-def test_operator_overloads(rng):
-    a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 2)) + 2.0)
-    out = (b * a - a - a / b) @ b
-    assert out.shape == (2, 2)
-    expected = (-a.data + b.data * a.data - a.data / b.data) @ b.data
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-
 def test_gradient_accumulates_per_use():
     x = Tensor(3.0, requires_grad=True)
     backward(T.add(x, x))

@@ -279,12 +279,12 @@ def _patch_grid_costs(monkeypatch, rmse_map):
         )
         return {"cfg": config}, rep
 
-    def fake_predict(x, params, config, label_scale, chunk=512):
+    def fake_predict(x, params, config, label_scale=1.0, chunk=512):
         key = (params["cfg"].conv_filters, params["cfg"].lstm_units)
         return np.full(x.shape[0], float(rmse_map[key]))
 
     monkeypatch.setattr(TR, "train", fake_train)
-    monkeypatch.setattr(TR, "_predict_chunked", fake_predict)
+    monkeypatch.setattr(TR.network, "predict", fake_predict)
 
 
 def test_sensitivity_grid_greedy_stopping_rules(monkeypatch):
