@@ -285,11 +285,14 @@ def cmd_evaluate(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
     model_dir = Path(args.model)
-    with open(model_dir / "model_config.json", "r", encoding="utf-8") as fh:
-        model_doc = json.load(fh)
-    model_cfg = network.ModelConfig(**model_doc["architecture"])
-    label_scale = float(model_doc["label_scale"])
-    variant = model_doc.get("variant", "full")
+    path = model_dir / "model_config.json"
+    try:
+        model_doc = json.loads(path.read_text(encoding="utf-8"))
+        model_cfg = network.ModelConfig(**model_doc["architecture"])
+        label_scale = float(model_doc["label_scale"])
+        variant = model_doc.get("variant", "full")
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed model config: {exc}") from None
     params = ckpt.arrays_to_tensors(
         ckpt.load_arrays(model_dir / "checkpoint.json"), requires_grad=False
     )

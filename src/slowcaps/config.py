@@ -397,7 +397,8 @@ def resolve_model_config(
     capsule dimension floor((P+J)/2), at least 1; P advanced capsules of
     dimension J+P; filters // dimension basic capsule channels.  Explicit
     config values win.  Filters that the capsule dimension in use does
-    not divide are bumped to its next multiple.
+    not divide are bumped to its next multiple, and a pinned capsule
+    kernel wider than the convolution output is narrowed to that width.
     """
     p, j = int(num_slow), int(plain_channels)
     if p < 1 or j < 1:
@@ -414,6 +415,15 @@ def resolve_model_config(
         filters = bumped
     caps_channels = int(bc["channels"]) if bc["channels"] is not None \
         else filters // caps_dim
+    caps_kernel = bc["kernel_size"]
+    if None not in (caps_kernel, m["kernel_size"], m["strides"]):
+        # a kernel pinned to the full width of the frame with slow columns
+        # is too wide for the variants that drop them
+        conv_w = (int(frame_channels) - m["kernel_size"][1]) // m["strides"][1] + 1
+        if 1 <= conv_w < caps_kernel[1]:
+            log.info("clamping capsule kernel width %d -> %d to fit the conv output",
+                     caps_kernel[1], conv_w)
+            caps_kernel = (caps_kernel[0], conv_w)
     try:
         config = ModelConfig(
             window_length=int(window),
@@ -423,7 +433,7 @@ def resolve_model_config(
             conv_stride=m["strides"],
             caps_dim=caps_dim,
             caps_channels=caps_channels,
-            caps_kernel=bc["kernel_size"],
+            caps_kernel=caps_kernel,
             caps_stride=bc["strides"],
             num_advanced=int(ac["number"]) if ac["number"] is not None else p,
             advanced_dim=int(ac["dimensions"]) if ac["dimensions"] is not None

@@ -80,12 +80,6 @@ class RunToFailureSeries:
     def n_channels(self) -> int:
         return self.sensors.shape[1]
 
-    def normal_part(self) -> np.ndarray:
-        return self.sensors[: self.change_point]
-
-    def degradation_part(self) -> np.ndarray:
-        return self.sensors[self.change_point :]
-
 
 def _read_space_table(path) -> list[list[float]]:
     rows = []
@@ -133,10 +127,6 @@ def _group_cmapss_units(rows: list[list[float]], path, n_sensors: int):
     return units
 
 
-def _count_conditions(all_settings: np.ndarray) -> int:
-    return int(np.unique(np.round(all_settings, 1), axis=0).shape[0])
-
-
 def load_cmapss(
     train_path,
     test_path=None,
@@ -150,8 +140,7 @@ def load_cmapss(
     sensor columns.  Training units run to failure, so the change point
     is placed rul_max cycles before the end.  Test units are truncated;
     their residual life comes from the companion file of one integer per
-    unit.  Returns a dict with "train", "test" (series lists) and
-    "manifest".
+    unit.  Returns a dict with the "train" and "test" series lists.
     """
     train_units = _group_cmapss_units(_read_space_table(train_path), train_path, n_sensors)
     train = []
@@ -183,15 +172,7 @@ def load_cmapss(
                 unit_id=str(uid), sensors=sensors, change_point=sensors.shape[0],
                 settings=settings, true_rul=float(rul),
             ))
-    all_settings = np.vstack([s.settings for s in train] + [s.settings for s in test])
-    manifest = {
-        "train_units": len(train),
-        "test_units": len(test),
-        "sensors": n_sensors,
-        "operating_conditions": _count_conditions(all_settings),
-        "rul_max": float(rul_max),
-    }
-    return {"train": train, "test": test, "manifest": manifest}
+    return {"train": train, "test": test}
 
 
 @dataclass
@@ -230,6 +211,7 @@ def load_milling(
     runs).  Missing wear values are filled by linear interpolation over
     run order within each case, clamped at the ends.  Per-run labels
     count the cuts remaining until wear first exceeds ``wear_threshold``.
+    Returns a dict with the "runs" list.
     """
     path = Path(csv_path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -281,18 +263,7 @@ def load_milling(
     if not runs:
         raise ValueError(f"{path}: no runs found")
     _fill_wear_and_label(runs, wear_threshold)
-    cases = sorted({r.case_id for r in runs})
-    materials = {}
-    for r in runs:
-        materials.setdefault(r.material, set()).add(r.case_id)
-    manifest = {
-        "runs": len(runs),
-        "cases": len(cases),
-        "runs_by_material": {str(m): sum(1 for r in runs if r.material == m)
-                             for m in sorted(materials)},
-        "wear_threshold": float(wear_threshold),
-    }
-    return {"runs": runs, "manifest": manifest}
+    return {"runs": runs}
 
 
 def _fill_wear_and_label(runs: list[MillingRun], threshold: float) -> None:

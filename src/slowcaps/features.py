@@ -186,8 +186,8 @@ class SlowFeatureModel:
     ``weights`` holds one direction per column, ordered by ascending
     slowness; ``lambdas[i]`` equals the mean squared temporal difference
     of feature i on the fitting data.  ``num_slow`` (set after spectrum
-    inspection) splits the columns into the slow basis and the residual
-    basis.  ``cov_static`` is the ridged static covariance and
+    inspection) is how many leading columns the feature chain keeps as
+    slow features.  ``cov_static`` is the ridged static covariance and
     ``cov_diff`` the covariance of within-segment first differences.
     """
 
@@ -202,21 +202,7 @@ class SlowFeatureModel:
     def n_channels(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def slow_basis(self) -> np.ndarray:
-        self._require_split()
-        return self.weights[:, : self.num_slow]
-
-    @property
-    def residual_basis(self) -> np.ndarray:
-        self._require_split()
-        return self.weights[:, self.num_slow :]
-
-    def _require_split(self):
-        if self.num_slow is None:
-            raise ValueError("num_slow has not been set on this model")
-
-    def project(self, matrix, n: int | None = None) -> np.ndarray:
+    def project(self, matrix, n: int) -> np.ndarray:
         """Project ``matrix`` onto the first ``n`` slow directions.
 
         No bias is subtracted: the input is expected to be normalized
@@ -227,9 +213,6 @@ class SlowFeatureModel:
             raise ValueError(
                 f"channel count {m.shape[1]} does not match model ({self.n_channels})"
             )
-        if n is None:
-            self._require_split()
-            n = self.num_slow
         if not 1 <= n <= self.n_channels:
             raise ValueError(f"cannot project onto {n} of {self.n_channels} directions")
         return m @ self.weights[:, :n]

@@ -237,11 +237,25 @@ def squash(s: Tensor, eps: float = SQUASH_EPS) -> Tensor:
 
     v = (|s|^2 / (1 + |s|^2)) * s / |s|; short vectors shrink toward
     zero, long vectors approach unit length, direction is preserved.
-    The eps guard keeps the zero vector mapped exactly to zero.
+    The eps guard keeps the zero vector mapped exactly to zero.  One tape
+    node: the forward is :func:`_squash_np`, the routing squash; with
+    v = f(n2) s, n2 = |s|^2 and r = sqrt(n2 + eps), the backward is the
+    closed form g f + s 2 f'(n2) (g . s), where
+    f' = (n2 + 2 eps - n2^2) / (2 r^3 (1 + n2)^2).
     """
-    n2 = T.reduce_sum(T.mul(s, s), axis=-1, keepdims=True)
-    denom = T.mul(T.add(n2, 1.0), T.sqrt(T.add(n2, eps)))
-    return T.mul(s, T.div(n2, denom))
+    x = s.data
+
+    def bw(g):
+        if s.requires_grad:
+            n2 = (x * x).sum(axis=-1, keepdims=True)
+            r = np.sqrt(n2 + eps)
+            q = 1.0 + n2
+            df2 = (n2 + 2.0 * eps - n2 * n2) / (r * r * r * q * q)
+            gx = g * (n2 / (q * r))
+            gx += x * (df2 * (g * x).sum(axis=-1, keepdims=True))
+            _accumulate_new(s, gx)
+
+    return make_op(_squash_np(x, eps), (s,), bw)
 
 
 def _squash_np(s: np.ndarray, eps: float = SQUASH_EPS) -> np.ndarray:
@@ -308,12 +322,13 @@ def capsule_weighted_sum(u_hat: Tensor, coupling: np.ndarray) -> Tensor:
 def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
     """Run routing-by-agreement on plain vote arrays.
 
-    Logits start at zero.  Each iteration takes the softmax over the
-    advanced-capsule axis, forms the weighted sums, squashes them, and
-    adds each vote's agreement (dot product with the squashed output) to
-    its logit.  Returns (coupling, logits) from the final iteration,
-    where ``coupling`` is the softmax the final outputs were built from
-    and ``logits`` includes the final agreement update, both (N, I, J).
+    Logits start at zero.  Each of the first ``iterations - 1`` rounds
+    takes the softmax over the advanced-capsule axis, forms the weighted
+    sums, squashes them, and adds each vote's agreement (dot product with
+    the squashed output) to its logit; the last round only takes the
+    softmax, because :func:`dynamic_routing` records its weighted sum and
+    squash on the tape.  Returns (coupling, logits), both (N, I, J), where
+    ``coupling`` is the softmax of ``logits`` over the advanced capsules.
     """
     uh = np.asarray(u_hat_values, dtype=np.float64)
     if iterations < 1:
@@ -322,13 +337,11 @@ def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
     # both contractions over i and a are batched matmuls
     ut = uh.transpose(0, 2, 1, 3)
     b = np.zeros(ut.shape[:3])
-    c = None
-    for _ in range(iterations):
+    for _ in range(iterations - 1):
         c = _softmax_np(b, axis=1)
         s = np.matmul(c[:, :, None, :], ut)[:, :, 0]
-        v = _squash_np(s)
-        b = b + np.matmul(ut, v[..., None])[..., 0]
-    return c.transpose(0, 2, 1), b.transpose(0, 2, 1)
+        b = b + np.matmul(ut, _squash_np(s)[..., None])[..., 0]
+    return _softmax_np(b, axis=1).transpose(0, 2, 1), b.transpose(0, 2, 1)
 
 
 def conv_features(frames: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:

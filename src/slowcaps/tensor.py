@@ -24,14 +24,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "conv2d",
     "conv2d_tanh",
     "tanh",
     "sigmoid",
     "relu",
-    "sqrt",
     "reduce_sum",
     "reduce_mean",
     "reshape",
@@ -263,20 +261,6 @@ def mul(a, b) -> Tensor:
     return make_op(out_data, (a, b), bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "div")
-    out_data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return make_op(out_data, (a, b), bw)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -328,19 +312,6 @@ def relu(a) -> Tensor:
     def bw(g):
         if a.requires_grad:
             accumulate_grad(a, g * (a.data > 0.0))
-
-    return make_op(out_data, (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    """Elementwise square root; inputs must be strictly positive where a
-    gradient is needed (callers add a small offset)."""
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * 0.5 / out_data)
 
     return make_op(out_data, (a,), bw)
 

@@ -169,7 +169,7 @@ def test_criterion_04_routing_and_squash_properties():
 
     # one basic capsule voting for two advanced capsules in the plane
     uh = np.array([[[[2.0, 0.0], [0.0, 1.0]]]])
-    _, b1 = N.routing_coefficients(uh, 1)
+    _, b1 = N.routing_coefficients(uh, 2)
     np.testing.assert_allclose(b1[0, 0], [1.0, 0.2], atol=1e-9)
     c2, _ = N.routing_coefficients(uh, 2)
     np.testing.assert_allclose(c2[0, 0], [0.690, 0.310], atol=1e-4)

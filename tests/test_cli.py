@@ -1,6 +1,7 @@
 """Command-line workflow: artifact layout, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,54 @@ def test_non_finite_training_data_exits_1(workspace, tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert "train_synthetic.txt:5: non-finite" in err["message"]
     assert not (tmp_path / "feat" / "features.json").exists()
+
+
+@pytest.mark.parametrize("case", ["unknown_key", "string_int", "null_scale"])
+def test_malformed_model_config_exits_1(workspace, tmp_path, capsys, case):
+    model = tmp_path / "model"
+    model.mkdir()
+    for name in ("checkpoint.json", "model_config.json"):
+        (model / name).write_bytes((workspace / "model" / name).read_bytes())
+    doc = json.loads((model / "model_config.json").read_text())
+    if case == "unknown_key":
+        doc["architecture"]["kernel"] = 3
+    elif case == "string_int":
+        doc["architecture"]["window_length"] = "8"
+    else:
+        doc["label_scale"] = None
+    (model / "model_config.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["evaluate", "--out", str(tmp_path / "eval"),
+               "--data-dir", str(workspace / "data"), "--model", str(model),
+               "--features", str(workspace / "feat"), *SET])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert str(model / "model_config.json") in err["message"]
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def test_train_no_sfa_on_fd001_geometry(tmp_path):
+    # configs/fd001.json pins a (1, 8) capsule kernel, the full conv output
+    # width of 14 sensors + 2 slow features; without the slow columns the
+    # output is 7 wide and the kernel is narrowed to match
+    fd001 = Path(__file__).resolve().parent.parent / "configs" / "fd001.json"
+    fleet = ["--config", str(fd001), "--set", "dataset=synthetic",
+             "--set", "synthetic.channels=14", "--set", "synthetic.units=3",
+             "--set", "synthetic.test_units=1", "--set", "synthetic.length_range=[80,90]",
+             "--set", "synthetic.rul_max=40", "--set", "rul_max=40"]
+    data, feat, model = tmp_path / "data", tmp_path / "feat", tmp_path / "model"
+    assert main(["synth", "--out", str(data), *fleet]) == 0
+    assert main(["fit-features", "--out", str(feat), "--data-dir", str(data), *fleet]) == 0
+    rc = main(["train", "--out", str(model), "--data-dir", str(data),
+               "--features", str(feat), "--variant", "no-sfa", "--epochs", "1", *fleet])
+    assert rc == 0
+    arch = json.loads((model / "model_config.json").read_text())["architecture"]
+    assert arch["in_channels"] == 14 and arch["window_length"] == 28
+    assert arch["caps_kernel"] == [1, 7]
+    assert arch["conv_filters"] == 64 and arch["caps_dim"] == 8
 
 
 def test_per_condition_chain(workspace, tmp_path):

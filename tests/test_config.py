@@ -252,3 +252,25 @@ def test_shipped_turbofan_configs_pin_protocol_values():
     assert mc.conv_out_hw == (28, 8)
     assert mc.caps_out_hw == (28, 1)
     assert mc.num_basic_capsules == 224
+
+
+def test_every_variant_of_the_turbofan_configs_resolves(caplog):
+    # the pinned (1, 8) capsule kernel spans the whole conv output of a
+    # frame with slow columns; variants without them narrow it to fit
+    from slowcaps.pipeline import ABLATION_VARIANTS, variant_flags
+
+    for name in ("fd001", "fd002", "fd003", "fd004"):
+        cfg = C.load_config(CONFIG_DIR / f"{name}.json")
+        p = cfg["features"]["num_slow"]
+        for variant in ABLATION_VARIANTS:
+            include_slow, use_lstm = variant_flags(variant)
+            with caplog.at_level("INFO", logger="slowcaps.config"):
+                caplog.clear()
+                mc = C.resolve_model_config(
+                    cfg, frame_channels=14 + (p if include_slow else 0), num_slow=p,
+                    plain_channels=14, window=cfg["model"]["window_length"],
+                    use_lstm=use_lstm,
+                )
+            assert mc.caps_kernel == ((1, 8) if include_slow else (1, 7)), (name, variant)
+            assert mc.caps_out_hw[1] == 1
+            assert any("clamping" in r.message for r in caplog.records) != include_slow

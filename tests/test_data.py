@@ -18,8 +18,6 @@ def test_series_accessors():
         unit_id="u1", sensors=np.arange(12.0).reshape(6, 2), change_point=4
     )
     assert s.length == 6 and s.n_channels == 2
-    np.testing.assert_array_equal(s.normal_part(), s.sensors[:4])
-    np.testing.assert_array_equal(s.degradation_part(), s.sensors[4:])
 
 
 def test_series_validation():
@@ -75,10 +73,6 @@ def test_load_cmapss_round_trip(tmp_path):
         np.testing.assert_allclose(
             loaded.sensors, orig.sensors[: loaded.length], atol=5e-7
         )
-    m = out["manifest"]
-    assert m["train_units"] == 3 and m["test_units"] == 3
-    assert m["sensors"] == 4 and m["rul_max"] == 20.0
-    assert m["operating_conditions"] == 1  # all settings are zero
 
 
 def test_export_truncation_stays_inside_degradation(tmp_path):
@@ -103,16 +97,6 @@ def test_load_cmapss_change_point_clamp_warns(tmp_path, caplog):
         out = D.load_cmapss(p, rul_max=125.0, n_sensors=4)
     assert out["train"][0].change_point == 1
     assert any("rul_max" in r.message for r in caplog.records)
-
-
-def test_load_cmapss_counts_operating_conditions(tmp_path):
-    p = tmp_path / "train.txt"
-    rows = simple_unit_rows(1, 30, settings=(0.0, 0.6, 100.0))
-    rows += simple_unit_rows(2, 30, settings=(20.001, 0.7, 100.0))
-    rows += simple_unit_rows(3, 30, settings=(19.999, 0.7, 100.0))  # same bin
-    write_cmapss(p, rows)
-    out = D.load_cmapss(p, rul_max=10.0, n_sensors=4)
-    assert out["manifest"]["operating_conditions"] == 2
 
 
 def test_load_cmapss_validation(tmp_path):
@@ -270,9 +254,6 @@ def test_load_milling_fills_wear_and_labels(tmp_path, caplog):
     assert [r.rul for r in by_case[2]] == [3.0, 2.0, 1.0]
     assert any("never exceeds" in r.message for r in caplog.records)
     assert [r.is_normal for r in by_case[1]] == [True, False, False]
-    m = out["manifest"]
-    assert m["runs"] == 15 and m["cases"] == 5
-    assert m["runs_by_material"] == {"1": 9, "2": 6}
 
 
 def test_load_milling_validation(tmp_path):

