@@ -9,7 +9,9 @@ wall-clock timing goes to a separate ``timing.json`` so the other files
 are byte-stable across reruns.  Errors print one JSON line on stderr;
 exit code 2 flags configuration problems, 1 anything else.
 
-Set ``SDTC_LOG=DEBUG|INFO|WARNING|ERROR`` to control log verbosity.
+Set ``SLOWCAPS_LOG=DEBUG|INFO|WARNING|ERROR`` to control log verbosity
+(``SDTC_LOG`` is read when it is unset).  Each manifest records the
+numpy version, the BLAS build and the ``*_NUM_THREADS`` environment.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ log = logging.getLogger("slowcaps.cli")
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("SDTC_LOG", "WARNING").strip().upper()
+    name = os.environ.get("SLOWCAPS_LOG", os.environ.get("SDTC_LOG", "WARNING"))
+    name = name.strip().upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
         level = logging.WARNING
@@ -85,9 +88,25 @@ def _write_manifest(out: Path, command: str, cfg: dict, seed: int | None,
         "config_digest": C.config_digest(cfg),
         "version": __version__,
         "artifacts": sorted(artifacts),
+        "runtime": _runtime(),
     }
     doc.update(extra)
     _write_json(out / "manifest.json", doc)
+
+
+def _runtime() -> dict:
+    """numpy version, BLAS build and thread settings: fixed on one host,
+    so manifests stay byte-stable across reruns."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {k: v for k, v in sorted(os.environ.items())
+                    if k.endswith("_NUM_THREADS")},
+    }
 
 
 def _write_timing(out: Path, command: str, seconds: float) -> None:
@@ -391,7 +410,7 @@ def cmd_ablate(args) -> int:
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
     result = P.ablation_run(
         data["train"], data["test"], settings, make_config, train_cfg,
-        variants=variants, jobs=args.jobs,
+        variants=variants,
     )
     artifacts = ["ablation_summary.csv"]
     for variant in variants:
@@ -475,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variant to run, repeatable (default: all)")
     p.add_argument("--epochs", type=int, default=None,
                    help="override the config epoch count")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(func=cmd_ablate)
 
     return parser

@@ -221,12 +221,15 @@ def sequence_predictions(
 
     ``frames`` (n, window, C) must hold each unit's frames contiguously
     in time order.  Returns (predictions, labels, unit_ids) aligned to
-    the sequence end frames.
+    the sequence end frames.  Each frame is scored once, however many
+    sequences share it; ``chunk`` caps the sequences per forward pass.
     """
-    from .training import build_sequences  # local import, avoids a cycle
+    from .training import sequence_index  # local import, avoids a cycle
 
-    x, y, uids = build_sequences(frames, labels, unit_ids, seq_len)
-    return network.predict(x, params, config, label_scale, chunk), y, uids
+    idx = sequence_index(unit_ids, seq_len)
+    ends = idx[:, -1]
+    preds = network.predict(frames, params, config, label_scale, chunk, index=idx)
+    return preds, np.asarray(labels)[ends], np.asarray(unit_ids)[ends]
 
 
 def _report_csv_text(report: EvaluationReport) -> str:

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 SQUASH_EPS = 1e-12
+# conv-map bytes one dense-inference block may hold: 8 MiB is 73 frames
+# at FD001 geometry, and the whole validation set in one pass at desk
+# geometry
+BLOCK_BYTES = 8 << 20
 
 
 def _pair(v, name: str) -> tuple[int, int]:
@@ -164,6 +168,13 @@ class ModelConfig:
         kh, kw = self.caps_kernel
         sh, sw = self.caps_stride
         return ((h - kh) // sh + 1, (w - kw) // sw + 1)
+
+    @property
+    def conv_map_bytes(self) -> int:
+        """Bytes of one frame's float64 conv map, the largest per-frame
+        array of the forward pass."""
+        h, w = self.conv_out_hw
+        return h * w * self.conv_filters * 8
 
     @property
     def num_basic_capsules(self) -> int:
@@ -444,20 +455,32 @@ def model_forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     coupling_override: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Full forward pass on a batch of frame sequences.
 
     ``frames`` has shape (B, S, window, channels); a single sequence
-    (S, window, channels) is promoted to a batch of one.  Returns the
-    per-sample scalar outputs (B,) and the routing coupling of the flat
-    (B*S) frame batch.
+    (S, window, channels) is promoted to a batch of one.  With ``index``,
+    a (B, S) int array, ``frames`` is instead (F, window, channels)
+    distinct frames and sequence b is frames ``index[b]``: the per-frame
+    stages run once per frame and the sequences are gathered for the
+    LSTM.  Returns the per-sample scalar outputs (B,) and the routing
+    coupling of the flat frame batch (B*S frames, or the F frames).
     """
     x = frames if isinstance(frames, Tensor) else Tensor(frames)
-    if x.ndim == 3:
-        x = T.reshape(x, (1,) + x.shape)
-    if x.ndim != 4:
-        raise ValueError(f"frames must be rank 3 or 4, got shape {x.shape}")
-    batch, steps, window, channels = x.shape
+    if index is None:
+        if x.ndim == 3:
+            x = T.reshape(x, (1,) + x.shape)
+        if x.ndim != 4:
+            raise ValueError(f"frames must be rank 3 or 4, got shape {x.shape}")
+        batch, steps, window, channels = x.shape
+    else:
+        index = np.asarray(index)
+        if index.ndim != 2 or x.ndim != 3:
+            raise ValueError(f"indexed frames must be rank 3 with a rank-2 index, "
+                             f"got shapes {x.shape} and {index.shape}")
+        batch, steps = index.shape
+        _, window, channels = x.shape
     if window != config.window_length or channels != config.in_channels:
         raise ValueError(
             f"frame geometry {window}x{channels} does not match config "
@@ -465,11 +488,14 @@ def model_forward(
         )
     if not config.use_lstm and steps != 1:
         raise ValueError("sequence length must be 1 when the LSTM head is disabled")
-    flat = T.reshape(x, (batch * steps, window, channels, 1))
+    rows = x.size // (window * channels)
+    flat = T.reshape(x, (rows, window, channels, 1))
     maps = conv_features(flat, params, config)
     u = build_basic_capsules(maps, params, config)
     v, coupling = dynamic_routing(u, params, config, coupling_override)
-    flat_v = T.reshape(v, (batch * steps, config.advanced_flat_size))
+    flat_v = T.reshape(v, (rows, config.advanced_flat_size))
+    if index is not None:
+        flat_v = T.take_rows(flat_v, index.reshape(-1))
     if config.use_lstm:
         seq = T.reshape(flat_v, (batch, steps, config.advanced_flat_size))
         head_in = lstm_forward(seq, params, config)
@@ -485,20 +511,48 @@ def predict(
     config: ModelConfig,
     label_scale: float = 1.0,
     chunk: int = 512,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Inference-mode RUL estimates, ``chunk`` sequences per forward pass.
+    """Inference-mode RUL estimates, one forward pass per block.
 
     ``frames`` is (B, S, window, channels) or a single sequence
-    (S, window, channels); returns (B,) outputs times ``label_scale``.
+    (S, window, channels); with ``index`` (B, S) it is (F, window,
+    channels) and sequence b is frames ``index[b]``.  A block is a run
+    of at most ``chunk`` consecutive sequences whose distinct frames
+    have conv maps within :data:`BLOCK_BYTES` (always room for one
+    sequence); each of those frames is scored once.  Returns (B,)
+    outputs times ``label_scale``.
     """
     x = np.asarray(frames)
-    if x.ndim == 3:
-        x = x[None]
+    if index is None:
+        if x.ndim == 3:
+            x = x[None]
+        index = np.arange(x.shape[0] * x.shape[1]).reshape(x.shape[:2])
+        x = x.reshape((-1,) + x.shape[2:])
+    index = np.asarray(index)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    out = np.empty(x.shape[0])
+    if index.ndim != 2:
+        raise ValueError(f"index must be (sequences, steps), got shape {index.shape}")
+    budget = max(index.shape[1], BLOCK_BYTES // config.conv_map_bytes)
+    out = np.empty(index.shape[0])
     with T.no_grad():
-        for lo in range(0, x.shape[0], chunk):
-            y, _ = model_forward(x[lo : lo + chunk], params, config, mode="eval")
-            out[lo : lo + chunk] = y.data * float(label_scale)
+        for lo, hi in _blocks(index, chunk, budget):
+            used, local = np.unique(index[lo:hi], return_inverse=True)
+            y, _ = model_forward(x[used], params, config, mode="eval",
+                                 index=local.reshape(hi - lo, -1))
+            out[lo:hi] = y.data * float(label_scale)
     return out
+
+
+def _blocks(index: np.ndarray, chunk: int, budget: int):
+    """(lo, hi) runs of at most ``chunk`` consecutive sequences that name
+    at most ``budget`` distinct frames, covering every sequence."""
+    lo, seen = 0, set()
+    for i, row in enumerate(index.tolist()):
+        if i - lo == chunk or len(seen.union(row)) > budget:
+            yield lo, i
+            lo, seen = i, set()
+        seen.update(row)
+    if lo < len(index):
+        yield lo, len(index)

@@ -230,7 +230,6 @@ def ablation_run(
     train_cfg: TrainConfig,
     variants: Sequence[str] = ABLATION_VARIANTS,
     eval_mode: str = "last_point",
-    jobs: int = 1,
 ) -> AblationResult:
     """Train and evaluate the architecture variants under shared seeds.
 
@@ -240,8 +239,7 @@ def ablation_run(
     change.  ``make_config(pipe, variant)`` supplies the model for each
     variant (the pipe exposes frame channels, slow count and window);
     ``eval_mode`` picks the per-unit last-point protocol or dense
-    per-sequence scoring on the held-out units.  ``jobs`` > 1 trains
-    variants on a thread pool; results are identical to the serial run.
+    per-sequence scoring on the held-out units.
     """
     if eval_mode not in ("last_point", "dense"):
         raise ValueError(f"unknown eval mode {eval_mode!r}")
@@ -275,23 +273,11 @@ def ablation_run(
         )
         return report, treport
 
-    results: dict[str, tuple[EvaluationReport, TrainReport]] = {}
-    if jobs > 1 and len(variants) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {v: pool.submit(run_variant, v) for v in variants}
-            for v in variants:
-                results[v] = futures[v].result()
-    else:
-        for v in variants:
-            results[v] = run_variant(v)
-
     reports: dict[str, EvaluationReport] = {}
     train_reports: dict[str, TrainReport] = {}
     rows = []
     for variant in variants:
-        report, treport = results[variant]
+        report, treport = run_variant(variant)
         reports[variant] = report
         train_reports[variant] = treport
         rows.append({

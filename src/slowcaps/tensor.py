@@ -34,6 +34,7 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "select_step",
+    "take_rows",
     "dropout",
 ]
 
@@ -376,6 +377,26 @@ def select_step(a, index: int) -> Tensor:
             accumulate_grad(a, full)
 
     return make_op(out_data, (a,), bw)
+
+
+def take_rows(a, index) -> Tensor:
+    """Gather rows of ``a`` by an integer array: the result has shape
+    ``index.shape + a.shape[1:]``.  Rows may repeat or go unused; the
+    gradient of each row is the sum over the places it was taken."""
+    a = _as_tensor(a)
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"take_rows needs an integer index, got {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ValueError(f"take_rows index out of range for {a.shape[0]} rows")
+
+    def bw(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            _accumulate_new(a, full)
+
+    return make_op(a.data[idx], (a,), bw)
 
 
 def dropout(a, p: float, rng: np.random.Generator) -> Tensor:

@@ -25,6 +25,7 @@ from .tensor import Tensor, backward, reduce_mean, mul, sub
 __all__ = [
     "TrainConfig",
     "TrainReport",
+    "sequence_index",
     "build_sequences",
     "split_unit_ids",
     "train",
@@ -101,27 +102,20 @@ class TrainReport:
         return doc
 
 
-def build_sequences(
-    frames: np.ndarray,
-    labels: np.ndarray,
-    unit_ids: np.ndarray,
-    length: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack runs of ``length`` consecutive frames within each unit.
+def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
+    """Frame indices of every run of ``length`` consecutive frames
+    within a unit, shape (sequences, length).
 
-    Frames must be grouped by unit and time ordered.  Each sample is
-    labeled by its final frame.  Units holding fewer than ``length``
-    frames contribute nothing (logged at debug level).
+    Frames must be grouped by unit and time ordered.  Units holding
+    fewer than ``length`` frames contribute nothing (logged at debug
+    level).
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    frames = np.asarray(frames)
-    labels = np.asarray(labels)
     unit_ids = np.asarray(unit_ids)
     starts = []
-    ends = []
     i = 0
-    n = frames.shape[0]
+    n = unit_ids.shape[0]
     while i < n:
         j = i
         while j < n and unit_ids[j] == unit_ids[i]:
@@ -134,10 +128,20 @@ def build_sequences(
         i = j
     if not starts:
         raise ValueError(f"no unit has {length} consecutive frames")
-    s = np.asarray(starts, dtype=np.int64)
-    idx = s[:, None] + np.arange(length)
-    ends = s + length - 1
-    return frames[idx], labels[ends], unit_ids[ends]
+    return np.asarray(starts, dtype=np.int64)[:, None] + np.arange(length)
+
+
+def build_sequences(
+    frames: np.ndarray,
+    labels: np.ndarray,
+    unit_ids: np.ndarray,
+    length: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the :func:`sequence_index` runs of frames; each sample is
+    labeled by its final frame."""
+    idx = sequence_index(unit_ids, length)
+    ends = idx[:, -1]
+    return np.asarray(frames)[idx], np.asarray(labels)[ends], np.asarray(unit_ids)[ends]
 
 
 def split_unit_ids(
@@ -154,6 +158,14 @@ def split_unit_ids(
     order = rng.permutation(len(uids))
     val = {uids[i] for i in order[:n_val]}
     return [u for u in uids if u not in val], [u for u in uids if u in val]
+
+
+def _split_sequences(unit_ids, length: int, val_set) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sequence_index` split into (training, validation) rows by
+    the unit of each sequence's final frame."""
+    idx = sequence_index(unit_ids, length)
+    in_val = np.asarray([u in val_set for u in np.asarray(unit_ids)[idx[:, -1]]])
+    return idx[~in_val], idx[in_val]
 
 
 def _forward_loss(x, y_scaled, params, config, mode, rng):
@@ -191,16 +203,12 @@ def train(
     if not train_units or not val_set:
         raise ValueError("unit split left one side empty")
 
-    x_all, y_all, uid_all = build_sequences(
-        batch.frames, batch.labels, batch.unit_ids, config.sequence_length
-    )
-    in_val = np.asarray([u in val_set for u in uid_all])
-    x_tr, y_tr = x_all[~in_val], y_all[~in_val]
-    x_va, y_va = x_all[in_val], y_all[in_val]
-    if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
+    idx_tr, idx_va = _split_sequences(batch.unit_ids, config.sequence_length, val_set)
+    if idx_tr.shape[0] == 0 or idx_va.shape[0] == 0:
         raise ValueError("training or validation side has no sequences")
-    ys_tr = y_tr / cfg.label_scale
-    ys_va = y_va / cfg.label_scale
+    x_tr = batch.frames[idx_tr]
+    ys_tr = batch.labels[idx_tr[:, -1]] / cfg.label_scale
+    ys_va = batch.labels[idx_va[:, -1]] / cfg.label_scale
 
     if params is None:
         params = network.init_parameters(config, np.random.default_rng(ss_init))
@@ -235,7 +243,7 @@ def train(
                 ) from None
             sse += loss.item() * sel.size
         train_losses.append(sse / n_tr)
-        d = network.predict(x_va, params, config) - ys_va
+        d = network.predict(batch.frames, params, config, index=idx_va) - ys_va
         val_mse = float(d @ d) / ys_va.size
         val_losses.append(val_mse)
         if val_mse < best_val - cfg.min_delta:
@@ -330,11 +338,8 @@ def sensitivity_grid(
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA5]))
     _, val_units = split_unit_ids(batch.units(), cfg.validation_fraction, split_rng)
     val_set = set(val_units)
-    x_all, y_all, uid_all = build_sequences(
-        batch.frames, batch.labels, batch.unit_ids, base_config.sequence_length
-    )
-    in_val = np.asarray([uid in val_set for uid in uid_all])
-    x_va, y_va = x_all[in_val], y_all[in_val]
+    _, idx_va = _split_sequences(batch.unit_ids, base_config.sequence_length, val_set)
+    y_va = batch.labels[idx_va[:, -1]]
 
     from .evaluation import rmse as _rmse, scoring_function as _sf
 
@@ -344,7 +349,8 @@ def sensitivity_grid(
         seed = _cell_seed(cfg.seed, f, u)
         cell_cfg = replace(cfg, seed=seed)
         params, report = train(config, batch, cell_cfg, val_units=val_units)
-        preds = network.predict(x_va, params, config, cfg.label_scale)
+        preds = network.predict(batch.frames, params, config, cfg.label_scale,
+                                index=idx_va)
         return GridCell(
             conv_filters=f, lstm_units=u,
             rmse=_rmse(preds, y_va),

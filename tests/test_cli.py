@@ -1,11 +1,14 @@
 """Command-line workflow: artifact layout, exit codes, determinism."""
 
 import json
+import logging
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slowcaps import cli
 from slowcaps import data as D
 from slowcaps import evaluation as E
 from slowcaps.cli import main
@@ -286,6 +289,44 @@ def test_version_flag(capsys):
     from slowcaps import __version__
 
     assert capsys.readouterr().out.strip() == __version__
+
+
+@pytest.mark.parametrize("env, level", [
+    ({"SLOWCAPS_LOG": "debug"}, logging.DEBUG),
+    ({"SDTC_LOG": "info"}, logging.INFO),
+    ({"SLOWCAPS_LOG": "error", "SDTC_LOG": "debug"}, logging.ERROR),
+    ({}, logging.WARNING),
+])
+def test_log_level_from_environment(monkeypatch, env, level):
+    seen = {}
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.update(kw))
+    for name in ("SLOWCAPS_LOG", "SDTC_LOG"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cli._setup_logging()
+    assert seen["level"] == level
+
+
+def test_manifests_record_the_runtime(workspace, tmp_path, monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+    for stage in ("data", "feat", "model", "eval"):
+        doc = json.loads((workspace / stage / "manifest.json").read_text())
+        assert doc["runtime"] == {
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": dict(sorted(threads.items())),
+        }
+    # a thread setting is recorded, and reruns stay byte-identical
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    texts = []
+    for k in range(2):
+        out = tmp_path / f"run{k}"
+        assert main(["synth", "--out", str(out), "--seed", "3", *SET]) == 0
+        texts.append((out / "manifest.json").read_text())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["runtime"]["threads"]["OMP_NUM_THREADS"] == "1"
 
 
 # ----------------------------------------------------------- milling path

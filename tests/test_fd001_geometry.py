@@ -16,8 +16,10 @@ from pathlib import Path
 import numpy as np
 
 import slowcaps
+from slowcaps import evaluation as E
 from slowcaps import network as N
 from slowcaps import tensor as T
+from slowcaps import training as TR
 from slowcaps.tensor import Tensor, backward
 
 
@@ -152,3 +154,51 @@ def test_fd001_capsule_stages_ignore_blas_thread_count():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == len(hashlib.sha256().hexdigest())
     assert digests[0] == digests[1]
+
+
+def fd001_units(rng, units=3, per_unit=30):
+    frames = rng.normal(0.0, 0.8, size=(units * per_unit, 28, 16))
+    labels = np.tile(np.linspace(125.0, 0.0, per_unit), units)
+    uids = np.repeat(np.arange(units), per_unit)
+    return frames, labels, uids
+
+
+def test_fd001_frame_once_predict_matches_materialized():
+    config = fd001_config()
+    rng = np.random.default_rng(12)
+    params = N.init_parameters(config, rng)
+    frames, _, uids = fd001_units(rng)
+    idx = TR.sequence_index(uids, 5)
+    x = frames[idx]
+    got = N.predict(frames, params, config, 125.0, index=idx)
+    # materialized sequences through the same blocks, and one forward per
+    # 256 materialized sequences as dense scoring did before
+    refs = [N.predict(x, params, config, 125.0),
+            np.concatenate([N.model_forward(x[lo : lo + 256], params, config)[0].data
+                            for lo in range(0, x.shape[0], 256)]) * 125.0]
+    for ref in refs:
+        tol = 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
+
+
+def test_fd001_dense_forwards_stay_within_the_block_budget(monkeypatch):
+    config = fd001_config()
+    budget = N.BLOCK_BYTES // config.conv_map_bytes
+    assert budget == 73  # 8 MiB over 28 x 8 x 64 doubles per frame
+    rng = np.random.default_rng(13)
+    params = N.init_parameters(config, rng)
+    frames, labels, uids = fd001_units(rng)
+    sizes = []
+    forward = N.model_forward
+
+    def counting_forward(x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(N, "model_forward", counting_forward)
+    preds, _, _ = E.sequence_predictions(params, config, frames, labels, uids, 5,
+                                         125.0, chunk=256)
+    assert preds.shape == (3 * 26,)
+    assert max(sizes) <= budget
+    # 90 distinct frames: two blocks, sharing at most S - 1 = 4 frames
+    assert len(sizes) == 2 and sum(sizes) <= 90 + 4

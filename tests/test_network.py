@@ -1,9 +1,12 @@
 """Capsule network stage: geometry, squash, routing, LSTM, full forward."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import numeric_grad, rel_max
 
+from slowcaps import config as C
 from slowcaps import evaluation as E
 from slowcaps import network as N
 from slowcaps import tensor as T
@@ -12,6 +15,8 @@ from slowcaps.features import FrameBatch
 from slowcaps.tensor import Tensor, backward
 
 import oracles
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_config(**kw):
@@ -566,7 +571,7 @@ def test_sequence_predictions_forward_calls_per_chunk(rng, monkeypatch):
     forward = N.model_forward
 
     def counting_forward(x, *args, **kwargs):
-        calls.append(x.shape[0])
+        calls.append(kwargs["index"].shape[0])  # sequences in this forward
         return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(N, "model_forward", counting_forward)
@@ -579,6 +584,80 @@ def test_sequence_predictions_forward_calls_per_chunk(rng, monkeypatch):
         assert sum(calls) == n
 
 
+def materialized_chunks(x, params, cfg, label_scale, chunk):
+    """Dense scoring as it was before frames were scored once: one
+    forward per ``chunk`` materialized sequences."""
+    return np.concatenate([
+        N.model_forward(x[lo : lo + chunk], params, cfg)[0].data * label_scale
+        for lo in range(0, x.shape[0], chunk)
+    ])
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * scale)
+
+
+def test_frame_once_predict_matches_materialized(rng):
+    cfg = tiny_config()
+    params = N.init_parameters(cfg, rng)
+    frames = rng.normal(size=(3 * 9, 12, 6))
+    uids = np.repeat(np.array(["a", "b", "c"]), 9)
+    idx = TR.sequence_index(uids, cfg.sequence_length)
+    x = frames[idx]
+    got = N.predict(frames, params, cfg, 125.0, index=idx)
+    assert got.shape == (idx.shape[0],)
+    assert_rel_close(got, N.predict(x, params, cfg, 125.0))
+    assert_rel_close(got, materialized_chunks(x, params, cfg, 125.0, 256))
+    # the sequences may come in any order and share frames across blocks
+    perm = rng.permutation(idx.shape[0])
+    assert_rel_close(N.predict(frames, params, cfg, 125.0, chunk=4, index=idx[perm]),
+                     got[perm])
+
+
+def test_model_forward_with_index(rng):
+    cfg = tiny_config()
+    params = N.init_parameters(cfg, rng)
+    frames = rng.normal(size=(5, 12, 6))
+    idx = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 0, 4]])
+    y, coupling = N.model_forward(frames, params, cfg, index=idx)
+    assert coupling.shape == (5, 24, 2)  # per distinct frame
+    ref, _ = N.model_forward(frames[idx], params, cfg)
+    assert_rel_close(y.data, ref.data)
+    with pytest.raises(ValueError, match="rank"):
+        N.model_forward(frames[idx], params, cfg, index=idx)
+    with pytest.raises(ValueError, match="index"):
+        N.predict(frames, params, cfg, index=idx[0])
+
+
+def test_desk_validation_set_is_one_forward(monkeypatch):
+    # configs/synthetic_small.json: 6 sensors + 2 slow features, window 31
+    # (what the desk benchmark pins), units up to 200 cycles long, 2 of
+    # the 12 training units held out for validation
+    cfg = C.load_config(str(CONFIGS / "synthetic_small.json"))
+    model_cfg = C.resolve_model_config(cfg, frame_channels=8, num_slow=2,
+                                       plain_channels=6, window=31)
+    per_unit = 200 - 31 + 1
+    n_val = round(cfg["training"]["validation_fraction"] * cfg["synthetic"]["units"])
+    assert n_val * per_unit <= N.BLOCK_BYTES // model_cfg.conv_map_bytes
+    rng = np.random.default_rng(8)
+    n = 20 + n_val * per_unit
+    uids = np.array(["t"] * 20 + [f"v{i // per_unit}" for i in range(n - 20)])
+    batch = FrameBatch(rng.normal(size=(n, 31, 8)), rng.uniform(size=n), uids,
+                       np.zeros(n, dtype=int))
+    calls = []
+    forward = N.model_forward
+
+    def counting_forward(x, *args, **kwargs):
+        calls.append(kwargs.get("mode", "eval"))
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(N, "model_forward", counting_forward)
+    tc = TR.TrainConfig(epochs=1, batch_size=32, seed=2)
+    TR.train(model_cfg, batch, tc, val_units=[f"v{i}" for i in range(n_val)])
+    assert calls.count("eval") == 1
+
+
 def test_train_val_loss_is_predict_mse(rng):
     cfg = tiny_config(dropout=0.0)
     frames = rng.normal(size=(24, 12, 6))
@@ -587,7 +666,11 @@ def test_train_val_loss_is_predict_mse(rng):
     batch = FrameBatch(frames, labels, uids, np.tile(np.arange(8), 3))
     tc = TR.TrainConfig(epochs=1, batch_size=4, label_scale=20.0, seed=3)
     params, report = TR.train(cfg, batch, tc, val_units=["b"])
-    x, y, seq_uids = TR.build_sequences(frames, labels, uids, cfg.sequence_length)
-    va = seq_uids == "b"
-    d = N.predict(x[va], params, cfg) - y[va] / tc.label_scale
+    idx = TR.sequence_index(uids, cfg.sequence_length)
+    va = idx[uids[idx[:, -1]] == "b"]
+    d = N.predict(frames, params, cfg, index=va) - labels[va[:, -1]] / tc.label_scale
     assert report.val_loss[-1] == float(d @ d) / d.size
+    # the materialized validation sequences give the same predictions
+    x, _, seq_uids = TR.build_sequences(frames, labels, uids, cfg.sequence_length)
+    np.testing.assert_allclose(N.predict(x[seq_uids == "b"], params, cfg),
+                               N.predict(frames, params, cfg, index=va), rtol=1e-12)

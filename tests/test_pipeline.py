@@ -376,16 +376,6 @@ def test_ablation_run_serial():
         result.train_reports["no-sfa"].parameter_count
 
 
-def test_ablation_run_threads_match_serial():
-    train, test, settings, make_config, cfg = ablation_inputs()
-    variants = ("full", "no-lstm")
-    serial = P.ablation_run(train, test, settings, make_config, cfg,
-                            variants=variants)
-    threaded = P.ablation_run(train, test, settings, make_config, cfg,
-                              variants=variants, jobs=2)
-    assert serial.summary_rows == threaded.summary_rows
-
-
 def test_ablation_run_dense_mode_and_validation():
     train, test, settings, make_config, cfg = ablation_inputs()
     result = P.ablation_run(train, test, settings, make_config, cfg,

@@ -116,6 +116,27 @@ def test_reshape_and_select_step_backward(rng):
         T.select_step(x, 3)
 
 
+def test_take_rows_forward_and_backward(rng):
+    a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    idx = np.array([[4, 0], [4, 2], [0, 4]])  # rows 0 and 4 repeat, 1 and 3 unused
+    w = rng.normal(size=(3, 2, 3))
+    np.testing.assert_array_equal(T.take_rows(a, idx).data, a.data[idx])
+
+    def forward():
+        g = T.take_rows(a, idx)
+        return T.reduce_sum(T.mul(T.mul(g, g), w))
+
+    backward(forward())
+    num = numeric_grad(lambda: float(forward().data), {"a": a.data})
+    assert rel_max(a.grad, num["a"]) < 1e-6
+    np.testing.assert_array_equal(a.grad[[1, 3]], 0.0)
+    for bad in ([5], [-1]):
+        with pytest.raises(ValueError, match="range"):
+            T.take_rows(a, np.array(bad))
+    with pytest.raises(ValueError, match="integer"):
+        T.take_rows(a, np.array([0.0]))
+
+
 def test_gradient_accumulates_per_use():
     x = Tensor(3.0, requires_grad=True)
     backward(T.add(x, x))

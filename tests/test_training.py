@@ -73,6 +73,21 @@ def test_build_sequences_hand_layout():
     np.testing.assert_array_equal(u, ["a", "a", "b"])
 
 
+def test_sequence_index_is_the_build_sequences_rule():
+    uids = np.array(["a"] * 4 + ["b"] * 2 + ["c"] * 3)
+    idx = TR.sequence_index(uids, 3)
+    # unit b is too short; every row is a run within one unit
+    np.testing.assert_array_equal(idx, [[0, 1, 2], [1, 2, 3], [6, 7, 8]])
+    assert idx.dtype == np.int64
+    frames = np.arange(9 * 2.0).reshape(9, 2, 1)
+    x, y, u = TR.build_sequences(frames, np.arange(9.0), uids, 3)
+    np.testing.assert_array_equal(x, frames[idx])
+    np.testing.assert_array_equal(y, [2.0, 3.0, 8.0])
+    np.testing.assert_array_equal(u, ["a", "a", "c"])
+    with pytest.raises(ValueError, match="consecutive"):
+        TR.sequence_index(uids, 5)
+
+
 def test_build_sequences_unit_length_one():
     frames = np.zeros((4, 2, 2))
     labels = np.arange(4.0)
@@ -279,9 +294,9 @@ def _patch_grid_costs(monkeypatch, rmse_map):
         )
         return {"cfg": config}, rep
 
-    def fake_predict(x, params, config, label_scale=1.0, chunk=512):
+    def fake_predict(x, params, config, label_scale=1.0, chunk=512, index=None):
         key = (params["cfg"].conv_filters, params["cfg"].lstm_units)
-        return np.full(x.shape[0], float(rmse_map[key]))
+        return np.full(len(x if index is None else index), float(rmse_map[key]))
 
     monkeypatch.setattr(TR, "train", fake_train)
     monkeypatch.setattr(TR.network, "predict", fake_predict)
