@@ -312,9 +312,17 @@ def cmd_evaluate(args) -> int:
         variant = model_doc.get("variant", "full")
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"{path}: malformed model config: {exc}") from None
-    params = ckpt.arrays_to_tensors(
-        ckpt.load_arrays(model_dir / "checkpoint.json"), requires_grad=False
-    )
+    ckpt_path = model_dir / "checkpoint.json"
+    arrays = ckpt.load_arrays(ckpt_path)
+    want = {k: t.shape for k, t in network.init_parameters(
+        model_cfg, np.random.default_rng(0)).items()}
+    problems = ([f"missing {k}" for k in sorted(want.keys() - arrays.keys())]
+                + [f"unexpected {k}" for k in sorted(arrays.keys() - want.keys())]
+                + [f"{k} has shape {arrays[k].shape}, expected {want[k]}"
+                   for k in sorted(want.keys() & arrays.keys()) if arrays[k].shape != want[k]])
+    if problems:
+        raise ValueError(f"{ckpt_path}: does not match model_config.json: " + "; ".join(problems))
+    params = ckpt.arrays_to_tensors(arrays, requires_grad=False)
     pipe = _load_features(args.features)
     include_slow, _ = P.variant_flags(variant)
     pipe_v = pipe if include_slow else pipe.without_slow()

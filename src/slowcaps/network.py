@@ -397,28 +397,73 @@ def dynamic_routing(
     return v, c
 
 
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    # sign-split: exp only sees -|x|, so it never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
-    """Many-to-one LSTM over (B, S, F); returns the final hidden state (B, U)."""
+    """Many-to-one LSTM over (B, S, F); returns the final hidden state (B, U).
+
+    One tape node.  Per step, z = x_t Wx + h Wh + b with the per-gate
+    parameters concatenated in i, f, g, o order; c = f c + i g and
+    h = o tanh(c).  The backward pass is closed-form BPTT (Greff et al.,
+    "LSTM: A Search Space Odyssey", appendix) over the saved gates and
+    cell states, with each weight gradient one GEMM over all S*B rows.
+    """
     if v_seq.ndim != 3:
         raise ValueError(f"lstm input must be rank 3, got shape {v_seq.shape}")
-    batch, steps, _ = v_seq.shape
+    batch, steps, width = v_seq.shape
     if steps < 1:
         raise ValueError("empty sequence")
-    h = Tensor(np.zeros((batch, config.lstm_units)))
-    c = Tensor(np.zeros((batch, config.lstm_units)))
+    if width != config.advanced_flat_size:
+        raise ValueError(f"lstm input width {width} does not match "
+                         f"advanced_flat_size {config.advanced_flat_size}")
+    ps = [params[f"lstm.{kind}{gate}"] for kind in ("w_x", "w_h", "b_") for gate in "ifgo"]
+    wx, wh, b = (np.concatenate([p.data for p in ps[k : k + 4]], axis=-1) for k in (0, 4, 8))
+    u = config.lstm_units
+    x = np.ascontiguousarray(v_seq.data.transpose(1, 0, 2))
+    gates = np.empty((steps, batch, 4 * u))
+    cs = np.zeros((steps + 1, batch, u))      # c_0 .. c_S
+    hs = np.zeros((steps + 1, batch, u))      # h_0 .. h_S
+    tcs = np.empty((steps, batch, u))         # tanh(c_1) .. tanh(c_S)
     for t in range(steps):
-        x = T.select_step(v_seq, t)
-        gi = T.sigmoid(T.add(T.add(T.matmul(x, params["lstm.w_xi"]),
-                                   T.matmul(h, params["lstm.w_hi"])), params["lstm.b_i"]))
-        gf = T.sigmoid(T.add(T.add(T.matmul(x, params["lstm.w_xf"]),
-                                   T.matmul(h, params["lstm.w_hf"])), params["lstm.b_f"]))
-        gg = T.tanh(T.add(T.add(T.matmul(x, params["lstm.w_xg"]),
-                                T.matmul(h, params["lstm.w_hg"])), params["lstm.b_g"]))
-        go = T.sigmoid(T.add(T.add(T.matmul(x, params["lstm.w_xo"]),
-                                   T.matmul(h, params["lstm.w_ho"])), params["lstm.b_o"]))
-        c = T.add(T.mul(gf, c), T.mul(gi, gg))
-        h = T.mul(go, T.tanh(c))
-    return h
+        z = x[t] @ wx + hs[t] @ wh + b
+        a = gates[t]
+        a[:] = _sigmoid_np(z)
+        a[:, 2 * u : 3 * u] = np.tanh(z[:, 2 * u : 3 * u])
+        i, f, g, o = np.split(a, 4, axis=1)
+        cs[t + 1] = f * cs[t] + i * g
+        np.tanh(cs[t + 1], out=tcs[t])
+        hs[t + 1] = o * tcs[t]
+
+    def bw(grad):
+        dz = np.empty_like(gates)
+        dh = np.asarray(grad)
+        dc = np.zeros((batch, u))
+        for t in reversed(range(steps)):
+            i, f, g, o = np.split(gates[t], 4, axis=1)
+            tc = tcs[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            di, df, dg, do = np.split(dz[t], 4, axis=1)
+            di[:] = dc * g * i * (1.0 - i)
+            df[:] = dc * cs[t] * f * (1.0 - f)
+            dg[:] = dc * i * (1.0 - g * g)
+            do[:] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            dh = dz[t] @ wh.T
+        rows = dz.reshape(steps * batch, 4 * u)
+        sums = (x.reshape(steps * batch, width).T @ rows,
+                hs[:-1].reshape(steps * batch, u).T @ rows, rows.sum(axis=0))
+        for k, full in enumerate(sums):
+            for p, part in zip(ps[4 * k : 4 * k + 4], np.split(full, 4, axis=-1)):
+                if p.requires_grad:
+                    accumulate_grad(p, part)
+        if v_seq.requires_grad:
+            _accumulate_new(v_seq, (rows @ wx.T).reshape(steps, batch, width).transpose(1, 0, 2))
+
+    return make_op(hs[-1], (v_seq, *ps), bw)
 
 
 def regression_head(

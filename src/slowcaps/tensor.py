@@ -27,13 +27,10 @@ __all__ = [
     "matmul",
     "conv2d",
     "conv2d_tanh",
-    "tanh",
-    "sigmoid",
     "relu",
     "reduce_sum",
     "reduce_mean",
     "reshape",
-    "select_step",
     "take_rows",
     "dropout",
 ]
@@ -171,7 +168,7 @@ def backward(loss: Tensor) -> None:
         raise ValueError("loss must be a scalar tensor")
     if not loss.requires_grad:
         return
-    # iterative post-order walk so deep LSTM chains cannot hit the
+    # iterative post-order walk so deep chains cannot hit the
     # recursion limit
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -279,33 +276,6 @@ def matmul(a, b) -> Tensor:
     return make_op(out_data, (a, b), bw)
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * (1.0 - out_data * out_data))
-
-    return make_op(out_data, (a,), bw)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * out_data * (1.0 - out_data))
-
-    return make_op(out_data, (a,), bw)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
@@ -357,24 +327,6 @@ def reshape(a, shape) -> Tensor:
     def bw(g):
         if a.requires_grad:
             accumulate_grad(a, np.asarray(g).reshape(a.data.shape))
-
-    return make_op(out_data, (a,), bw)
-
-
-def select_step(a, index: int) -> Tensor:
-    """Pick step ``index`` along axis 1 (sequence axis); gradient scatters back."""
-    a = _as_tensor(a)
-    if a.ndim < 2:
-        raise ValueError("select_step expects rank >= 2")
-    if not 0 <= index < a.shape[1]:
-        raise ValueError(f"step {index} out of range for shape {a.shape}")
-    out_data = np.ascontiguousarray(a.data[:, index])
-
-    def bw(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[:, index] = g
-            accumulate_grad(a, full)
 
     return make_op(out_data, (a,), bw)
 

@@ -239,6 +239,39 @@ def test_malformed_model_config_exits_1(workspace, tmp_path, capsys, case):
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
+@pytest.mark.parametrize("case,named", [
+    ("short_bias", "fnn.0.bias has shape (1,), expected (16,)"),
+    ("extra_array", "unexpected extra.weight"),
+    ("missing_array", "missing lstm.w_ho"),
+])
+def test_checkpoint_not_matching_model_config_exits_1(workspace, tmp_path, capsys,
+                                                       case, named):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "model_config.json").write_bytes(
+        (workspace / "model" / "model_config.json").read_bytes())
+    doc = json.loads((workspace / "model" / "checkpoint.json").read_text())
+    if case == "short_bias":
+        doc["fnn.0.bias"] = {"shape": [1], "data": [0.5]}
+    elif case == "extra_array":
+        doc["extra.weight"] = {"shape": [2], "data": [1.0, 2.0]}
+    else:
+        del doc["lstm.w_ho"]
+    (model / "checkpoint.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["evaluate", "--out", str(tmp_path / "eval"),
+               "--data-dir", str(workspace / "data"), "--model", str(model),
+               "--features", str(workspace / "feat"), *SET])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert str(model / "checkpoint.json") in err["message"]
+    assert named in err["message"]
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
 def test_train_no_sfa_on_fd001_geometry(tmp_path):
     # configs/fd001.json pins a (1, 8) capsule kernel, the full conv output
     # width of 14 sensors + 2 slow features; without the slow columns the

@@ -112,21 +112,25 @@ from test_fd001_geometry import fd001_config
 config = fd001_config()
 rng = np.random.default_rng(21)
 params = N.init_parameters(config, rng)
-front = {k: p for k, p in params.items() if k.split(".")[0] in ("conv", "caps", "route")}
+front = {k: p for k, p in params.items() if not k.startswith("fnn.")}
 adam = Adam(front)
 digest = hashlib.sha256()
 for _ in range(3):
     frames = T.Tensor(rng.normal(size=(320, 28, 16, 1)))
-    weights = T.Tensor(rng.normal(size=(320, 2, 16)))
+    weights = T.Tensor(rng.normal(size=(64, 16)))
     u = N.build_basic_capsules(N.conv_features(frames, params, config), params, config)
     v, _ = N.dynamic_routing(u, params, config)
+    h = N.lstm_forward(T.reshape(v, (64, 5, 32)), params, config)
     with T.no_grad():
         votes = N.capsule_transform(u, params["route.transform"]).data
     digest.update(v.data.tobytes())
+    digest.update(h.data.tobytes())
     digest.update(np.ascontiguousarray(
         N.routing_coefficients(votes, config.routing_iterations)[1]).tobytes())
     adam.zero_grad()
-    T.backward(T.reduce_sum(T.mul(v, weights)))
+    T.backward(T.reduce_sum(T.mul(h, weights)))
+    for name in sorted(front):
+        digest.update(front[name].grad.tobytes())
     adam.step()
 for name in sorted(front):
     digest.update(front[name].data.tobytes())
@@ -135,10 +139,11 @@ print(digest.hexdigest())
 
 
 def test_fd001_capsule_stages_ignore_blas_thread_count():
-    """Conv, capsule and routing stages give byte-identical outputs and
-    parameters over three Adam steps on 1 and 2 BLAS threads.
+    """Conv, capsule, routing and LSTM stages give byte-identical
+    outputs, gradients and parameters over three Adam steps on a
+    64 x 5 batch on 1 and 2 BLAS threads.
 
-    The full model is not covered: OpenBLAS computes the head's
+    Only the head is not covered: OpenBLAS computes its
     (64 x 200) @ (200 x 100) product of a 64-sequence batch with
     different rounding on 1 and 2 threads (see README).
     """
@@ -154,6 +159,25 @@ def test_fd001_capsule_stages_ignore_blas_thread_count():
         digests.append(run.stdout.strip())
     assert len(digests[0]) == len(hashlib.sha256().hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_fd001_training_step_tape_nodes():
+    """23 parameters, 10 nodes from the frames to the LSTM's one node,
+    11 in the head and 3 in the loss."""
+    config = fd001_config()
+    rng = np.random.default_rng(14)
+    params = N.init_parameters(config, rng)
+    frames = rng.normal(0.0, 0.8, size=(4, 5, 28, 16))
+    loss, _ = TR._forward_loss(frames, rng.normal(size=4), params, config, "train", rng)
+    seen = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    assert len(seen) <= 47
 
 
 def fd001_units(rng, units=3, per_unit=30):

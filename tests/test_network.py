@@ -1,5 +1,6 @@
 """Capsule network stage: geometry, squash, routing, LSTM, full forward."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,67 @@ def test_lstm_matches_step_oracle(rng):
     np.testing.assert_allclose(h.data, ho, atol=1e-12)
 
 
+def lstm_params(cfg, rng, requires_grad=True):
+    """LSTM parameters moved off their initial values to a generic point."""
+    params = N.init_parameters(cfg, rng)
+    return {k: Tensor(p.data + rng.normal(0.0, 0.3, size=p.shape), requires_grad)
+            for k, p in params.items() if k.startswith("lstm.")}
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_lstm_is_one_node_with_fd_gradients(rng, steps):
+    cfg = tiny_config()
+    params = lstm_params(cfg, rng)
+    x = Tensor(rng.normal(size=(3, steps, 12)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(3, 5)))
+
+    def forward():
+        return T.reduce_sum(T.mul(N.lstm_forward(x, params, cfg), weights))
+
+    h = N.lstm_forward(x, params, cfg)
+    assert h._parents[0] is x and len(h._parents) == 13
+    assert {id(p) for p in h._parents[1:]} == {id(p) for p in params.values()}
+    backward(forward())
+    arrays = {"x": x.data, **{k: p.data for k, p in params.items()}}
+    num = numeric_grad(lambda: float(forward().data), arrays)
+    assert rel_max(x.grad, num["x"]) < 1e-6
+    for name, p in params.items():
+        assert rel_max(p.grad, num[name]) < 1e-6, name
+
+
+def test_lstm_input_gradient_with_frozen_parameters(rng):
+    cfg = tiny_config()
+    params = lstm_params(cfg, rng, requires_grad=False)
+    seq = rng.normal(size=(3, 4, 12))
+    weights = Tensor(rng.normal(size=(3, 5)))
+    x = Tensor(seq.copy(), requires_grad=True)
+    backward(T.reduce_sum(T.mul(N.lstm_forward(x, params, cfg), weights)))
+    assert all(p.grad is None for p in params.values())
+    tracked = {k: Tensor(p.data, requires_grad=True) for k, p in params.items()}
+    x_all = Tensor(seq.copy(), requires_grad=True)
+    backward(T.reduce_sum(T.mul(N.lstm_forward(x_all, tracked, cfg), weights)))
+    np.testing.assert_array_equal(x.grad, x_all.grad)
+
+
+def test_lstm_saturated_gates_match_oracle_without_warnings(rng):
+    cfg = tiny_config()
+    params = lstm_params(cfg, rng)
+    seq = 1e3 * rng.choice([-1.0, 1.0], size=(3, 4, 12)) * rng.uniform(0.5, 1.5, (3, 4, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = N.lstm_forward(Tensor(seq, requires_grad=True), params, cfg)
+        backward(T.reduce_sum(h))
+    wx = {g: params[f"lstm.w_x{g}"].data for g in "ifgo"}
+    wh = {g: params[f"lstm.w_h{g}"].data for g in "ifgo"}
+    b = {g: params[f"lstm.b_{g}"].data for g in "ifgo"}
+    ho = np.zeros((3, 5))
+    co = np.zeros((3, 5))
+    for t in range(4):
+        ho, co = oracles.lstm_step_oracle(seq[:, t], ho, co, wx, wh, b)
+    np.testing.assert_allclose(h.data, ho, atol=1e-12)
+    assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
 def test_lstm_validation(rng):
     cfg = tiny_config()
     params = N.init_parameters(cfg, rng)
@@ -453,6 +515,8 @@ def test_lstm_validation(rng):
         N.lstm_forward(Tensor(np.zeros((3, 12))), params, cfg)
     with pytest.raises(ValueError, match="empty"):
         N.lstm_forward(Tensor(np.zeros((3, 0, 12))), params, cfg)
+    with pytest.raises(ValueError, match="advanced_flat_size"):
+        N.lstm_forward(Tensor(np.zeros((3, 4, 11))), params, cfg)
 
 
 # -------------------------------------------------------- regression head

@@ -34,8 +34,8 @@ def test_elementwise_backward_matches_fd(rng):
 
     def forward():
         z = T.mul(a, b)
-        z = T.sub(z, T.tanh(a))
-        z = T.add(z, T.sigmoid(b))
+        z = T.sub(z, T.mul(a, a))
+        z = T.add(z, T.relu(b))
         return T.reduce_sum(T.mul(z, z))
 
     loss = forward()
@@ -50,7 +50,8 @@ def test_broadcast_bias_backward(rng):
     bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def forward():
-        return T.reduce_sum(T.tanh(T.add(x, bias)))
+        s = T.add(x, bias)
+        return T.reduce_sum(T.mul(s, s))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data),
@@ -82,11 +83,6 @@ def test_matmul_backward_matches_fd(rng):
     assert rel_max(b.grad, num["b"]) < 1e-6
 
 
-def test_sigmoid_stable_at_extremes():
-    y = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0]))
-    np.testing.assert_allclose(y.data, [0.0, 0.5, 1.0], atol=1e-12)
-
-
 def test_reduce_ops_axis_keepdims(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     assert T.reduce_sum(x, axis=1).shape == (2, 4)
@@ -101,19 +97,16 @@ def test_reduce_ops_axis_keepdims(rng):
     assert rel_max(x.grad, num["x"]) < 1e-6
 
 
-def test_reshape_and_select_step_backward(rng):
+def test_reshape_backward(rng):
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 
     def forward():
         r = T.reshape(x, (2, 12))
-        s = T.select_step(x, 1)
-        return T.add(T.reduce_sum(T.mul(r, r)), T.reduce_sum(T.tanh(s)))
+        return T.reduce_sum(T.mul(r, r))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
     assert rel_max(x.grad, num["x"]) < 1e-6
-    with pytest.raises(ValueError):
-        T.select_step(x, 3)
 
 
 def test_take_rows_forward_and_backward(rng):
@@ -152,7 +145,7 @@ def test_diamond_reuse_single_contribution(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def forward():
-        h = T.tanh(x)
+        h = T.mul(x, x)
         return T.reduce_sum(T.add(T.mul(h, h), h))
 
     backward(forward())
@@ -179,7 +172,7 @@ def test_off_path_parameter_reads_zero_grad():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        backward(T.tanh(x))
+        backward(T.mul(x, x))
 
 
 def test_no_grad_drops_graph():
@@ -314,7 +307,8 @@ def test_conv2d_backward_matches_fd(rng):
     b = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def forward():
-        return T.reduce_sum(T.tanh(T.conv2d(x, k, b, (1, 2))))
+        y = T.conv2d(x, k, b, (1, 2))
+        return T.reduce_sum(T.mul(y, y))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data),
@@ -350,13 +344,15 @@ def test_conv2d_tanh_is_one_node_equal_to_tanh_of_conv2d(rng, shape, kshape, str
     fused_in = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     plain_in = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     fused = T.conv2d_tanh(*fused_in, stride)
-    plain = T.tanh(T.conv2d(*plain_in, stride))
-    np.testing.assert_allclose(fused.data, plain.data, rtol=1e-14, atol=0)
+    plain = T.conv2d(*plain_in, stride)
+    y = np.tanh(plain.data)
+    np.testing.assert_allclose(fused.data, y, rtol=1e-14, atol=0)
     # one tape node: its parents are the three leaves themselves
     assert fused._parents == tuple(fused_in)
-    weights = Tensor(rng.normal(size=fused.shape))
-    backward(T.reduce_sum(T.mul(fused, weights)))
-    backward(T.reduce_sum(T.mul(plain, weights)))
+    weights = rng.normal(size=fused.shape)
+    backward(T.reduce_sum(T.mul(fused, Tensor(weights))))
+    # the reference seeds conv2d's backward with the tanh chain rule
+    backward(T.reduce_sum(T.mul(plain, Tensor(weights * (1.0 - y * y)))))
     for f, p in zip(fused_in, plain_in):
         np.testing.assert_allclose(f.grad, p.grad, rtol=1e-14, atol=1e-14 * np.abs(p.grad).max())
 
