@@ -508,9 +508,12 @@ def model_forward(
     (S, window, channels) is promoted to a batch of one.  With ``index``,
     a (B, S) int array, ``frames`` is instead (F, window, channels)
     distinct frames and sequence b is frames ``index[b]``: the per-frame
-    stages run once per frame and the sequences are gathered for the
-    LSTM.  Returns the per-sample scalar outputs (B,) and the routing
-    coupling of the flat frame batch (B*S frames, or the F frames).
+    stages run once per frame, and one ``take_rows`` gather with the 2-D
+    index yields the (B, S, features) LSTM input (column 0 of the index
+    when the LSTM head is disabled); frames no sequence names are scored
+    but get zero gradient.  Returns the per-sample scalar outputs (B,)
+    and the routing coupling of the flat frame batch (B*S frames, or the
+    F frames).
     """
     x = frames if isinstance(frames, Tensor) else Tensor(frames)
     if index is None:
@@ -538,14 +541,13 @@ def model_forward(
     maps = conv_features(flat, params, config)
     u = build_basic_capsules(maps, params, config)
     v, coupling = dynamic_routing(u, params, config, coupling_override)
-    flat_v = T.reshape(v, (rows, config.advanced_flat_size))
+    head_in = T.reshape(v, (rows, config.advanced_flat_size))
     if index is not None:
-        flat_v = T.take_rows(flat_v, index.reshape(-1))
+        head_in = T.take_rows(head_in, index if config.use_lstm else index[:, 0])
+    elif config.use_lstm:
+        head_in = T.reshape(head_in, (batch, steps, config.advanced_flat_size))
     if config.use_lstm:
-        seq = T.reshape(flat_v, (batch, steps, config.advanced_flat_size))
-        head_in = lstm_forward(seq, params, config)
-    else:
-        head_in = flat_v
+        head_in = lstm_forward(head_in, params, config)
     y = regression_head(head_in, params, config, mode, rng)
     return y, coupling
 

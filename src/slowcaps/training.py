@@ -36,6 +36,11 @@ __all__ = [
 
 log = logging.getLogger("slowcaps.training")
 
+# OpenBLAS rounds the capsule-kernel gradient, a reduction over every
+# conv-map row of the batch, the same on 1 and 2 threads only when the
+# frame count is a multiple of 8 (checked at FD001 geometry)
+FRAME_MULTIPLE = 8
+
 
 @dataclass
 class TrainConfig:
@@ -168,10 +173,27 @@ def _split_sequences(unit_ids, length: int, val_set) -> tuple[np.ndarray, np.nda
     return idx[~in_val], idx[in_val]
 
 
-def _forward_loss(x, y_scaled, params, config, mode, rng):
-    pred, _ = network.model_forward(x, params, config, mode=mode, rng=rng)
+def _batch_frames(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame rows a batch of sequences names, each once, and the batch's
+    (B, S) index into them.
+
+    The rows are padded to a multiple of :data:`FRAME_MULTIPLE` by
+    repeating the last one.  No sequence names a pad row, so its
+    gradient rows are exact zeros and only fix the reduction length.
+    """
+    used, local = np.unique(index, return_inverse=True)
+    used = np.pad(used, (0, -used.size % FRAME_MULTIPLE), mode="edge")
+    return used, local.reshape(index.shape)
+
+
+def _forward_loss(frames, index, y_scaled, params, config, mode, rng):
+    """Scaled-label MSE of the sequences ``index`` picks from ``frames``;
+    the per-frame stages run once per distinct frame."""
+    used, local = _batch_frames(index)
+    pred, _ = network.model_forward(frames[used], params, config, mode=mode,
+                                    rng=rng, index=local)
     err = sub(pred, Tensor(y_scaled))
-    return reduce_mean(mul(err, err)), pred
+    return reduce_mean(mul(err, err))
 
 
 def train(
@@ -206,7 +228,6 @@ def train(
     idx_tr, idx_va = _split_sequences(batch.unit_ids, config.sequence_length, val_set)
     if idx_tr.shape[0] == 0 or idx_va.shape[0] == 0:
         raise ValueError("training or validation side has no sequences")
-    x_tr = batch.frames[idx_tr]
     ys_tr = batch.labels[idx_tr[:, -1]] / cfg.label_scale
     ys_va = batch.labels[idx_va[:, -1]] / cfg.label_scale
 
@@ -231,9 +252,8 @@ def train(
         for lo in range(0, n_tr, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
             try:
-                loss, _ = _forward_loss(
-                    x_tr[sel], ys_tr[sel], params, config, "train", dropout_rng
-                )
+                loss = _forward_loss(batch.frames, idx_tr[sel], ys_tr[sel], params,
+                                     config, "train", dropout_rng)
                 adam.zero_grad()
                 backward(loss)
                 adam.step()

@@ -272,6 +272,86 @@ def test_checkpoint_not_matching_model_config_exits_1(workspace, tmp_path, capsy
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
+def _edit_rows(path: Path, edit) -> None:
+    rows = [line.split() for line in path.read_text().splitlines()]
+    path.write_text("\n".join(" ".join(r) for r in edit(rows)) + "\n")
+
+
+def _truncate_row(rows):
+    rows[4] = rows[4][:-2]
+    return rows
+
+
+def _skip_cycle(rows):
+    rows[3][1] = str(int(rows[3][1]) + 5)
+    return rows
+
+
+def _constant_channels(rows):
+    for r in rows:
+        r[5:] = ["1.5"] * len(r[5:])
+    return rows
+
+
+def _first_unit_only(rows):
+    return [r for r in rows if r[0] == rows[0][0]]
+
+
+# (case, command, file edited, edit, extra arguments, exit code, reason)
+CORRUPTIONS = [
+    ("truncated_row", "fit-features", "train", _truncate_row, [], 1,
+     "train_synthetic.txt: inconsistent column counts"),
+    ("non_contiguous_cycles", "fit-features", "train", _skip_cycle, [], 1,
+     "train_synthetic.txt: unit 1 cycles are not contiguous"),
+    ("rul_count_mismatch", "evaluate", "RUL", lambda rows: rows[:-1], [], 1,
+     "residual-life file has 2 entries for 3 test units"),
+    ("ten_channels_against_six", "train", None, None, ["--set", "synthetic.channels=10"], 1,
+     "raw channel count 10 does not match"),
+    ("all_constant_channels", "fit-features", "train", _constant_channels, [], 1,
+     "all channels are constant"),
+    ("one_training_unit", "train", "train", _first_unit_only, [], 1,
+     "need at least two units"),
+    ("batch_size_not_int", "train", None, None, ["--set", "training.batch_size=abc"], 2,
+     "training.batch_size must be a positive integer"),
+    ("shuffle_not_bool", "train", None, None, ["--set", "training.shuffle=1"], 2,
+     "training.shuffle must be a boolean"),
+]
+
+
+@pytest.mark.parametrize("case,command,target,edit,extra,code,reason", CORRUPTIONS,
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_corrupt_input_fails_at_the_boundary(workspace, tmp_path, capsys, case, command,
+                                             target, edit, extra, code, reason):
+    """Bad data or overrides end in exit 1 or 2 with one JSON line on
+    stderr naming the problem, no traceback and no features, checkpoint
+    or report."""
+    data = tmp_path / "data"
+    if case == "ten_channels_against_six":
+        assert main(["synth", "--out", str(data), "--seed", "3", *SET, *extra]) == 0
+    else:
+        data.mkdir()
+        for name in ("train", "test", "RUL"):
+            src = workspace / "data" / f"{name}_synthetic.txt"
+            (data / src.name).write_bytes(src.read_bytes())
+    if edit is not None:
+        _edit_rows(data / f"{target}_synthetic.txt", edit)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--data-dir", str(data), *SET, *extra]
+    if command == "train":
+        argv += ["--features", str(workspace / "feat")]
+    elif command == "evaluate":
+        argv += ["--features", str(workspace / "feat"), "--model", str(workspace / "model")]
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == ("config" if code == 2 else "ValueError")
+    assert reason in (err["problems"][0] if code == 2 else err["message"])
+    for name in ("features.json", "checkpoint.json", "report.json"):
+        assert not (out / name).exists(), name
+
+
 def test_train_no_sfa_on_fd001_geometry(tmp_path):
     # configs/fd001.json pins a (1, 8) capsule kernel, the full conv output
     # width of 14 sensors + 2 slow features; without the slow columns the

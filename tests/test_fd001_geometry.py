@@ -33,8 +33,34 @@ def fd001_config(**kw) -> N.ModelConfig:
     return N.ModelConfig(**base)
 
 
+def spot_check_inputs(rng, indexed: bool):
+    """Model inputs ``(frames, index)`` of a small FD001-geometry batch.
+
+    Materialized: two sequences as (2, 5, 28, 16) and no index.  Indexed:
+    four sequences of one 10-frame unit, one repeated and all sharing
+    frames, as the distinct frames plus index of a training step; the 10
+    frames are padded to 16.
+    """
+    pool = rng.normal(0.0, 0.8, size=(10, 28, 16))
+    if not indexed:
+        return pool.reshape(2, 5, 28, 16), None
+    used, local = TR._batch_frames(TR.sequence_index(np.zeros(10), 5)[[0, 2, 5, 0]])
+    assert used.size == 16
+    return pool[used], local
+
+
 def test_fd001_geometry_gradient_spot_check():
     """Central differences on three random coordinates of every parameter."""
+    spot_check(indexed=False)
+
+
+def test_fd001_geometry_gradient_spot_check_indexed():
+    """The same check through the distinct-frames-plus-index path of a
+    training step, with repeated and pad frames."""
+    spot_check(indexed=True)
+
+
+def spot_check(indexed: bool):
     start = time.monotonic()
     config = fd001_config(dropout=0.0)
     assert config.num_basic_capsules == 224
@@ -43,28 +69,33 @@ def test_fd001_geometry_gradient_spot_check():
     # move off the symmetric initialization to a generic point
     for p in params.values():
         p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
-    frames = rng.normal(0.0, 0.8, size=(2, 5, 28, 16))
-    targets = rng.normal(0.0, 1.0, size=2)
+    frames, index = spot_check_inputs(rng, indexed)
+    batch = 2 if index is None else index.shape[0]
+    targets = rng.normal(0.0, 1.0, size=batch)
 
     # freeze the routing coupling so the measured loss is the same
     # function the backward pass differentiates
-    _, coupling = N.model_forward(frames, params, config)
+    _, coupling = N.model_forward(frames, params, config, index=index)
     coupling = coupling.copy()
 
     def loss_tensor():
-        y, _ = N.model_forward(frames, params, config, coupling_override=coupling)
+        y, _ = N.model_forward(frames, params, config, coupling_override=coupling,
+                               index=index)
         d = T.sub(y, Tensor(targets))
         return T.reduce_mean(T.mul(d, d))
 
     def relu_pattern():
         """Signs of every hidden-layer input of the head."""
         with T.no_grad():
-            flat = T.reshape(Tensor(frames), (10, 28, 16, 1))
+            rows = frames.size // (28 * 16)
+            flat = T.reshape(Tensor(frames), (rows, 28, 16, 1))
             u = N.build_basic_capsules(N.conv_features(flat, params, config),
                                        params, config)
             v, _ = N.dynamic_routing(u, params, config, coupling_override=coupling)
-            z = N.lstm_forward(T.reshape(v, (2, 5, config.advanced_flat_size)),
-                               params, config).data
+            v = T.reshape(v, (rows, config.advanced_flat_size))
+            seq = (T.reshape(v, (batch, 5, config.advanced_flat_size)) if index is None
+                   else T.take_rows(v, index))
+            z = N.lstm_forward(seq, params, config).data
         signs = []
         for li in range(len(config.fnn_widths) - 1):
             z = z @ params[f"fnn.{li}.weight"].data + params[f"fnn.{li}.bias"].data
@@ -101,11 +132,48 @@ def test_fd001_geometry_gradient_spot_check():
     assert time.monotonic() - start < 10.0
 
 
+def test_fd001_indexed_training_step_matches_materialized():
+    """A 64-sequence batch of a 3 x 30-frame fleet names each of its
+    frames several times; scoring the distinct frames once and gathering
+    gives all 23 gradients of the materialized step."""
+    config = fd001_config()
+    rng = np.random.default_rng(15)
+    params = N.init_parameters(config, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
+    frames, labels, uids = fd001_units(rng)
+    index = TR.sequence_index(uids, 5)[rng.permutation(78)[:64]]
+    assert np.unique(index).size < index.size / 3
+    y = labels[index[:, -1]] / 125.0
+
+    grads = []
+    for indexed in (True, False):
+        for p in params.values():
+            p.grad[...] = 0.0
+        drop = np.random.default_rng(16)
+        if indexed:
+            loss = TR._forward_loss(frames, index, y, params, config, "train", drop)
+        else:
+            pred, _ = N.model_forward(frames[index], params, config, mode="train", rng=drop)
+            d = T.sub(pred, Tensor(y))
+            loss = T.reduce_mean(T.mul(d, d))
+        backward(loss)
+        grads.append({k: p.grad.copy() for k, p in params.items()})
+    got, ref = grads
+    assert len(ref) == 23
+    for name, r in ref.items():
+        scale = np.max(np.abs(r))
+        assert scale > 0.0, name
+        np.testing.assert_allclose(got[name], r, rtol=0.0, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
 FRONT_END_STEPS = """
 import hashlib
 import numpy as np
 from slowcaps import network as N
 from slowcaps import tensor as T
+from slowcaps import training as TR
 from slowcaps.optim import Adam
 from test_fd001_geometry import fd001_config
 
@@ -115,12 +183,23 @@ params = N.init_parameters(config, rng)
 front = {k: p for k, p in params.items() if not k.startswith("fnn.")}
 adam = Adam(front)
 digest = hashlib.sha256()
-for _ in range(3):
-    frames = T.Tensor(rng.normal(size=(320, 28, 16, 1)))
-    weights = T.Tensor(rng.normal(size=(64, 16)))
-    u = N.build_basic_capsules(N.conv_features(frames, params, config), params, config)
+# three materialized 64 x 5 batches, then from a 3 x 98-frame fleet a
+# deduplicated 64 x 5 batch and the 26-sequence tail of an epoch
+batches = [(rng.normal(size=(320, 28, 16)), None) for _ in range(3)]
+pool = rng.normal(size=(294, 28, 16))
+index = TR.sequence_index(np.repeat(np.arange(3), 98), 5)[rng.permutation(282)]
+for sel in (index[:64], index[256:]):
+    used, local = TR._batch_frames(sel)
+    assert used.size < sel.size and used.size % TR.FRAME_MULTIPLE == 0
+    batches.append((pool[used], local))
+for frames, local in batches:
+    u = N.build_basic_capsules(N.conv_features(T.Tensor(frames[..., None]), params, config),
+                               params, config)
     v, _ = N.dynamic_routing(u, params, config)
-    h = N.lstm_forward(T.reshape(v, (64, 5, 32)), params, config)
+    v = T.reshape(v, (frames.shape[0], 32))
+    seq = T.reshape(v, (64, 5, 32)) if local is None else T.take_rows(v, local)
+    h = N.lstm_forward(seq, params, config)
+    weights = T.Tensor(rng.normal(size=h.shape))
     with T.no_grad():
         votes = N.capsule_transform(u, params["route.transform"]).data
     digest.update(v.data.tobytes())
@@ -140,8 +219,10 @@ print(digest.hexdigest())
 
 def test_fd001_capsule_stages_ignore_blas_thread_count():
     """Conv, capsule, routing and LSTM stages give byte-identical
-    outputs, gradients and parameters over three Adam steps on a
-    64 x 5 batch on 1 and 2 BLAS threads.
+    outputs, gradients and parameters on 1 and 2 BLAS threads over five
+    Adam steps: three on materialized 64 x 5 batches, one on the padded
+    distinct frames of a 64 x 5 training batch and one on those of a
+    26-sequence tail batch.
 
     Only the head is not covered: OpenBLAS computes its
     (64 x 200) @ (200 x 100) product of a 64-sequence batch with
@@ -167,8 +248,11 @@ def test_fd001_training_step_tape_nodes():
     config = fd001_config()
     rng = np.random.default_rng(14)
     params = N.init_parameters(config, rng)
-    frames = rng.normal(0.0, 0.8, size=(4, 5, 28, 16))
-    loss, _ = TR._forward_loss(frames, rng.normal(size=4), params, config, "train", rng)
+    # the training path: four overlapping sequences of 12-frame units,
+    # scored once per distinct frame and gathered for the LSTM
+    frames, _, uids = fd001_units(rng, per_unit=12)
+    index = TR.sequence_index(uids, 5)[[0, 1, 2, 9]]
+    loss = TR._forward_loss(frames, index, rng.normal(size=4), params, config, "train", rng)
     seen = set()
     stack = [loss]
     while stack:
