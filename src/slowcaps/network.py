@@ -5,7 +5,9 @@ image): valid convolution with tanh, a second convolution whose output
 channels split into capsule vectors, squashing, then dynamic routing by
 agreement onto a small set of advanced capsules.  A sequence of frames
 feeds an LSTM whose final hidden state drives a small fully connected
-regression stack ending in one linear output.
+regression stack ending in one linear output.  Both convolutions span
+the full frame width, so each row of basic capsules depends on one short
+run of frame rows; those runs are scored once per distinct content.
 
 Routing coefficients are recomputed from zero logits on every forward
 pass and are treated as constants by the backward pass: gradients flow
@@ -28,6 +30,7 @@ __all__ = [
     "init_parameters",
     "parameter_count",
     "squash",
+    "capsule_row_patches",
     "capsule_transform",
     "capsule_weighted_sum",
     "routing_coefficients",
@@ -41,10 +44,14 @@ __all__ = [
 ]
 
 SQUASH_EPS = 1e-12
-# conv-map bytes one dense-inference block may hold: 8 MiB is 73 frames
-# at FD001 geometry, and the whole validation set in one pass at desk
-# geometry
+# one frame's conv map times the frames one dense-inference block may
+# name: 8 MiB is 73 frames at FD001 geometry, and the whole validation
+# set in one pass at desk geometry
 BLOCK_BYTES = 8 << 20
+# OpenBLAS rounds the capsule-kernel gradient, a reduction over every
+# distinct patch of the batch, the same on 1 and 2 threads when the
+# patch count is a multiple of 32 (checked at FD001 geometry)
+PATCH_MULTIPLE = 32
 
 
 def _pair(v, name: str) -> tuple[int, int]:
@@ -280,19 +287,30 @@ def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def capsule_transform(u: Tensor, w: Tensor) -> Tensor:
+def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray | None = None) -> Tensor:
     """Per-pair linear votes: u (N,I,D) and w (I,J,A,D) give (N,I,J,A).
 
-    Computed as one matmul batched over I; the result is a transposed
-    view of the (I, N, J, A) product.
+    With ``index``, an (N, H) int array, ``u`` is (P, I/H, D) patch rows
+    and capsule h * I/H + c of item n is row ``index[n, h]``, capsule c;
+    the backward pass sums each row's gradient over the places it was
+    read.  Computed as one matmul batched over I; the result is a
+    transposed view of the (I, N, J, A) product.
     """
     if u.ndim != 3 or w.ndim != 4:
         raise ValueError(f"bad ranks for capsule transform: {u.shape}, {w.shape}")
-    if u.shape[1] != w.shape[0] or u.shape[2] != w.shape[3]:
+    rows, per_row, d = u.shape
+    if index is None:
+        n, i = rows, per_row
+        ui = u.data.transpose(1, 0, 2)
+    else:
+        index = np.asarray(index)
+        if index.ndim != 2:
+            raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
+        n, i = index.shape[0], index.shape[1] * per_row
+        ui = u.data[index].reshape(n, i, d).transpose(1, 0, 2)
+    if i != w.shape[0] or d != w.shape[3]:
         raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
-    n, i, d = u.shape
     _, j, a, _ = w.shape
-    ui = u.data.transpose(1, 0, 2)
     wi = w.data.reshape(i, j * a, d)
     out = np.matmul(ui, wi.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, i, j, a)
 
@@ -301,7 +319,16 @@ def capsule_transform(u: Tensor, w: Tensor) -> Tensor:
         if w.requires_grad:
             accumulate_grad(w, np.matmul(gi.transpose(0, 2, 1), ui).reshape(i, j, a, d))
         if u.requires_grad:
-            accumulate_grad(u, np.matmul(gi, wi).transpose(1, 0, 2))
+            gu = np.matmul(gi, wi).transpose(1, 0, 2)
+            if index is None:
+                accumulate_grad(u, gu)
+            else:
+                # one bincount sums each row element over its read
+                # places, in a fixed order
+                width = per_row * d
+                keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+                _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
+                                               minlength=rows * width).reshape(u.shape))
 
     return make_op(out, (u, w), bw)
 
@@ -355,8 +382,36 @@ def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
     return _softmax_np(b, axis=1).transpose(0, 2, 1), b.transpose(0, 2, 1)
 
 
+def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct capsule-row patches of (F, window, channels) frames, and
+    the (F, H_c) index of each frame's patches into them.
+
+    Every kernel spans the full frame width, so capsule row r depends
+    only on frame rows r*s .. r*s + k - 1, with s = sh1 * sh2 and
+    k = kh1 + (kh2 - 1) * sh1 for the conv and capsule kernel heights kh
+    and strides sh; that run of rows is patch r.  Patches are told apart
+    by content, so rows that frames share (sliding windows) are scored
+    once.  The distinct patches, (P, k, channels), are padded to a
+    multiple of :data:`PATCH_MULTIPLE` by repeating the last one; no
+    frame names a pad patch, so its gradient rows are exact zeros and
+    only fix the reduction length.
+    """
+    x = np.asarray(frames, dtype=np.float64)
+    f, _, channels = x.shape
+    kh1, sh1 = config.conv_kernel[0], config.conv_stride[0]
+    kh2, sh2 = config.caps_kernel[0], config.caps_stride[0]
+    k, s, hc = kh1 + (kh2 - 1) * sh1, sh1 * sh2, config.caps_out_hw[0]
+    runs = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, : s * hc : s]
+    rows = np.ascontiguousarray(runs.transpose(0, 1, 3, 2)).reshape(f * hc, k * channels)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = np.pad(first, (0, -first.size % PATCH_MULTIPLE), mode="edge")
+    return rows[first].reshape(-1, k, channels), inverse.reshape(f, hc)
+
+
 def conv_features(frames: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
-    """First stage: valid convolution over (N, window, channels, 1) + tanh."""
+    """First stage: valid convolution over (N, rows, channels, 1) + tanh;
+    the rows are a whole frame or one capsule-row patch."""
     return T.conv2d_tanh(frames, params["conv.kernel"], params["conv.bias"],
                          config.conv_stride)
 
@@ -366,11 +421,11 @@ def build_basic_capsules(maps: Tensor, params: Mapping[str, Tensor], config: Mod
 
     The output channel axis holds caps_channels blocks of caps_dim; each
     spatial position of each block is one basic capsule, flattened to
-    (N, num_basic, caps_dim) with the capsule dimension kept intact.
+    (N, capsules, caps_dim) with the capsule dimension kept intact: all
+    num_basic_capsules of a frame, or the one capsule row of a patch.
     """
     z = T.conv2d(maps, params["caps.kernel"], params["caps.bias"], config.caps_stride)
-    n = z.shape[0]
-    caps = T.reshape(z, (n, config.num_basic_capsules, config.caps_dim))
+    caps = T.reshape(z, (z.shape[0], -1, config.caps_dim))
     return squash(caps)
 
 
@@ -379,6 +434,7 @@ def dynamic_routing(
     params: Mapping[str, Tensor],
     config: ModelConfig,
     coupling_override: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Route basic capsules to advanced capsules.
 
@@ -387,8 +443,10 @@ def dynamic_routing(
     Returns the advanced capsules and the coupling (N, I, J) they were
     built from.  ``coupling_override`` substitutes a fixed coupling array
     (used to hold the routing constant while probing the loss surface).
+    With ``index`` (N, H_c), ``u`` holds patch rows and frame n reads
+    its capsules from them as :func:`capsule_transform` describes.
     """
-    u_hat = capsule_transform(u, params["route.transform"])
+    u_hat = capsule_transform(u, params["route.transform"], index)
     if coupling_override is not None:
         c = np.asarray(coupling_override, dtype=np.float64)
     else:
@@ -507,15 +565,20 @@ def model_forward(
     ``frames`` has shape (B, S, window, channels); a single sequence
     (S, window, channels) is promoted to a batch of one.  With ``index``,
     a (B, S) int array, ``frames`` is instead (F, window, channels)
-    distinct frames and sequence b is frames ``index[b]``: the per-frame
-    stages run once per frame, and one ``take_rows`` gather with the 2-D
-    index yields the (B, S, features) LSTM input (column 0 of the index
-    when the LSTM head is disabled); frames no sequence names are scored
-    but get zero gradient.  Returns the per-sample scalar outputs (B,)
+    distinct frames and sequence b is frames ``index[b]``: votes and
+    routing run once per frame, and one ``take_rows`` gather with the
+    2-D index yields the (B, S, features) LSTM input (column 0 of the
+    index when the LSTM head is disabled); frames no sequence names are
+    scored but get zero gradient.  Either way, conv, capsule conv and
+    squash run once per distinct :func:`capsule_row_patches` patch, and
+    the votes gather each frame's capsules.  Frames are constants: no
+    gradient flows to them.  Returns the per-sample scalar outputs (B,)
     and the routing coupling of the flat frame batch (B*S frames, or the
     F frames).
     """
     x = frames if isinstance(frames, Tensor) else Tensor(frames)
+    if x.requires_grad:
+        raise ValueError("model_forward takes frames as constants, not tracked tensors")
     if index is None:
         if x.ndim == 3:
             x = T.reshape(x, (1,) + x.shape)
@@ -537,10 +600,10 @@ def model_forward(
     if not config.use_lstm and steps != 1:
         raise ValueError("sequence length must be 1 when the LSTM head is disabled")
     rows = x.size // (window * channels)
-    flat = T.reshape(x, (rows, window, channels, 1))
-    maps = conv_features(flat, params, config)
+    patches, patch_index = capsule_row_patches(x.data.reshape(rows, window, channels), config)
+    maps = conv_features(Tensor(patches[..., None]), params, config)
     u = build_basic_capsules(maps, params, config)
-    v, coupling = dynamic_routing(u, params, config, coupling_override)
+    v, coupling = dynamic_routing(u, params, config, coupling_override, patch_index)
     head_in = T.reshape(v, (rows, config.advanced_flat_size))
     if index is not None:
         head_in = T.take_rows(head_in, index if config.use_lstm else index[:, 0])
@@ -565,9 +628,9 @@ def predict(
     ``frames`` is (B, S, window, channels) or a single sequence
     (S, window, channels); with ``index`` (B, S) it is (F, window,
     channels) and sequence b is frames ``index[b]``.  A block is a run
-    of at most ``chunk`` consecutive sequences whose distinct frames
-    have conv maps within :data:`BLOCK_BYTES` (always room for one
-    sequence); each of those frames is scored once.  Returns (B,)
+    of at most ``chunk`` consecutive sequences that name at most
+    ``BLOCK_BYTES // conv_map_bytes`` distinct frames (always room for
+    one sequence); each of those frames is scored once.  Returns (B,)
     outputs times ``label_scale``.
     """
     x = np.asarray(frames)

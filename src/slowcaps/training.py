@@ -36,11 +36,6 @@ __all__ = [
 
 log = logging.getLogger("slowcaps.training")
 
-# OpenBLAS rounds the capsule-kernel gradient, a reduction over every
-# conv-map row of the batch, the same on 1 and 2 threads only when the
-# frame count is a multiple of 8 (checked at FD001 geometry)
-FRAME_MULTIPLE = 8
-
 
 @dataclass
 class TrainConfig:
@@ -175,20 +170,15 @@ def _split_sequences(unit_ids, length: int, val_set) -> tuple[np.ndarray, np.nda
 
 def _batch_frames(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame rows a batch of sequences names, each once, and the batch's
-    (B, S) index into them.
-
-    The rows are padded to a multiple of :data:`FRAME_MULTIPLE` by
-    repeating the last one.  No sequence names a pad row, so its
-    gradient rows are exact zeros and only fix the reduction length.
-    """
+    (B, S) index into them."""
     used, local = np.unique(index, return_inverse=True)
-    used = np.pad(used, (0, -used.size % FRAME_MULTIPLE), mode="edge")
     return used, local.reshape(index.shape)
 
 
 def _forward_loss(frames, index, y_scaled, params, config, mode, rng):
     """Scaled-label MSE of the sequences ``index`` picks from ``frames``;
-    the per-frame stages run once per distinct frame."""
+    votes and routing run once per distinct frame, and the stages before
+    them once per distinct patch."""
     used, local = _batch_frames(index)
     pred, _ = network.model_forward(frames[used], params, config, mode=mode,
                                     rng=rng, index=local)

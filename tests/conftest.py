@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradients and small fixtures."""
+"""Shared test helpers: finite-difference gradients, the per-frame model
+chain and small fixtures."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from slowcaps import network as N
+from slowcaps import tensor as T
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -40,6 +45,26 @@ def rel_max(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> f
     b = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(floor, np.abs(a) + np.abs(b))
     return float(np.max(np.abs(a - b) / denom))
+
+
+def sliding_frames(series: np.ndarray, window: int) -> np.ndarray:
+    """Every stride-1 window of a (units, rows, channels) fleet, as
+    (units * (rows - window + 1), window, channels) frames that share
+    rows like the frames of one unit do."""
+    views = sliding_window_view(series, window, axis=1).transpose(0, 1, 3, 2)
+    return views.reshape(-1, window, series.shape[2])
+
+
+def per_frame_forward(x, params, config, mode="eval", rng=None):
+    """The model's forward pass stage by stage on whole (B, S, window,
+    channels) frames, with no patch or frame sharing: conv, capsules and
+    routing per frame, then the LSTM and the head."""
+    b, s = x.shape[:2]
+    flat = T.Tensor(np.reshape(x, (b * s,) + x.shape[2:] + (1,)))
+    u = N.build_basic_capsules(N.conv_features(flat, params, config), params, config)
+    v, coupling = N.dynamic_routing(u, params, config)
+    h = N.lstm_forward(T.reshape(v, (b, s, config.advanced_flat_size)), params, config)
+    return N.regression_head(h, params, config, mode, rng), coupling
 
 
 @pytest.fixture

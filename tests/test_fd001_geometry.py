@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from conftest import per_frame_forward, sliding_frames
 
 import slowcaps
 from slowcaps import evaluation as E
@@ -33,34 +34,48 @@ def fd001_config(**kw) -> N.ModelConfig:
     return N.ModelConfig(**base)
 
 
-def spot_check_inputs(rng, indexed: bool):
+def spot_check_inputs(rng, kind: str):
     """Model inputs ``(frames, index)`` of a small FD001-geometry batch.
 
-    Materialized: two sequences as (2, 5, 28, 16) and no index.  Indexed:
-    four sequences of one 10-frame unit, one repeated and all sharing
-    frames, as the distinct frames plus index of a training step; the 10
-    frames are padded to 16.
+    ``"materialized"``: two sequences of random frames as (2, 5, 28, 16)
+    and no index.  ``"indexed"``: four sequences of one 10-frame unit,
+    one repeated and all sharing frames, as the distinct frames plus
+    index of a training step; the 280 rows of its random frames are 280
+    distinct patches, padded to 288.  ``"sliding"``: the same sequences
+    over the 10 sliding windows of one 37-row series, whose frames share
+    rows: 37 distinct patches, padded to 64.
     """
-    pool = rng.normal(0.0, 0.8, size=(10, 28, 16))
-    if not indexed:
+    if kind == "sliding":
+        pool = sliding_frames(rng.normal(0.0, 0.8, size=(1, 37, 16)), 28)
+    else:
+        pool = rng.normal(0.0, 0.8, size=(10, 28, 16))
+    if kind == "materialized":
         return pool.reshape(2, 5, 28, 16), None
     used, local = TR._batch_frames(TR.sequence_index(np.zeros(10), 5)[[0, 2, 5, 0]])
-    assert used.size == 16
+    assert used.size == 10
+    patches, _ = N.capsule_row_patches(pool[used], fd001_config())
+    assert patches.shape[0] == (64 if kind == "sliding" else 288)
     return pool[used], local
 
 
 def test_fd001_geometry_gradient_spot_check():
     """Central differences on three random coordinates of every parameter."""
-    spot_check(indexed=False)
+    spot_check("materialized")
 
 
 def test_fd001_geometry_gradient_spot_check_indexed():
     """The same check through the distinct-frames-plus-index path of a
-    training step, with repeated and pad frames."""
-    spot_check(indexed=True)
+    training step, with repeated frames and pad patches."""
+    spot_check("indexed")
 
 
-def spot_check(indexed: bool):
+def test_fd001_geometry_gradient_spot_check_sliding():
+    """The same check on sliding-window frames, whose shared rows each
+    feed one patch that several frames' votes read."""
+    spot_check("sliding")
+
+
+def spot_check(kind: str):
     start = time.monotonic()
     config = fd001_config(dropout=0.0)
     assert config.num_basic_capsules == 224
@@ -69,7 +84,7 @@ def spot_check(indexed: bool):
     # move off the symmetric initialization to a generic point
     for p in params.values():
         p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
-    frames, index = spot_check_inputs(rng, indexed)
+    frames, index = spot_check_inputs(rng, kind)
     batch = 2 if index is None else index.shape[0]
     targets = rng.normal(0.0, 1.0, size=batch)
 
@@ -132,6 +147,45 @@ def spot_check(indexed: bool):
     assert time.monotonic() - start < 10.0
 
 
+def test_fd001_sliding_window_training_step_matches_per_frame_chain():
+    """A 64-sequence batch of the sliding windows over a 3 x 57-row fleet
+    names each row in up to 28 frames; scoring each distinct patch once
+    and gathering gives all 23 gradients of the stage-by-stage chain on
+    whole materialized frames."""
+    config = fd001_config()
+    rng = np.random.default_rng(17)
+    params = N.init_parameters(config, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
+    frames = sliding_frames(rng.normal(0.0, 0.8, size=(3, 57, 16)), 28)
+    index = TR.sequence_index(np.repeat(np.arange(3), 30), 5)[rng.permutation(78)[:64]]
+    y = np.linspace(1.0, 0.0, 90)[index[:, -1]]
+    used, _ = TR._batch_frames(index)
+    patches, _ = N.capsule_row_patches(frames[used], config)
+    assert patches.shape[0] < used.size * 28 / 5
+
+    grads = []
+    for indexed in (True, False):
+        for p in params.values():
+            p.grad[...] = 0.0
+        drop = np.random.default_rng(18)
+        if indexed:
+            loss = TR._forward_loss(frames, index, y, params, config, "train", drop)
+        else:
+            pred, _ = per_frame_forward(frames[index], params, config, "train", drop)
+            d = T.sub(pred, Tensor(y))
+            loss = T.reduce_mean(T.mul(d, d))
+        backward(loss)
+        grads.append({k: p.grad.copy() for k, p in params.items()})
+    got, ref = grads
+    assert len(ref) == 23
+    for name, r in ref.items():
+        scale = np.max(np.abs(r))
+        assert scale > 0.0, name
+        np.testing.assert_allclose(got[name], r, rtol=0.0, atol=1e-12 * scale,
+                                   err_msg=name)
+
+
 def test_fd001_indexed_training_step_matches_materialized():
     """A 64-sequence batch of a 3 x 30-frame fleet names each of its
     frames several times; scoring the distinct frames once and gathering
@@ -175,6 +229,7 @@ from slowcaps import network as N
 from slowcaps import tensor as T
 from slowcaps import training as TR
 from slowcaps.optim import Adam
+from conftest import sliding_frames
 from test_fd001_geometry import fd001_config
 
 config = fd001_config()
@@ -183,25 +238,33 @@ params = N.init_parameters(config, rng)
 front = {k: p for k, p in params.items() if not k.startswith("fnn.")}
 adam = Adam(front)
 digest = hashlib.sha256()
-# three materialized 64 x 5 batches, then from a 3 x 98-frame fleet a
-# deduplicated 64 x 5 batch and the 26-sequence tail of an epoch
+# three materialized 64 x 5 batches scored as whole frames; then through
+# model_forward's patches and index, from the sliding windows over a
+# 3 x 125-row fleet, a deduplicated 64 x 5 batch and the 26-sequence
+# tail of an epoch, and a 26 x 5 batch of 130 random frames
 batches = [(rng.normal(size=(320, 28, 16)), None) for _ in range(3)]
-pool = rng.normal(size=(294, 28, 16))
+pool = sliding_frames(rng.normal(size=(3, 125, 16)), 28)
 index = TR.sequence_index(np.repeat(np.arange(3), 98), 5)[rng.permutation(282)]
 for sel in (index[:64], index[256:]):
     used, local = TR._batch_frames(sel)
-    assert used.size < sel.size and used.size % TR.FRAME_MULTIPLE == 0
     batches.append((pool[used], local))
+batches.append((rng.normal(size=(130, 28, 16)), np.arange(130).reshape(26, 5)))
+distinct = []
 for frames, local in batches:
-    u = N.build_basic_capsules(N.conv_features(T.Tensor(frames[..., None]), params, config),
+    images, patch_index = frames, None
+    if local is not None:
+        images, patch_index = N.capsule_row_patches(frames, config)
+        distinct.append(np.unique(patch_index).size)
+        assert images.shape[0] % N.PATCH_MULTIPLE == 0
+    u = N.build_basic_capsules(N.conv_features(T.Tensor(images[..., None]), params, config),
                                params, config)
-    v, _ = N.dynamic_routing(u, params, config)
+    v, _ = N.dynamic_routing(u, params, config, index=patch_index)
     v = T.reshape(v, (frames.shape[0], 32))
     seq = T.reshape(v, (64, 5, 32)) if local is None else T.take_rows(v, local)
     h = N.lstm_forward(seq, params, config)
     weights = T.Tensor(rng.normal(size=h.shape))
     with T.no_grad():
-        votes = N.capsule_transform(u, params["route.transform"]).data
+        votes = N.capsule_transform(u, params["route.transform"], patch_index).data
     digest.update(v.data.tobytes())
     digest.update(h.data.tobytes())
     digest.update(np.ascontiguousarray(
@@ -213,16 +276,20 @@ for frames, local in batches:
     adam.step()
 for name in sorted(front):
     digest.update(front[name].data.tobytes())
+# shared rows are scored once; the random frames share none, and their
+# patch count is above 384 and no multiple of 32 before padding
+assert distinct[0] < 28 * 64 and distinct[1] < 28 * 26 and distinct[2] == 3640
 print(digest.hexdigest())
 """
 
 
 def test_fd001_capsule_stages_ignore_blas_thread_count():
     """Conv, capsule, routing and LSTM stages give byte-identical
-    outputs, gradients and parameters on 1 and 2 BLAS threads over five
-    Adam steps: three on materialized 64 x 5 batches, one on the padded
-    distinct frames of a 64 x 5 training batch and one on those of a
-    26-sequence tail batch.
+    outputs, gradients and parameters on 1 and 2 BLAS threads over six
+    Adam steps: three on materialized 64 x 5 batches of whole frames,
+    then through the padded distinct patches of model_forward, one on a
+    deduplicated 64 x 5 training batch of sliding-window frames, one on
+    a 26-sequence tail batch and one on 130 random frames.
 
     Only the head is not covered: OpenBLAS computes its
     (64 x 200) @ (200 x 100) product of a 64-sequence batch with
@@ -243,13 +310,13 @@ def test_fd001_capsule_stages_ignore_blas_thread_count():
 
 
 def test_fd001_training_step_tape_nodes():
-    """23 parameters, 10 nodes from the frames to the LSTM's one node,
+    """23 parameters, 10 nodes from the patches to the LSTM's one node,
     11 in the head and 3 in the loss."""
     config = fd001_config()
     rng = np.random.default_rng(14)
     params = N.init_parameters(config, rng)
     # the training path: four overlapping sequences of 12-frame units,
-    # scored once per distinct frame and gathered for the LSTM
+    # scored once per distinct patch and frame, gathered for the LSTM
     frames, _, uids = fd001_units(rng, per_unit=12)
     index = TR.sequence_index(uids, 5)[[0, 1, 2, 9]]
     loss = TR._forward_loss(frames, index, rng.normal(size=4), params, config, "train", rng)

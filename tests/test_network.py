@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numeric_grad, rel_max
+from conftest import numeric_grad, per_frame_forward, rel_max, sliding_frames
 
 from slowcaps import config as C
 from slowcaps import evaluation as E
@@ -576,6 +576,8 @@ def test_model_forward_validation(rng):
         N.model_forward(np.zeros((2, 3, 12, 6)), flat_params, flat_cfg)
     yf, _ = N.model_forward(np.zeros((2, 1, 12, 6)), flat_params, flat_cfg)
     assert yf.shape == (2,)
+    with pytest.raises(ValueError, match="constants"):
+        N.model_forward(Tensor(np.zeros((2, 3, 12, 6)), requires_grad=True), params, cfg)
 
 
 def test_model_forward_train_mode_is_seed_deterministic(rng):
@@ -692,6 +694,70 @@ def test_model_forward_with_index(rng):
         N.model_forward(frames[idx], params, cfg, index=idx)
     with pytest.raises(ValueError, match="index"):
         N.predict(frames, params, cfg, index=idx[0])
+
+
+# the two time-mixing geometries of test_capsule_count_matches_walking_oracle:
+# a capsule row reads k = 5 frame rows, and starts s = 4 or 3 rows after
+# the previous one
+TIME_MIXING = [
+    dict(conv_kernel=(3, 2), conv_stride=(2, 1), caps_kernel=(2, 2), caps_stride=(2, 1)),
+    dict(window_length=20, in_channels=9, conv_kernel=(2, 3), conv_stride=(1, 2),
+         caps_kernel=(4, 1), caps_stride=(3, 1)),
+]
+
+
+@pytest.mark.parametrize("geometry", TIME_MIXING)
+def test_capsule_row_patches_are_distinct_frame_row_runs(geometry):
+    cfg = tiny_config(**geometry)
+    k, s = 5, (4 if cfg.window_length == 12 else 3)
+    hc = cfg.caps_out_hw[0]
+    frames = sliding_frames(np.random.default_rng(30).normal(
+        size=(2, cfg.window_length + 9, cfg.in_channels)), cfg.window_length)
+    patches, index = N.capsule_row_patches(frames, cfg)
+    assert index.shape == (20, hc)
+    for f in range(20):
+        for r in range(hc):
+            np.testing.assert_array_equal(patches[index[f, r]],
+                                          frames[f, r * s : r * s + k])
+    # each distinct run once, then pad copies of the last that no frame names
+    n = np.unique(index).size
+    runs = {frames[f, r * s : r * s + k].tobytes() for f in range(20) for r in range(hc)}
+    assert n == len(runs) < index.size and index.max() == n - 1
+    assert patches.shape[0] == -(-n // N.PATCH_MULTIPLE) * N.PATCH_MULTIPLE
+    np.testing.assert_array_equal(patches[n:], np.broadcast_to(patches[n - 1],
+                                                               patches[n:].shape))
+
+
+@pytest.mark.parametrize("geometry", TIME_MIXING)
+def test_patch_path_matches_per_frame_chain_at_time_mixing_geometries(geometry):
+    """model_forward on sliding-window frames with a (B, S) index gives
+    the outputs and every parameter gradient of the stage-by-stage chain
+    on whole materialized frames."""
+    cfg = tiny_config(**geometry)
+    rng = np.random.default_rng(31)
+    params = N.init_parameters(cfg, rng)
+    for p in params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
+    frames = sliding_frames(rng.normal(size=(2, cfg.window_length + 9, cfg.in_channels)),
+                            cfg.window_length)
+    index = TR.sequence_index(np.repeat(np.arange(2), 10), cfg.sequence_length)
+    weights = Tensor(rng.normal(size=index.shape[0]))
+    outs, grads = [], []
+    for indexed in (True, False):
+        for p in params.values():
+            p.grad[...] = 0.0
+        drop = np.random.default_rng(32)
+        if indexed:
+            y, _ = N.model_forward(frames, params, cfg, "train", drop, index=index)
+        else:
+            y, _ = per_frame_forward(frames[index], params, cfg, "train", drop)
+        backward(T.reduce_sum(T.mul(y, weights)))
+        outs.append(y.data)
+        grads.append({k: p.grad.copy() for k, p in params.items()})
+    for name, got, ref in [("y", *outs)] + [(k, grads[0][k], g) for k, g in grads[1].items()]:
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0, name
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * scale, err_msg=name)
 
 
 def test_desk_validation_set_is_one_forward(monkeypatch):
