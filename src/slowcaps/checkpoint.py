@@ -1,13 +1,22 @@
 """Bit-exact JSON serialization of named float64 arrays.
 
 A checkpoint is one JSON document mapping each array name to an object
-with two keys: "shape" (list of ints) and "data" (flat row-major list of
-float literals).  Python's repr-based float formatting round-trips IEEE
-doubles exactly, so save followed by load reproduces every bit.
+with two keys: "shape" (list of ints) and "data", the base64 text of the
+array's C-order little-endian float64 bytes ("<f8").  Those bytes are the
+IEEE doubles themselves, so save followed by load reproduces every bit,
+including -0.0 and subnormals, and neither side formats or parses a
+decimal per value.  Keys are sorted and separators compact, so the same
+arrays always give the same bytes.
+
+Documents written before this format hold "data" as a flat row-major
+list of float literals (Python's repr, which also round-trips doubles
+exactly); ``loads_arrays`` still reads them.  Non-finite values are
+rejected on save and, in either form, on load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -31,8 +40,36 @@ def dumps_arrays(arrays: dict[str, np.ndarray]) -> str:
         a = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(a)):
             raise FloatingPointError(f"non-finite values in array {name}")
-        doc[name] = {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
+        data = base64.b64encode(a.astype("<f8", copy=False).tobytes(order="C"))
+        doc[name] = {"shape": list(a.shape), "data": data.decode("ascii")}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _decode_data(name: str, shape: tuple[int, ...], n: int, data) -> np.ndarray:
+    if isinstance(data, str):
+        try:
+            raw = base64.b64decode(data, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise ValueError(f"array {name}: data is not base64 ({exc})") from None
+        if len(raw) != 8 * n:
+            raise ValueError(f"array {name}: shape {shape} expects {8 * n} bytes, "
+                             f"got {len(raw)}")
+        # astype copies, so the array is native-endian and writable
+        a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    elif isinstance(data, list):
+        try:
+            a = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"array {name}: data is not a list of numbers ({exc})") from None
+        if a.shape != (n,):
+            raise ValueError(f"array {name}: shape {shape} expects {n} values, "
+                             f"got {len(data)}")
+    else:
+        raise ValueError(f"array {name}: data must be a base64 string or a list, "
+                         f"not {type(data).__name__}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"array {name}: non-finite values")
+    return a.reshape(shape)
 
 
 def loads_arrays(text: str) -> dict[str, np.ndarray]:
@@ -51,11 +88,7 @@ def loads_arrays(text: str) -> dict[str, np.ndarray]:
             if s < 0:
                 raise ValueError(f"negative extent in shape of {name}")
             n *= s
-        if len(data) != n:
-            raise ValueError(
-                f"array {name}: shape {shape} expects {n} values, got {len(data)}"
-            )
-        arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+        arrays[name] = _decode_data(name, shape, n, data)
     return arrays
 
 
@@ -64,7 +97,12 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    return loads_arrays(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint file in either form; a malformed file raises
+    ``ValueError`` naming ``path``."""
+    try:
+        return loads_arrays(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def tensors_to_arrays(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact float64 round trips, stable bytes."""
 
+import base64
 import json
 
 import numpy as np
@@ -12,24 +13,43 @@ from slowcaps.tensor import Tensor
 def awkward_arrays(rng):
     return {
         "w": rng.normal(size=(3, 4)),
-        "b": np.array([1.0 / 3.0, -0.0, 1e-308, 1e308, -1e-17]),
+        "b": np.array([1.0 / 3.0, -0.0, 1e-308, 1e308, -1e-17, 5e-324,
+                       np.finfo(float).max, -np.finfo(float).max]),
         "s": np.asarray(np.pi),
         "t": rng.normal(size=(2, 2, 2)) * 1e-9,
     }
 
 
+def decimal_document(arrays):
+    """The earlier format: "data" as a flat list of float literals."""
+    return json.dumps({name: {"shape": list(a.shape), "data": a.ravel().tolist()}
+                       for name, a in arrays.items()},
+                      sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_round_trip_bit_exact(rng):
     arrays = awkward_arrays(rng)
-    text = C.dumps_arrays(arrays)
-    back = C.loads_arrays(text)
-    assert set(back) == set(arrays)
+    # the current form, and the decimal form earlier files were written in
+    for text in (C.dumps_arrays(arrays), decimal_document(arrays)):
+        back = C.loads_arrays(text)
+        assert set(back) == set(arrays)
+        for name, a in arrays.items():
+            assert back[name].shape == a.shape
+            assert back[name].dtype == np.float64
+            # bit-exact, including negative zero and subnormals
+            assert np.array_equal(
+                a.view(np.uint64).ravel(), back[name].view(np.uint64).ravel()
+            )
+            assert back[name].flags.writeable
+
+
+def test_data_is_base64_of_little_endian_doubles(rng):
+    arrays = awkward_arrays(rng)
+    doc = json.loads(C.dumps_arrays(arrays))
     for name, a in arrays.items():
-        assert back[name].shape == a.shape
-        assert back[name].dtype == np.float64
-        # bit-exact, including negative zero
-        assert np.array_equal(
-            a.view(np.uint64).ravel(), back[name].view(np.uint64).ravel()
-        )
+        assert isinstance(doc[name]["data"], str)
+        raw = base64.b64decode(doc[name]["data"], validate=True)
+        assert raw == a.astype("<f8").tobytes(order="C")
 
 
 def test_dumps_is_deterministic_and_sorted(rng):
@@ -59,6 +79,10 @@ def test_non_finite_rejected():
         C.dumps_arrays({"bad": np.array([1.0, np.inf])})
 
 
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(ValueError):
         C.loads_arrays("[1, 2, 3]")
@@ -68,6 +92,25 @@ def test_malformed_documents_rejected():
     doc = {"w": {"shape": [2]}}
     with pytest.raises(ValueError):
         C.loads_arrays(json.dumps(doc))
+    # (data of a shape-(2,) entry, what the message must say)
+    for data, match in [
+        (_b64([1.0, 2.0])[:-4] + "AA*=", "not base64"),
+        (_b64([1.0, 2.0, 3.0]), "expects 16 bytes, got 24"),
+        (_b64([1.0])[:-1], "not base64"),
+        (base64.b64encode(b"\0" * 12).decode("ascii"), "expects 16 bytes, got 12"),
+        (1.5, "not float"),
+        ({"x": 1}, "not dict"),
+        (None, "not NoneType"),
+        ([1.0, "x"], "not a list of numbers"),
+        ([[1.0, 2.0], [3.0, 4.0]], "expects 2 values"),
+        ([1.0, float("nan")], "non-finite"),
+        ([float("-inf"), 1.0], "non-finite"),
+        (_b64([1.0, np.nan]), "non-finite"),
+        (_b64([np.inf, 1.0]), "non-finite"),
+    ]:
+        with pytest.raises(ValueError, match=match) as info:
+            C.loads_arrays(json.dumps({"w": {"shape": [2], "data": data}}))
+        assert "array w" in str(info.value)
 
 
 def test_tensor_bridges(rng):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slowcaps import checkpoint as ckpt
 from slowcaps import cli
 from slowcaps import data as D
 from slowcaps import evaluation as E
@@ -272,6 +273,82 @@ def test_checkpoint_not_matching_model_config_exits_1(workspace, tmp_path, capsy
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
+def _decimal_form(src: Path, dst: Path) -> None:
+    """Rewrite a saved array file in the earlier form, "data" as a list of
+    float literals."""
+    arrays = ckpt.load_arrays(src)
+    dst.write_text(json.dumps(
+        {k: {"shape": list(a.shape), "data": a.ravel().tolist()} for k, a in arrays.items()},
+        sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def test_decimal_artifacts_evaluate_to_the_same_report(workspace, tmp_path):
+    model, feat = tmp_path / "model", tmp_path / "feat"
+    model.mkdir()
+    feat.mkdir()
+    (model / "model_config.json").write_bytes(
+        (workspace / "model" / "model_config.json").read_bytes())
+    _decimal_form(workspace / "model" / "checkpoint.json", model / "checkpoint.json")
+    _decimal_form(workspace / "feat" / "features.json", feat / "features.json")
+    for path in (model / "checkpoint.json", feat / "features.json"):
+        assert all(isinstance(e["data"], list) for e in json.loads(path.read_text()).values())
+    assert main(["evaluate", "--out", str(tmp_path / "eval"),
+                 "--data-dir", str(workspace / "data"), "--model", str(model),
+                 "--features", str(feat), "--seed", "3", *SET]) == 0
+    assert (tmp_path / "eval" / "report.json").read_bytes() == \
+        (workspace / "eval" / "report.json").read_bytes()
+
+
+def _nan_in_cov_diff(text: str) -> str:
+    doc = json.loads(text)
+    entry = doc["sfa_cov_diff"]
+    values = ckpt.loads_arrays(json.dumps({"x": entry}))["x"].ravel().tolist()
+    values[1] = float("nan")
+    entry["data"] = values
+    return json.dumps(doc)  # writes the literal NaN
+
+
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+# (case, command, file edited, edit, reason)
+ARTIFACT_CORRUPTIONS = [
+    ("nan_in_features", "train", "features.json", _nan_in_cov_diff,
+     "array sfa_cov_diff: non-finite"),
+    ("truncated_features", "train", "features.json", _truncated, "line 1 column"),
+    ("truncated_checkpoint", "evaluate", "checkpoint.json", _truncated,
+     "line 1 column"),
+]
+
+
+@pytest.mark.parametrize("case,command,artifact,edit,reason", ARTIFACT_CORRUPTIONS,
+                         ids=[c[0] for c in ARTIFACT_CORRUPTIONS])
+def test_corrupt_artifact_exits_1(workspace, tmp_path, capsys, case, command, artifact,
+                                  edit, reason):
+    model, feat = tmp_path / "model", tmp_path / "feat"
+    for rel in ("model/checkpoint.json", "model/model_config.json", "feat/features.json"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_bytes((workspace / rel).read_bytes())
+    path = (feat if artifact == "features.json" else model) / artifact
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--data-dir", str(workspace / "data"),
+            "--features", str(feat), *SET]
+    if command == "evaluate":
+        argv += ["--model", str(model)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{path}: ")
+    assert reason in err["message"]
+    for name in ("checkpoint.json", "report.json"):
+        assert not (out / name).exists(), name
+
+
 def _edit_rows(path: Path, edit) -> None:
     rows = [line.split() for line in path.read_text().splitlines()]
     path.write_text("\n".join(" ".join(r) for r in edit(rows)) + "\n")
@@ -371,6 +448,12 @@ def test_train_no_sfa_on_fd001_geometry(tmp_path):
     assert arch["in_channels"] == 14 and arch["window_length"] == 28
     assert arch["caps_kernel"] == [1, 7]
     assert arch["conv_filters"] == 64 and arch["caps_dim"] == 8
+    # the checkpoint holds base64 doubles, about 10.7 bytes a value; decimal
+    # literals (about 18-24 bytes a value) would fail here
+    doc = json.loads((model / "checkpoint.json").read_text())
+    assert all(isinstance(entry["data"], str) for entry in doc.values())
+    values = sum(int(np.prod(entry["shape"])) for entry in doc.values())
+    assert (model / "checkpoint.json").stat().st_size < 1.4 * 8 * values
 
 
 def test_per_condition_chain(workspace, tmp_path):
