@@ -1,23 +1,25 @@
 """Bit-exact JSON serialization of named float64 arrays.
 
 A checkpoint is one JSON document mapping each array name to an object
-with two keys: "shape" (list of ints) and "data", the base64 text of the
-array's C-order little-endian float64 bytes ("<f8").  Those bytes are the
-IEEE doubles themselves, so save followed by load reproduces every bit,
-including -0.0 and subnormals, and neither side formats or parses a
-decimal per value.  Keys are sorted and separators compact, so the same
+with two keys: "shape" (list of non-negative ints) and "data", the
+base64 text of the array's C-order little-endian float64 bytes ("<f8").
+Those bytes are the IEEE doubles themselves, so save followed by load
+reproduces every bit, including -0.0 and subnormals, and neither side
+formats or parses a decimal per value.  Keys are sorted and separators compact, so the same
 arrays always give the same bytes.
 
 Documents written before this format hold "data" as a flat row-major
 list of float literals (Python's repr, which also round-trips doubles
-exactly); ``loads_arrays`` still reads them.  Non-finite values are
-rejected on save and, in either form, on load.
+exactly); ``loads_arrays`` still reads them, and accepts only JSON
+numbers in such a list.  Non-finite values are rejected on save and,
+in either form, on load.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +61,17 @@ def _decode_data(name: str, shape: tuple[int, ...], n: int, data) -> np.ndarray:
     elif isinstance(data, list):
         try:
             a = np.asarray(data, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"array {name}: data is not a list of numbers ({exc})") from None
         if a.shape != (n,):
             raise ValueError(f"array {name}: shape {shape} expects {n} values, "
                              f"got {len(data)}")
+        # numpy also converts numeric strings and booleans; JSON numbers
+        # parse to int or float only
+        odd = {type(v) for v in data} - {int, float}
+        if odd:
+            raise ValueError(f"array {name}: data is not a list of numbers "
+                             f"(holds {', '.join(sorted(t.__name__ for t in odd))})")
     else:
         raise ValueError(f"array {name}: data must be a base64 string or a list, "
                          f"not {type(data).__name__}")
@@ -79,16 +87,14 @@ def loads_arrays(text: str) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for name, entry in doc.items():
         try:
-            shape = tuple(int(s) for s in entry["shape"])
-            data = entry["data"]
+            shape, data = entry["shape"], entry["data"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed checkpoint entry for {name}") from exc
-        n = 1
-        for s in shape:
-            if s < 0:
-                raise ValueError(f"negative extent in shape of {name}")
-            n *= s
-        arrays[name] = _decode_data(name, shape, n, data)
+        # type(s) is int: a bool is an int subclass, not an extent
+        if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+            raise ValueError(f"array {name}: shape must be a list of non-negative ints, "
+                             f"got {shape!r}")
+        arrays[name] = _decode_data(name, tuple(shape), math.prod(shape), data)
     return arrays
 
 

@@ -11,8 +11,8 @@ run of frame rows; those runs are scored once per distinct content.
 
 Routing coefficients are recomputed from zero logits on every forward
 pass and are treated as constants by the backward pass: gradients flow
-through the prediction vectors and the final weighted sum, not through
-the softmax that produced the coupling.
+from the final weighted sum of the votes into the basic capsules and the
+routing transforms, not through the softmax that produced the coupling.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _accumulate_new, accumulate_grad, make_op
+from .tensor import Tensor, _accumulate_new, _check_finite, accumulate_grad, make_op
 
 __all__ = [
     "ModelConfig",
@@ -287,74 +287,87 @@ def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray | None = None) -> Tensor:
+def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray | None = None) -> np.ndarray:
     """Per-pair linear votes: u (N,I,D) and w (I,J,A,D) give (N,I,J,A).
 
     With ``index``, an (N, H) int array, ``u`` is (P, I/H, D) patch rows
-    and capsule h * I/H + c of item n is row ``index[n, h]``, capsule c;
-    the backward pass sums each row's gradient over the places it was
-    read.  Computed as one matmul batched over I; the result is a
-    transposed view of the (I, N, J, A) product.
+    and capsule h * I/H + c of item n is row ``index[n, h]``, capsule c.
+    Computed as one matmul batched over I; the result is a transposed
+    view of the (I, N, J, A) product.  The votes are plain finite-checked
+    values and are not recorded on the tape: routing reads them, and
+    :func:`capsule_weighted_sum` differentiates the weighted sum built
+    from them through ``u`` and ``w`` directly.
     """
     if u.ndim != 3 or w.ndim != 4:
         raise ValueError(f"bad ranks for capsule transform: {u.shape}, {w.shape}")
-    rows, per_row, d = u.shape
-    if index is None:
-        n, i = rows, per_row
-        ui = u.data.transpose(1, 0, 2)
-    else:
-        index = np.asarray(index)
-        if index.ndim != 2:
-            raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
-        n, i = index.shape[0], index.shape[1] * per_row
-        ui = u.data[index].reshape(n, i, d).transpose(1, 0, 2)
+    uf = _frame_capsules(u, index)
+    n, i, d = uf.shape
     if i != w.shape[0] or d != w.shape[3]:
         raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
     _, j, a, _ = w.shape
     wi = w.data.reshape(i, j * a, d)
+    ui = uf.transpose(1, 0, 2)
     out = np.matmul(ui, wi.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, i, j, a)
+    _check_finite(out, "capsule votes")
+    return out
+
+
+def _frame_capsules(u: Tensor, index: np.ndarray | None) -> np.ndarray:
+    """Each item's (I, D) capsules: ``u`` itself, or read from its patch
+    rows through ``index``."""
+    if index is None:
+        return u.data
+    index = np.asarray(index)
+    if index.ndim != 2:
+        raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
+    return u.data[index].reshape(index.shape[0], -1, u.shape[2])
+
+
+def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.ndarray,
+                         index: np.ndarray | None = None) -> Tensor:
+    """Coupling-weighted vote sum s (N,J,A), one tape node from u and w.
+
+    ``votes`` are ``capsule_transform(u, w, index)`` and ``coupling``
+    (N,I,J) is a constant: no gradient flows into the routing softmax,
+    implementing the stop-gradient convention.  The forward is
+    s[n,j] = sum_i c[n,i,j] votes[n,i,j].  The backward needs no votes:
+    with x_j = c_j * u, the (N, I*D) capsules scaled by their coupling
+    to j, and W_j the (A, I*D) transforms into j,
+    dW_j = x_j^T ds_j and du = sum_j c_j * (ds_j W_j), summed into the
+    patch rows with one bincount when ``index`` is given.
+    """
+    c = np.asarray(coupling, dtype=np.float64)
+    index = None if index is None else np.asarray(index)
+    n, i, j, a = votes.shape
+    d = u.shape[2]
+    if c.shape != (n, i, j):
+        raise ValueError(f"coupling shape {c.shape} does not match votes {votes.shape}")
+    out = np.einsum("nij,nija->nja", c, votes, optimize=True)
 
     def bw(g):
-        gi = np.asarray(g).reshape(n, i, j * a).transpose(1, 0, 2)
+        # (J, N, ...) slabs, contiguous per advanced capsule
+        cj = np.ascontiguousarray(c.transpose(2, 0, 1))
+        ds = np.ascontiguousarray(np.asarray(g).transpose(1, 0, 2))
         if w.requires_grad:
-            accumulate_grad(w, np.matmul(gi.transpose(0, 2, 1), ui).reshape(i, j, a, d))
+            x = np.einsum("jni,nid->jnid", cj, _frame_capsules(u, index)).reshape(j, n, i * d)
+            gw = np.matmul(x.transpose(0, 2, 1), ds).reshape(j, i, d, a)
+            accumulate_grad(w, gw.transpose(1, 0, 3, 2))
         if u.requires_grad:
-            gu = np.matmul(gi, wi).transpose(1, 0, 2)
+            wj = np.ascontiguousarray(w.data.transpose(1, 2, 0, 3)).reshape(j, a, i * d)
+            gx = np.matmul(ds, wj).reshape(j, n, i, d)
+            gu = np.einsum("jni,jnid->nid", cj, gx)
             if index is None:
-                accumulate_grad(u, gu)
+                _accumulate_new(u, gu)
             else:
                 # one bincount sums each row element over its read
                 # places, in a fixed order
+                rows, per_row, _ = u.shape
                 width = per_row * d
                 keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
                 _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
                                                minlength=rows * width).reshape(u.shape))
 
     return make_op(out, (u, w), bw)
-
-
-def capsule_weighted_sum(u_hat: Tensor, coupling: np.ndarray) -> Tensor:
-    """Coupling-weighted vote aggregation; coupling is a constant here.
-
-    u_hat (N,I,J,A) with coupling (N,I,J) gives (N,J,A).  Because the
-    coupling enters as a plain array, no gradient flows into the routing
-    softmax, implementing the stop-gradient convention.
-    """
-    c = np.asarray(coupling, dtype=np.float64)
-    if c.shape != u_hat.shape[:3]:
-        raise ValueError(f"coupling shape {c.shape} does not match votes {u_hat.shape}")
-    n, i, j, a = u_hat.shape
-    out = np.einsum("nij,nija->nja", c, u_hat.data, optimize=True)
-
-    def bw(g):
-        if u_hat.requires_grad:
-            # laid out (I, N, J, A) like the votes, so capsule_transform's
-            # backward batches over I on contiguous slabs
-            gi = np.empty((i, n, j, a))
-            np.multiply(c.transpose(1, 0, 2)[..., None], g, out=gi)
-            _accumulate_new(u_hat, gi.transpose(1, 0, 2, 3))
-
-    return make_op(out, (u_hat,), bw)
 
 
 def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
@@ -390,8 +403,12 @@ def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.nda
     only on frame rows r*s .. r*s + k - 1, with s = sh1 * sh2 and
     k = kh1 + (kh2 - 1) * sh1 for the conv and capsule kernel heights kh
     and strides sh; that run of rows is patch r.  Patches are told apart
-    by content, so rows that frames share (sliding windows) are scored
-    once.  The distinct patches, (P, k, channels), are padded to a
+    by content, bit for bit (0.0 and -0.0 differ), so rows that frames
+    share (sliding windows) are scored once.  One int64 key per patch
+    (:func:`_row_keys`) finds the distinct ones; if a check of each
+    patch's bits against its representative's finds two distinct
+    patches sharing a key, their raw bytes are compared instead.  The
+    distinct patches, (P, k, channels), are padded to a
     multiple of :data:`PATCH_MULTIPLE` by repeating the last one; no
     frame names a pad patch, so its gradient rows are exact zeros and
     only fix the reduction length.
@@ -403,10 +420,20 @@ def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.nda
     k, s, hc = kh1 + (kh2 - 1) * sh1, sh1 * sh2, config.caps_out_hw[0]
     runs = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, : s * hc : s]
     rows = np.ascontiguousarray(runs.transpose(0, 1, 3, 2)).reshape(f * hc, k * channels)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    bits = rows.view(np.int64)
+    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
+    if not np.array_equal(bits[first[inverse]], bits):
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     first = np.pad(first, (0, -first.size % PATCH_MULTIPLE), mode="edge")
     return rows[first].reshape(-1, k, channels), inverse.reshape(f, hc)
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One int64 key per row of an int64 bit view: each column times a
+    fixed odd multiplier, summed with wrap-around."""
+    step = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return bits @ (step | np.uint64(1)).view(np.int64)
 
 
 def conv_features(frames: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
@@ -446,12 +473,13 @@ def dynamic_routing(
     With ``index`` (N, H_c), ``u`` holds patch rows and frame n reads
     its capsules from them as :func:`capsule_transform` describes.
     """
-    u_hat = capsule_transform(u, params["route.transform"], index)
+    w = params["route.transform"]
+    votes = capsule_transform(u, w, index)
     if coupling_override is not None:
         c = np.asarray(coupling_override, dtype=np.float64)
     else:
-        c, _ = routing_coefficients(u_hat.data, config.routing_iterations)
-    v = squash(capsule_weighted_sum(u_hat, c))
+        c, _ = routing_coefficients(votes, config.routing_iterations)
+    v = squash(capsule_weighted_sum(u, w, votes, c, index))
     return v, c
 
 

@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 _grad_state = threading.local()
+# matmul's forward runs in blocks of this many rows: OpenBLAS 0.3.31
+# rounds the head's (M x 200) @ (200 x 100) product differently on 1 and
+# 2 threads at M = 51-100, and a 32-row block the same on both
+MATMUL_ROWS = 32
 
 
 def _grad_on() -> bool:
@@ -265,7 +269,9 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    out_data = a.data @ b.data
+    out_data = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[0], MATMUL_ROWS):
+        np.matmul(a.data[lo : lo + MATMUL_ROWS], b.data, out=out_data[lo : lo + MATMUL_ROWS])
 
     def bw(g):
         if a.requires_grad:

@@ -92,6 +92,20 @@ def test_malformed_documents_rejected():
     doc = {"w": {"shape": [2]}}
     with pytest.raises(ValueError):
         C.loads_arrays(json.dumps(doc))
+    # shapes that are not a list of non-negative ints, each with data
+    # that a lenient reading of it would accept
+    for shape, data in [
+        ("22", [1.5, 2.0, 1.0, 4.0]),   # a string is not a list of extents
+        ([2.9], [1.0, 2.0]),            # nor is a float truncated to one
+        ([2.0, 2], [1.5, 2.0, 1.0, 4.0]),
+        ([True, 2], [1.0, 2.0]),
+        ([2, -1], []),
+        ({"0": 2}, [1.0, 2.0]),
+        (2, [1.0, 2.0]),
+        (None, [1.0, 2.0]),
+    ]:
+        with pytest.raises(ValueError, match="shape must be a list of non-negative ints"):
+            C.loads_arrays(json.dumps({"w": {"shape": shape, "data": data}}))
     # (data of a shape-(2,) entry, what the message must say)
     for data, match in [
         (_b64([1.0, 2.0])[:-4] + "AA*=", "not base64"),
@@ -102,6 +116,10 @@ def test_malformed_documents_rejected():
         ({"x": 1}, "not dict"),
         (None, "not NoneType"),
         ([1.0, "x"], "not a list of numbers"),
+        (["1.5", 2.0], r"not a list of numbers \(holds str\)"),
+        ([True, 4.0], r"not a list of numbers \(holds bool\)"),
+        ([False, "2"], r"not a list of numbers \(holds bool, str\)"),
+        ([1.0, 10 ** 400], "not a list of numbers"),
         ([[1.0, 2.0], [3.0, 4.0]], "expects 2 values"),
         ([1.0, float("nan")], "non-finite"),
         ([float("-inf"), 1.0], "non-finite"),

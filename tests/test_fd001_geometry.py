@@ -241,7 +241,9 @@ digest = hashlib.sha256()
 # three materialized 64 x 5 batches scored as whole frames; then through
 # model_forward's patches and index, from the sliding windows over a
 # 3 x 125-row fleet, a deduplicated 64 x 5 batch and the 26-sequence
-# tail of an epoch, and a 26 x 5 batch of 130 random frames
+# tail of an epoch, a 26 x 5 batch of 130 random frames, and a 64 x 5
+# batch of 320 distinct sliding-window frames (the most a shipped batch
+# names: the routed sum's weight gradient reduces over them)
 batches = [(rng.normal(size=(320, 28, 16)), None) for _ in range(3)]
 pool = sliding_frames(rng.normal(size=(3, 125, 16)), 28)
 index = TR.sequence_index(np.repeat(np.arange(3), 98), 5)[rng.permutation(282)]
@@ -249,6 +251,8 @@ for sel in (index[:64], index[256:]):
     used, local = TR._batch_frames(sel)
     batches.append((pool[used], local))
 batches.append((rng.normal(size=(130, 28, 16)), np.arange(130).reshape(26, 5)))
+batches.append((sliding_frames(rng.normal(size=(1, 347, 16)), 28),
+                np.arange(320).reshape(64, 5)))
 distinct = []
 for frames, local in batches:
     images, patch_index = frames, None
@@ -264,13 +268,16 @@ for frames, local in batches:
     h = N.lstm_forward(seq, params, config)
     weights = T.Tensor(rng.normal(size=h.shape))
     with T.no_grad():
-        votes = N.capsule_transform(u, params["route.transform"], patch_index).data
+        votes = N.capsule_transform(u, params["route.transform"], patch_index)
     digest.update(v.data.tobytes())
     digest.update(h.data.tobytes())
     digest.update(np.ascontiguousarray(
         N.routing_coefficients(votes, config.routing_iterations)[1]).tobytes())
     adam.zero_grad()
     T.backward(T.reduce_sum(T.mul(h, weights)))
+    # the routed sum's gradient into the capsules, then every front-end
+    # parameter's, route.transform among them
+    digest.update(u.grad.tobytes())
     for name in sorted(front):
         digest.update(front[name].grad.tobytes())
     adam.step()
@@ -279,29 +286,34 @@ for name in sorted(front):
 # shared rows are scored once; the random frames share none, and their
 # patch count is above 384 and no multiple of 32 before padding
 assert distinct[0] < 28 * 64 and distinct[1] < 28 * 26 and distinct[2] == 3640
+assert distinct[3] == 347
 print(digest.hexdigest())
 """
 
 
 def test_fd001_capsule_stages_ignore_blas_thread_count():
     """Conv, capsule, routing and LSTM stages give byte-identical
-    outputs, gradients and parameters on 1 and 2 BLAS threads over six
-    Adam steps: three on materialized 64 x 5 batches of whole frames,
-    then through the padded distinct patches of model_forward, one on a
-    deduplicated 64 x 5 training batch of sliding-window frames, one on
-    a 26-sequence tail batch and one on 130 random frames.
-
-    Only the head is not covered: OpenBLAS computes its
-    (64 x 200) @ (200 x 100) product of a 64-sequence batch with
-    different rounding on 1 and 2 threads (see README).
+    outputs, gradients (the capsules' included) and parameters on 1 and
+    2 BLAS threads over seven Adam steps: three on materialized 64 x 5
+    batches of whole frames, then through the padded distinct patches
+    of model_forward, one on a deduplicated 64 x 5 training batch of
+    sliding-window frames, one on a 26-sequence tail batch, one on 130
+    random frames and one on 320 distinct frames.  The head is covered
+    by the full training steps below.
     """
+    assert_same_output_on_1_and_2_threads(FRONT_END_STEPS)
+
+
+def assert_same_output_on_1_and_2_threads(script: str) -> None:
+    """Run ``script`` with 1 and with 2 BLAS threads; it prints one
+    sha256 digest, and the two must be equal."""
     src = str(Path(slowcaps.__file__).resolve().parent.parent)
     here = str(Path(__file__).resolve().parent)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, here]))
-        run = subprocess.run([sys.executable, "-c", FRONT_END_STEPS], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.strip())
@@ -309,8 +321,77 @@ def test_fd001_capsule_stages_ignore_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+FULL_STEPS = """
+import hashlib
+import numpy as np
+from slowcaps import network as N
+from slowcaps import training as TR
+from slowcaps.optim import Adam
+from slowcaps.tensor import backward
+from conftest import sliding_frames
+from test_fd001_geometry import fd001_config
+
+config = fd001_config()
+digest = hashlib.sha256()
+for seed in (5, 21, 99):
+    rng = np.random.default_rng(seed)
+    params = N.init_parameters(config, rng)
+    adam = Adam(params)
+    frames = sliding_frames(rng.normal(size=(3, 125, 16)), 28)
+    index = TR.sequence_index(np.repeat(np.arange(3), 98), 5)[rng.permutation(282)]
+    y = rng.uniform(size=len(frames))
+    for lo in range(0, 256, 64):
+        batch = index[lo : lo + 64]
+        loss = TR._forward_loss(frames, batch, y[batch[:, -1]], params, config,
+                                "train", rng)
+        adam.zero_grad()
+        backward(loss)
+        adam.step()
+    for name in sorted(params):
+        digest.update(params[name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fd001_training_steps_ignore_blas_thread_count():
+    """Four full training steps (dropout, head and Adam included) on
+    64 x 5 batches of sliding-window frames give byte-identical
+    parameters on 1 and 2 BLAS threads, for seeds 5, 21 and 99."""
+    assert_same_output_on_1_and_2_threads(FULL_STEPS)
+
+
+PREDICT_BLOCK = """
+import hashlib
+import numpy as np
+from slowcaps import network as N
+from slowcaps import training as TR
+from conftest import sliding_frames
+from test_fd001_geometry import fd001_config
+
+config = fd001_config()
+rng = np.random.default_rng(41)
+params = N.init_parameters(config, rng)
+for p in params.values():
+    p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
+# one unit of 69 sliding-window frames: 65 sequences in one block, so
+# the head's products have 65 rows
+frames = sliding_frames(rng.normal(size=(1, 96, 16)), 28)
+index = TR.sequence_index(np.zeros(69), 5)
+budget = N.BLOCK_BYTES // config.conv_map_bytes
+assert list(N._blocks(index, 512, budget)) == [(0, 65)]
+print(hashlib.sha256(N.predict(frames, params, config, index=index).tobytes()).hexdigest())
+"""
+
+
+def test_fd001_predict_block_ignores_blas_thread_count():
+    """A dense-scoring block of 65 sequences, inside the 51-100 rows at
+    which OpenBLAS rounds the unblocked head product differently on 1
+    and 2 threads, predicts byte-identically on both."""
+    assert_same_output_on_1_and_2_threads(PREDICT_BLOCK)
+
+
 def test_fd001_training_step_tape_nodes():
-    """23 parameters, 10 nodes from the patches to the LSTM's one node,
+    """23 parameters, 9 nodes from the patches to the LSTM's one node,
     11 in the head and 3 in the loss."""
     config = fd001_config()
     rng = np.random.default_rng(14)
@@ -328,7 +409,7 @@ def test_fd001_training_step_tape_nodes():
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-    assert len(seen) <= 47
+    assert len(seen) <= 46
 
 
 def fd001_units(rng, units=3, per_unit=30):

@@ -234,24 +234,52 @@ def test_squash_backward_edge_lengths(rng):
 # ----------------------------------------------------- votes and coupling
 
 
+# the votes' two input forms: whole items (u is (N, I, D)), as the
+# benchmark's backward replay routes, and patch rows read through an
+# (N, H) index, here 5 rows of 2 capsules of which row 2 is read four
+# times and row 3 never
+ROUTE_INDEXES = [None, np.array([[0, 2, 1], [2, 2, 4], [1, 0, 2]])]
+
+
+def routed_sum_case(rng, index):
+    """u, w, coupling and the einsum-built votes of a small routed sum."""
+    if index is None:
+        u = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        frames = u.data
+    else:
+        u = Tensor(rng.normal(size=(5, 2, 4)), requires_grad=True)
+        frames = u.data[index].reshape(index.shape[0], -1, 4)
+    w = Tensor(rng.normal(size=(frames.shape[1], 3, 6, 4)), requires_grad=True)
+    c = rng.dirichlet(np.ones(3), size=frames.shape[:2])
+    return u, w, c, frames, np.einsum("ijad,nid->nija", w.data, frames)
+
+
 def test_capsule_transform_matches_einsum_and_fd(rng):
-    u = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(5, 3, 6, 4)), requires_grad=True)
-    out = N.capsule_transform(u, w)
-    assert out.shape == (2, 5, 3, 6)
-    np.testing.assert_allclose(
-        out.data, np.einsum("ijad,nid->nija", w.data, u.data), atol=1e-12
-    )
-    g = rng.normal(size=out.shape)
+    """The votes match einsum, and the routed sum's u and w gradients
+    through them match central differences of the votes' weighted sum."""
+    for index in ROUTE_INDEXES:
+        check_votes_and_their_fd(rng, index)
+
+
+def check_votes_and_their_fd(rng, index):
+    u, w, c, _, votes = routed_sum_case(rng, index)
+    out = N.capsule_transform(u, w, index)
+    assert isinstance(out, np.ndarray) and out.shape == votes.shape
+    np.testing.assert_allclose(out, votes, atol=1e-12)
+    g = rng.normal(size=(out.shape[0], 3, 6))
+
+    def routed(u, w):
+        return N.capsule_weighted_sum(u, w, N.capsule_transform(u, w, index), c, index)
 
     def loss_fn():
-        return float(np.sum(N.capsule_transform(u, w).data * g))
+        return float(np.sum(routed(u, w).data * g))
 
-    loss = T.reduce_sum(T.mul(N.capsule_transform(u, w), Tensor(g)))
-    backward(loss)
+    backward(T.reduce_sum(T.mul(routed(u, w), Tensor(g))))
     num = numeric_grad(loss_fn, {"u": u.data, "w": w.data})
     assert rel_max(u.grad, num["u"]) < 1e-6
     assert rel_max(w.grad, num["w"]) < 1e-6
+    if index is not None:
+        assert not u.grad[3].any()  # no item reads row 3
 
 
 def test_capsule_transform_validation(rng):
@@ -275,28 +303,46 @@ def test_capsule_transform_non_finite_vote_raises(rng):
 
 
 def test_capsule_weighted_sum_matches_einsum_and_fd(rng):
-    uh = Tensor(rng.normal(size=(2, 5, 3, 6)), requires_grad=True)
-    c = rng.dirichlet(np.ones(3), size=(2, 5))
-    out = N.capsule_weighted_sum(uh, c)
-    assert out.shape == (2, 3, 6)
-    np.testing.assert_allclose(
-        out.data, np.einsum("nij,nija->nja", c, uh.data), atol=1e-12
-    )
+    """One tape node from u and w to s = sum_i c votes: s, du and dW
+    against the einsum-built votes and central differences."""
+    for index in ROUTE_INDEXES:
+        check_routed_sum(rng, index)
+
+
+def check_routed_sum(rng, index):
+    u, w, c, frames, votes = routed_sum_case(rng, index)
+    out = N.capsule_weighted_sum(u, w, votes, c, index)
+    assert out.shape == (frames.shape[0], 3, 6)
+    assert out._parents == (u, w)  # the votes are not on the tape
+    np.testing.assert_allclose(out.data, np.einsum("nij,nija->nja", c, votes),
+                               rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
 
-    def loss_fn():
-        return float(np.sum(N.capsule_weighted_sum(uh, c).data * g))
+    def votes_of(u, w):
+        rows = u.data if index is None else u.data[index].reshape(frames.shape)
+        return np.einsum("ijad,nid->nija", w.data, rows)
 
-    loss = T.reduce_sum(T.mul(N.capsule_weighted_sum(uh, c), Tensor(g)))
-    backward(loss)
-    # the loss is linear in the votes, so the gradient has a closed form
-    # and a wide finite-difference step adds no truncation error while
-    # keeping rounding noise far below the bound
-    np.testing.assert_allclose(uh.grad, c[..., None] * g[:, None], rtol=0, atol=1e-15)
-    num = numeric_grad(loss_fn, {"uh": uh.data}, eps=1e-2)
-    assert rel_max(uh.grad, num["uh"]) < 1e-6
+    def loss_fn():
+        return float(np.sum(N.capsule_weighted_sum(u, w, votes_of(u, w), c, index).data * g))
+
+    backward(T.reduce_sum(T.mul(out, Tensor(g))))
+    # the chain rule through the votes, whose gradient is c * g
+    gv = c[..., None] * g[:, None]
+    du = np.einsum("nija,ijad->nid", gv, w.data)
+    if index is not None:
+        du_rows = np.zeros_like(u.data)
+        np.add.at(du_rows, index, du.reshape(index.shape + u.shape[1:]))
+        du = du_rows
+    dw = np.einsum("nija,nid->ijad", gv, frames)
+    for got, ref in ((u.grad, du), (w.grad, dw)):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+    # the loss is linear in u and in w separately, so a wide
+    # finite-difference step adds no truncation error in either
+    num = numeric_grad(loss_fn, {"u": u.data, "w": w.data}, eps=1e-2)
+    assert rel_max(u.grad, num["u"]) < 1e-6
+    assert rel_max(w.grad, num["w"]) < 1e-6
     with pytest.raises(ValueError, match="coupling"):
-        N.capsule_weighted_sum(uh, c[:, :4])
+        N.capsule_weighted_sum(u, w, votes, c[:, :4], index)
 
 
 # ---------------------------------------------------------------- routing
@@ -348,7 +394,7 @@ def test_dynamic_routing_forward_and_override(rng):
     np.testing.assert_allclose(v2.data, v.data, atol=1e-14)
     np.testing.assert_array_equal(coupling2, coupling)
     # and matches the oracle's final squashed outputs
-    uh = N.capsule_transform(u, params["route.transform"]).data
+    uh = N.capsule_transform(u, params["route.transform"])
     _, _, ov = oracles.routing_oracle(uh, cfg.routing_iterations)
     np.testing.assert_allclose(v.data, ov, atol=1e-10)
 
@@ -726,6 +772,43 @@ def test_capsule_row_patches_are_distinct_frame_row_runs(geometry):
     assert patches.shape[0] == -(-n // N.PATCH_MULTIPLE) * N.PATCH_MULTIPLE
     np.testing.assert_array_equal(patches[n:], np.broadcast_to(patches[n - 1],
                                                                patches[n:].shape))
+
+
+def byte_path_patches(frames):
+    """Distinct patches of stride-1 one-row capsule rows by raw bytes:
+    the (patches, index) of capsule_row_patches before padding."""
+    rows = np.ascontiguousarray(frames).reshape(-1, frames.shape[2])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first][:, None], inverse.reshape(frames.shape[:2])
+
+
+def test_capsule_row_patches_key_collision_falls_back_to_bytes(monkeypatch):
+    cfg = tiny_config()
+    frames = sliding_frames(np.random.default_rng(33).normal(size=(2, 21, 6)), 12)
+    ref_patches, ref_index = byte_path_patches(frames)
+    assert ref_patches.shape[0] == 42
+    patches, index = N.capsule_row_patches(frames, cfg)
+    np.testing.assert_array_equal(patches[index], frames[..., None, :])
+    # every key equal: the bit check sees the collision
+    monkeypatch.setattr(N, "_row_keys", lambda bits: np.zeros(len(bits), np.int64))
+    patches, index = N.capsule_row_patches(frames, cfg)
+    np.testing.assert_array_equal(index, ref_index)
+    np.testing.assert_array_equal(patches[:42], ref_patches)
+    assert patches.shape[0] == 64
+
+
+def test_capsule_row_patches_tell_negative_zero_apart():
+    cfg = tiny_config()
+    frames = np.zeros((3, 12, 6))
+    frames[1, 4, 2] = -0.0
+    frames[2, :, :] = -0.0
+    patches, index = N.capsule_row_patches(frames, cfg)
+    # rows of +0.0, rows of -0.0, and +0.0 rows but for one -0.0
+    assert np.unique(index).size == 3
+    assert len({index[0, 0], index[2, 0], index[1, 4]}) == 3
+    bits = patches[index].view(np.uint64)
+    np.testing.assert_array_equal(bits, frames[..., None, :].view(np.uint64))
 
 
 @pytest.mark.parametrize("geometry", TIME_MIXING)
