@@ -164,7 +164,12 @@ def _features_path(raw: str) -> Path:
 
 
 def _load_features(raw: str) -> F.FeaturePipeline:
-    return F.pipeline_from_arrays(ckpt.load_arrays(_features_path(raw)))
+    path = _features_path(raw)
+    arrays = ckpt.load_arrays(path)
+    try:
+        return F.pipeline_from_arrays(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _build_training_batch(cfg: dict, data_dir: Path, pipe) -> F.FrameBatch:
@@ -326,6 +331,11 @@ def cmd_evaluate(args) -> int:
     pipe = _load_features(args.features)
     include_slow, _ = P.variant_flags(variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
+    frame = (pipe_v.window, pipe_v.frame_channels)
+    if frame != (model_cfg.window_length, model_cfg.in_channels):
+        raise ValueError(
+            f"{_features_path(args.features)}: {frame[0]}x{frame[1]} frames do not match "
+            f"model_config.json ({model_cfg.window_length}x{model_cfg.in_channels})")
 
     if cfg["dataset"] == "milling":
         _, test_runs = _load_milling(cfg, Path(args.data_dir))

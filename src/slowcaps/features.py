@@ -541,14 +541,26 @@ def pipeline_to_arrays(pipe: FeaturePipeline) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _whole_number(arrays: dict[str, np.ndarray], name: str, lo: int, hi: float) -> int:
+    """Scalar entry ``name`` as an int, if it is a whole number in [lo, hi]."""
+    v = np.asarray(arrays[name], dtype=np.float64).ravel()
+    if v.size != 1 or not (v[0].is_integer() and lo <= v[0] <= hi):
+        raise ValueError(f"{name} must be a whole number in [{lo}, {hi}], got {v.tolist()}")
+    return int(v[0])
+
+
 def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
+    """Rebuild a pipeline from :func:`pipeline_to_arrays` output; a window
+    below 1 or a slow-feature count outside 1 .. retained channels, or
+    either not a whole number, raises ``ValueError``."""
+    retained = int((arrays["channel_mask"] > 0.5).sum())
     sfa = SlowFeatureModel(
         weights=arrays["sfa_weights"],
         lambdas=arrays["sfa_lambdas"],
         ridge=float(arrays["sfa_ridge"]),
         cov_static=arrays["sfa_cov_static"],
         cov_diff=arrays["sfa_cov_diff"],
-        num_slow=int(arrays["num_slow"]),
+        num_slow=_whole_number(arrays, "num_slow", 1, retained),
     )
     condition = None
     if "condition_centers" in arrays:
@@ -561,7 +573,7 @@ def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
         channel_mask=arrays["channel_mask"] > 0.5,
         stats=NormalizationStats(mean=arrays["norm_mean"], std=arrays["norm_std"]),
         sfa=sfa,
-        window=int(arrays["window"]),
+        window=_whole_number(arrays, "window", 1, np.inf),
         include_slow=bool(float(arrays["include_slow"]) > 0.5),
         condition=condition,
     )

@@ -287,14 +287,15 @@ def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray | None = None) -> np.ndarray:
-    """Per-pair linear votes: u (N,I,D) and w (I,J,A,D) give (N,I,J,A).
+def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> np.ndarray:
+    """Per-pair linear votes (N,I,J,A) from patch rows u (P, I/H, D) and
+    transforms w (I,J,A,D).
 
-    With ``index``, an (N, H) int array, ``u`` is (P, I/H, D) patch rows
-    and capsule h * I/H + c of item n is row ``index[n, h]``, capsule c.
-    Computed as one matmul batched over I; the result is a transposed
-    view of the (I, N, J, A) product.  The votes are plain finite-checked
-    values and are not recorded on the tape: routing reads them, and
+    ``index`` is an (N, H) int array: capsule h * I/H + c of item n is
+    row ``index[n, h]``, capsule c, of ``u``.  Computed as one matmul
+    batched over I; the result is a transposed view of the (I, N, J, A)
+    product.  The votes are plain finite-checked values and are not
+    recorded on the tape: routing reads them, and
     :func:`capsule_weighted_sum` differentiates the weighted sum built
     from them through ``u`` and ``w`` directly.
     """
@@ -312,11 +313,9 @@ def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray | None = None) -> 
     return out
 
 
-def _frame_capsules(u: Tensor, index: np.ndarray | None) -> np.ndarray:
-    """Each item's (I, D) capsules: ``u`` itself, or read from its patch
-    rows through ``index``."""
-    if index is None:
-        return u.data
+def _frame_capsules(u: Tensor, index: np.ndarray) -> np.ndarray:
+    """Each item's (I, D) capsules, read from its patch rows through
+    ``index``."""
     index = np.asarray(index)
     if index.ndim != 2:
         raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
@@ -324,7 +323,7 @@ def _frame_capsules(u: Tensor, index: np.ndarray | None) -> np.ndarray:
 
 
 def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.ndarray,
-                         index: np.ndarray | None = None) -> Tensor:
+                         index: np.ndarray) -> Tensor:
     """Coupling-weighted vote sum s (N,J,A), one tape node from u and w.
 
     ``votes`` are ``capsule_transform(u, w, index)`` and ``coupling``
@@ -334,10 +333,10 @@ def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.n
     with x_j = c_j * u, the (N, I*D) capsules scaled by their coupling
     to j, and W_j the (A, I*D) transforms into j,
     dW_j = x_j^T ds_j and du = sum_j c_j * (ds_j W_j), summed into the
-    patch rows with one bincount when ``index`` is given.
+    patch rows with one bincount.
     """
     c = np.asarray(coupling, dtype=np.float64)
-    index = None if index is None else np.asarray(index)
+    index = np.asarray(index)
     n, i, j, a = votes.shape
     d = u.shape[2]
     if c.shape != (n, i, j):
@@ -356,16 +355,13 @@ def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.n
             wj = np.ascontiguousarray(w.data.transpose(1, 2, 0, 3)).reshape(j, a, i * d)
             gx = np.matmul(ds, wj).reshape(j, n, i, d)
             gu = np.einsum("jni,jnid->nid", cj, gx)
-            if index is None:
-                _accumulate_new(u, gu)
-            else:
-                # one bincount sums each row element over its read
-                # places, in a fixed order
-                rows, per_row, _ = u.shape
-                width = per_row * d
-                keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
-                _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
-                                               minlength=rows * width).reshape(u.shape))
+            # one bincount sums each row element over its read places,
+            # in a fixed order
+            rows, per_row, _ = u.shape
+            width = per_row * d
+            keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+            _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
+                                           minlength=rows * width).reshape(u.shape))
 
     return make_op(out, (u, w), bw)
 
@@ -471,8 +467,11 @@ def dynamic_routing(
     built from.  ``coupling_override`` substitutes a fixed coupling array
     (used to hold the routing constant while probing the loss surface).
     With ``index`` (N, H_c), ``u`` holds patch rows and frame n reads
-    its capsules from them as :func:`capsule_transform` describes.
+    its capsules from them as :func:`capsule_transform` describes;
+    without it, item n is row n.
     """
+    if index is None:
+        index = np.arange(u.shape[0])[:, None]
     w = params["route.transform"]
     votes = capsule_transform(u, w, index)
     if coupling_override is not None:
@@ -586,57 +585,48 @@ def model_forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     coupling_override: np.ndarray | None = None,
-    index: np.ndarray | None = None,
+    *,
+    index: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
-    """Full forward pass on a batch of frame sequences.
+    """Full forward pass on the batch of sequences ``index`` names.
 
-    ``frames`` has shape (B, S, window, channels); a single sequence
-    (S, window, channels) is promoted to a batch of one.  With ``index``,
-    a (B, S) int array, ``frames`` is instead (F, window, channels)
-    distinct frames and sequence b is frames ``index[b]``: votes and
-    routing run once per frame, and one ``take_rows`` gather with the
-    2-D index yields the (B, S, features) LSTM input (column 0 of the
-    index when the LSTM head is disabled); frames no sequence names are
-    scored but get zero gradient.  Either way, conv, capsule conv and
-    squash run once per distinct :func:`capsule_row_patches` patch, and
-    the votes gather each frame's capsules.  Frames are constants: no
-    gradient flows to them.  Returns the per-sample scalar outputs (B,)
-    and the routing coupling of the flat frame batch (B*S frames, or the
-    F frames).
+    ``frames`` is (F, window, channels) and ``index`` a (B, S) int array:
+    sequence b is frames ``index[b]``.  Only the distinct frames the
+    index names are read, each once: conv, capsule conv and squash run
+    once per distinct :func:`capsule_row_patches` patch of them, votes
+    and routing once per frame, and one ``take_rows`` gather yields the
+    (B, S, features) LSTM input (column 0 of the index when the LSTM
+    head is disabled).  Frames are constants: no gradient flows to them.
+    Returns the per-sample scalar outputs (B,) and the routing coupling
+    (frames, I, J) of the distinct frames, in ascending frame order;
+    ``coupling_override`` takes the same shape.
     """
-    x = frames if isinstance(frames, Tensor) else Tensor(frames)
-    if x.requires_grad:
-        raise ValueError("model_forward takes frames as constants, not tracked tensors")
-    if index is None:
-        if x.ndim == 3:
-            x = T.reshape(x, (1,) + x.shape)
-        if x.ndim != 4:
-            raise ValueError(f"frames must be rank 3 or 4, got shape {x.shape}")
-        batch, steps, window, channels = x.shape
-    else:
-        index = np.asarray(index)
-        if index.ndim != 2 or x.ndim != 3:
-            raise ValueError(f"indexed frames must be rank 3 with a rank-2 index, "
-                             f"got shapes {x.shape} and {index.shape}")
-        batch, steps = index.shape
-        _, window, channels = x.shape
+    if isinstance(frames, Tensor):
+        if frames.requires_grad:
+            raise ValueError("model_forward takes frames as constants, not tracked tensors")
+        frames = frames.data
+    x, index = np.asarray(frames), np.asarray(index)
+    if index.ndim != 2 or x.ndim != 3:
+        raise ValueError(f"frames must be rank 3 with a rank-2 index, "
+                         f"got shapes {x.shape} and {index.shape}")
+    _, window, channels = x.shape
     if window != config.window_length or channels != config.in_channels:
         raise ValueError(
             f"frame geometry {window}x{channels} does not match config "
             f"{config.window_length}x{config.in_channels}"
         )
-    if not config.use_lstm and steps != 1:
+    if not config.use_lstm and index.shape[1] != 1:
         raise ValueError("sequence length must be 1 when the LSTM head is disabled")
-    rows = x.size // (window * channels)
-    patches, patch_index = capsule_row_patches(x.data.reshape(rows, window, channels), config)
+    used, local = np.unique(index, return_inverse=True)
+    if used.size and (used[0] < 0 or used[-1] >= len(x)):
+        raise ValueError(f"index names frames outside 0 .. {len(x) - 1}")
+    local = local.reshape(index.shape)
+    patches, patch_index = capsule_row_patches(x[used], config)
     maps = conv_features(Tensor(patches[..., None]), params, config)
     u = build_basic_capsules(maps, params, config)
     v, coupling = dynamic_routing(u, params, config, coupling_override, patch_index)
-    head_in = T.reshape(v, (rows, config.advanced_flat_size))
-    if index is not None:
-        head_in = T.take_rows(head_in, index if config.use_lstm else index[:, 0])
-    elif config.use_lstm:
-        head_in = T.reshape(head_in, (batch, steps, config.advanced_flat_size))
+    head_in = T.take_rows(T.reshape(v, (used.size, config.advanced_flat_size)),
+                          local if config.use_lstm else local[:, 0])
     if config.use_lstm:
         head_in = lstm_forward(head_in, params, config)
     y = regression_head(head_in, params, config, mode, rng)
@@ -653,13 +643,14 @@ def predict(
 ) -> np.ndarray:
     """Inference-mode RUL estimates, one forward pass per block.
 
-    ``frames`` is (B, S, window, channels) or a single sequence
-    (S, window, channels); with ``index`` (B, S) it is (F, window,
-    channels) and sequence b is frames ``index[b]``.  A block is a run
-    of at most ``chunk`` consecutive sequences that name at most
-    ``BLOCK_BYTES // conv_map_bytes`` distinct frames (always room for
-    one sequence); each of those frames is scored once.  Returns (B,)
-    outputs times ``label_scale``.
+    ``frames`` is (F, window, channels) and sequence b is frames
+    ``index[b]``; without ``index`` it is materialized sequences,
+    (B, S, window, channels) or a single (S, window, channels), each
+    frame its own.  A block is a run of at most ``chunk`` consecutive
+    sequences that name at most ``BLOCK_BYTES // conv_map_bytes``
+    distinct frames (always room for one sequence);
+    :func:`model_forward` scores each of those frames once.  Returns
+    (B,) outputs times ``label_scale``.
     """
     x = np.asarray(frames)
     if index is None:
@@ -676,9 +667,7 @@ def predict(
     out = np.empty(index.shape[0])
     with T.no_grad():
         for lo, hi in _blocks(index, chunk, budget):
-            used, local = np.unique(index[lo:hi], return_inverse=True)
-            y, _ = model_forward(x[used], params, config, mode="eval",
-                                 index=local.reshape(hi - lo, -1))
+            y, _ = model_forward(x, params, config, mode="eval", index=index[lo:hi])
             out[lo:hi] = y.data * float(label_scale)
     return out
 

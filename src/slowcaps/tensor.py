@@ -293,37 +293,26 @@ def relu(a) -> Tensor:
     return make_op(out_data, (a,), bw)
 
 
-def _expand_reduced(g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
-    if axis is None or keepdims:
-        return g
-    return np.expand_dims(g, axis)
-
-
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """Sum of every element, a scalar."""
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
         if a.requires_grad:
-            gg = _expand_reduced(np.asarray(g), axis, keepdims)
-            accumulate_grad(a, np.broadcast_to(gg, a.data.shape))
+            accumulate_grad(a, np.broadcast_to(g, a.data.shape))
 
-    return make_op(out_data, (a,), bw)
+    return make_op(a.data.sum(), (a,), bw)
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a) -> Tensor:
+    """Mean of every element, a scalar."""
     a = _as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    denom = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
 
     def bw(g):
         if a.requires_grad:
-            gg = _expand_reduced(np.asarray(g), axis, keepdims)
-            accumulate_grad(a, np.broadcast_to(gg, a.data.shape) / denom)
+            accumulate_grad(a, np.broadcast_to(g, a.data.shape) / a.data.size)
 
-    return make_op(out_data, (a,), bw)
+    return make_op(a.data.mean(), (a,), bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -377,7 +366,7 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
 def conv2d(a, kernels, bias, stride=(1, 1)) -> Tensor:
     """Valid 2-D correlation.
 
-    ``a`` has shape (H, W, C) or (N, H, W, C); ``kernels`` has shape
+    ``a`` has shape (N, H, W, C); ``kernels`` has shape
     (kh, kw, C, M); ``bias`` has shape (M,).  Output spatial extents are
     floor((H-kh)/sh)+1 by floor((W-kw)/sw)+1.  No padding is applied.
     """
@@ -399,13 +388,11 @@ def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
     sh, sw = int(stride[0]), int(stride[1])
     if sh < 1 or sw < 1:
         raise ValueError(f"stride entries must be >= 1, got {stride}")
-    squeeze = a.ndim == 3
-    if a.ndim not in (3, 4):
-        raise ValueError(f"conv2d input must be rank 3 or 4, got shape {a.shape}")
+    if a.ndim != 4:
+        raise ValueError(f"conv2d input must be rank 4, got shape {a.shape}")
     if k.ndim != 4:
         raise ValueError(f"conv2d kernels must be rank 4, got shape {k.shape}")
-    x4 = a.data[None] if squeeze else a.data
-    n, h, w, cin = x4.shape
+    n, h, w, cin = a.data.shape
     kh, kw, kc, m = k.data.shape
     if kc != cin:
         raise ValueError(f"conv2d channel mismatch: input has {cin}, kernels expect {kc}")
@@ -419,7 +406,7 @@ def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
     # reshapes to (kh*kw*C, M) without a copy, and one-row windows that
     # tile the input (kernel == stride, or a full-width kernel) make the
     # patch matrix a view of the input itself
-    patches = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(1, 2))
+    patches = np.lib.stride_tricks.sliding_window_view(a.data, (kh, kw), axis=(1, 2))
     patches = patches[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
     pm = patches.reshape(n * ho * wo, kh * kw * cin)
     km = k.data.reshape(kh * kw * cin, m)
@@ -427,7 +414,6 @@ def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
     out += b.data
     if activate:
         np.tanh(out, out=out)
-    out4 = out.reshape(n, ho, wo, m)
     tiles = ((kh, kw) == (sh if ho > 1 else kh, sw if wo > 1 else kw)
              and (ho * kh, wo * kw) == (h, w))
 
@@ -446,14 +432,14 @@ def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
             g6 = (gm @ km.T).reshape(n, ho, wo, kh, kw, cin)
             if tiles:
                 # col2im of disjoint windows that cover the input
-                gx = g6.transpose(0, 1, 3, 2, 4, 5).reshape(x4.shape)
+                gx = g6.transpose(0, 1, 3, 2, 4, 5).reshape(a.data.shape)
             else:
                 # col2im: each kernel offset adds onto a strided slab
-                gx = np.zeros_like(x4)
+                gx = np.zeros_like(a.data)
                 for p in range(kh):
                     for q in range(kw):
                         gx[:, p : p + sh * (ho - 1) + 1 : sh,
                               q : q + sw * (wo - 1) + 1 : sw] += g6[:, :, :, p, q]
-            _accumulate_new(a, gx[0] if squeeze else gx)
+            _accumulate_new(a, gx)
 
-    return make_op(out4[0] if squeeze else out4, (a, k, b), bw)
+    return make_op(out.reshape(n, ho, wo, m), (a, k, b), bw)

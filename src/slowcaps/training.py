@@ -168,20 +168,11 @@ def _split_sequences(unit_ids, length: int, val_set) -> tuple[np.ndarray, np.nda
     return idx[~in_val], idx[in_val]
 
 
-def _batch_frames(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame rows a batch of sequences names, each once, and the batch's
-    (B, S) index into them."""
-    used, local = np.unique(index, return_inverse=True)
-    return used, local.reshape(index.shape)
-
-
 def _forward_loss(frames, index, y_scaled, params, config, mode, rng):
     """Scaled-label MSE of the sequences ``index`` picks from ``frames``;
     votes and routing run once per distinct frame, and the stages before
     them once per distinct patch."""
-    used, local = _batch_frames(index)
-    pred, _ = network.model_forward(frames[used], params, config, mode=mode,
-                                    rng=rng, index=local)
+    pred, _ = network.model_forward(frames, params, config, mode=mode, rng=rng, index=index)
     err = sub(pred, Tensor(y_scaled))
     return reduce_mean(mul(err, err))
 

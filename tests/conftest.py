@@ -67,6 +67,14 @@ def per_frame_forward(x, params, config, mode="eval", rng=None):
     return N.regression_head(h, params, config, mode, rng), coupling
 
 
+def materialized_forward(x, params, config, *args, **kwargs):
+    """``model_forward`` on materialized (B, S, window, channels)
+    sequences: the B * S frames in order, each sequence naming its own."""
+    b, s = x.shape[:2]
+    return N.model_forward(np.reshape(x, (b * s,) + x.shape[2:]), params, config, *args,
+                           index=np.arange(b * s).reshape(b, s), **kwargs)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import materialized_forward
 
 from slowcaps import config as C
 from slowcaps import data as D
@@ -106,12 +107,12 @@ def test_criterion_03_full_model_gradient_check():
 
     # freeze the routing coupling so the measured loss is the same
     # function the backward pass differentiates
-    _, coupling = N.model_forward(frames, params, config)
+    _, coupling = materialized_forward(frames, params, config)
     coupling = coupling.copy()
 
     def loss_tensor():
-        y, _ = N.model_forward(frames, params, config,
-                               coupling_override=coupling)
+        y, _ = materialized_forward(frames, params, config,
+                                    coupling_override=coupling)
         d = T.sub(y, Tensor(targets))
         return T.reduce_mean(T.mul(d, d))
 

@@ -312,6 +312,14 @@ def _truncated(text: str) -> str:
     return text[: len(text) // 2]
 
 
+def _set_scalar(name: str, value: float):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc[name] = {"shape": [], "data": [value]}
+        return json.dumps(doc)
+    return edit
+
+
 # (case, command, file edited, edit, reason)
 ARTIFACT_CORRUPTIONS = [
     ("nan_in_features", "train", "features.json", _nan_in_cov_diff,
@@ -319,6 +327,20 @@ ARTIFACT_CORRUPTIONS = [
     ("truncated_features", "train", "features.json", _truncated, "line 1 column"),
     ("truncated_checkpoint", "evaluate", "checkpoint.json", _truncated,
      "line 1 column"),
+    ("fractional_window", "evaluate", "features.json", _set_scalar("window", 8.7),
+     "window must be a whole number in [1, inf], got [8.7]"),
+    ("zero_window", "train", "features.json", _set_scalar("window", 0.0),
+     "window must be a whole number"),
+    ("num_slow_above_channels", "train", "features.json", _set_scalar("num_slow", 99.0),
+     "num_slow must be a whole number in [1, "),
+    ("fractional_num_slow", "evaluate", "features.json", _set_scalar("num_slow", 1.5),
+     "num_slow must be a whole number"),
+    # whole and in range, but not the frames the model was trained on;
+    # a window of 1e12 used to end in a MemoryError traceback
+    ("huge_window", "evaluate", "features.json", _set_scalar("window", 1e12),
+     "1000000000000x8 frames do not match model_config.json (8x8)"),
+    ("fewer_slow_features", "evaluate", "features.json", _set_scalar("num_slow", 1.0),
+     "8x7 frames do not match model_config.json (8x8)"),
 ]
 
 

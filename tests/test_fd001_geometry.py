@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from conftest import per_frame_forward, sliding_frames
+from conftest import materialized_forward, per_frame_forward, sliding_frames
 
 import slowcaps
 from slowcaps import evaluation as E
@@ -35,27 +35,28 @@ def fd001_config(**kw) -> N.ModelConfig:
 
 
 def spot_check_inputs(rng, kind: str):
-    """Model inputs ``(frames, index)`` of a small FD001-geometry batch.
+    """Model inputs ``(frames, index)`` of a small FD001-geometry batch;
+    the index names each of the 10 frames.
 
-    ``"materialized"``: two sequences of random frames as (2, 5, 28, 16)
-    and no index.  ``"indexed"``: four sequences of one 10-frame unit,
-    one repeated and all sharing frames, as the distinct frames plus
-    index of a training step; the 280 rows of its random frames are 280
-    distinct patches, padded to 288.  ``"sliding"``: the same sequences
-    over the 10 sliding windows of one 37-row series, whose frames share
-    rows: 37 distinct patches, padded to 64.
+    ``"materialized"``: two sequences of random frames, each naming its
+    own 5.  ``"indexed"``: four sequences of one 10-frame unit, one
+    repeated and all sharing frames, as in a training step; the 280 rows
+    of its random frames are 280 distinct patches, padded to 288.
+    ``"sliding"``: the same sequences over the 10 sliding windows of one
+    37-row series, whose frames share rows: 37 distinct patches, padded
+    to 64.
     """
     if kind == "sliding":
         pool = sliding_frames(rng.normal(0.0, 0.8, size=(1, 37, 16)), 28)
     else:
         pool = rng.normal(0.0, 0.8, size=(10, 28, 16))
     if kind == "materialized":
-        return pool.reshape(2, 5, 28, 16), None
-    used, local = TR._batch_frames(TR.sequence_index(np.zeros(10), 5)[[0, 2, 5, 0]])
-    assert used.size == 10
-    patches, _ = N.capsule_row_patches(pool[used], fd001_config())
+        return pool, np.arange(10).reshape(2, 5)
+    index = TR.sequence_index(np.zeros(10), 5)[[0, 2, 5, 0]]
+    assert np.unique(index).size == 10
+    patches, _ = N.capsule_row_patches(pool, fd001_config())
     assert patches.shape[0] == (64 if kind == "sliding" else 288)
-    return pool[used], local
+    return pool, index
 
 
 def test_fd001_geometry_gradient_spot_check():
@@ -85,8 +86,7 @@ def spot_check(kind: str):
     for p in params.values():
         p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
     frames, index = spot_check_inputs(rng, kind)
-    batch = 2 if index is None else index.shape[0]
-    targets = rng.normal(0.0, 1.0, size=batch)
+    targets = rng.normal(0.0, 1.0, size=index.shape[0])
 
     # freeze the routing coupling so the measured loss is the same
     # function the backward pass differentiates
@@ -102,15 +102,12 @@ def spot_check(kind: str):
     def relu_pattern():
         """Signs of every hidden-layer input of the head."""
         with T.no_grad():
-            rows = frames.size // (28 * 16)
-            flat = T.reshape(Tensor(frames), (rows, 28, 16, 1))
+            flat = Tensor(frames[..., None])
             u = N.build_basic_capsules(N.conv_features(flat, params, config),
                                        params, config)
             v, _ = N.dynamic_routing(u, params, config, coupling_override=coupling)
-            v = T.reshape(v, (rows, config.advanced_flat_size))
-            seq = (T.reshape(v, (batch, 5, config.advanced_flat_size)) if index is None
-                   else T.take_rows(v, index))
-            z = N.lstm_forward(seq, params, config).data
+            v = T.reshape(v, (len(frames), config.advanced_flat_size))
+            z = N.lstm_forward(T.take_rows(v, index), params, config).data
         signs = []
         for li in range(len(config.fnn_widths) - 1):
             z = z @ params[f"fnn.{li}.weight"].data + params[f"fnn.{li}.bias"].data
@@ -160,7 +157,7 @@ def test_fd001_sliding_window_training_step_matches_per_frame_chain():
     frames = sliding_frames(rng.normal(0.0, 0.8, size=(3, 57, 16)), 28)
     index = TR.sequence_index(np.repeat(np.arange(3), 30), 5)[rng.permutation(78)[:64]]
     y = np.linspace(1.0, 0.0, 90)[index[:, -1]]
-    used, _ = TR._batch_frames(index)
+    used = np.unique(index)
     patches, _ = N.capsule_row_patches(frames[used], config)
     assert patches.shape[0] < used.size * 28 / 5
 
@@ -208,7 +205,8 @@ def test_fd001_indexed_training_step_matches_materialized():
         if indexed:
             loss = TR._forward_loss(frames, index, y, params, config, "train", drop)
         else:
-            pred, _ = N.model_forward(frames[index], params, config, mode="train", rng=drop)
+            pred, _ = materialized_forward(frames[index], params, config, mode="train",
+                                           rng=drop)
             d = T.sub(pred, Tensor(y))
             loss = T.reduce_mean(T.mul(d, d))
         backward(loss)
@@ -248,14 +246,15 @@ batches = [(rng.normal(size=(320, 28, 16)), None) for _ in range(3)]
 pool = sliding_frames(rng.normal(size=(3, 125, 16)), 28)
 index = TR.sequence_index(np.repeat(np.arange(3), 98), 5)[rng.permutation(282)]
 for sel in (index[:64], index[256:]):
-    used, local = TR._batch_frames(sel)
-    batches.append((pool[used], local))
+    used, local = np.unique(sel, return_inverse=True)
+    batches.append((pool[used], local.reshape(sel.shape)))
 batches.append((rng.normal(size=(130, 28, 16)), np.arange(130).reshape(26, 5)))
 batches.append((sliding_frames(rng.normal(size=(1, 347, 16)), 28),
                 np.arange(320).reshape(64, 5)))
 distinct = []
 for frames, local in batches:
-    images, patch_index = frames, None
+    # whole frames: each frame is one patch of all its capsules
+    images, patch_index = frames, np.arange(len(frames))[:, None]
     if local is not None:
         images, patch_index = N.capsule_row_patches(frames, config)
         distinct.append(np.unique(patch_index).size)
@@ -430,7 +429,7 @@ def test_fd001_frame_once_predict_matches_materialized():
     # materialized sequences through the same blocks, and one forward per
     # 256 materialized sequences as dense scoring did before
     refs = [N.predict(x, params, config, 125.0),
-            np.concatenate([N.model_forward(x[lo : lo + 256], params, config)[0].data
+            np.concatenate([materialized_forward(x[lo : lo + 256], params, config)[0].data
                             for lo in range(0, x.shape[0], 256)]) * 125.0]
     for ref in refs:
         tol = 1e-12 * np.max(np.abs(ref))
@@ -448,7 +447,7 @@ def test_fd001_dense_forwards_stay_within_the_block_budget(monkeypatch):
     forward = N.model_forward
 
     def counting_forward(x, *args, **kwargs):
-        sizes.append(x.shape[0])
+        sizes.append(np.unique(kwargs["index"]).size)
         return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(N, "model_forward", counting_forward)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import numeric_grad, per_frame_forward, rel_max, sliding_frames
+from conftest import (materialized_forward, numeric_grad, per_frame_forward, rel_max,
+                      sliding_frames)
 
 from slowcaps import config as C
 from slowcaps import evaluation as E
@@ -234,21 +235,18 @@ def test_squash_backward_edge_lengths(rng):
 # ----------------------------------------------------- votes and coupling
 
 
-# the votes' two input forms: whole items (u is (N, I, D)), as the
-# benchmark's backward replay routes, and patch rows read through an
-# (N, H) index, here 5 rows of 2 capsules of which row 2 is read four
-# times and row 3 never
-ROUTE_INDEXES = [None, np.array([[0, 2, 1], [2, 2, 4], [1, 0, 2]])]
+# (u shape, index) of the votes' two uses: whole items, each its own
+# row, as the benchmark's backward replay routes, and patch rows read
+# through an (N, H) index, here 5 rows of 2 capsules of which row 2 is
+# read four times and row 3 never
+ROUTE_CASES = [((2, 5, 4), np.arange(2)[:, None]),
+               ((5, 2, 4), np.array([[0, 2, 1], [2, 2, 4], [1, 0, 2]]))]
 
 
-def routed_sum_case(rng, index):
+def routed_sum_case(rng, shape, index):
     """u, w, coupling and the einsum-built votes of a small routed sum."""
-    if index is None:
-        u = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-        frames = u.data
-    else:
-        u = Tensor(rng.normal(size=(5, 2, 4)), requires_grad=True)
-        frames = u.data[index].reshape(index.shape[0], -1, 4)
+    u = Tensor(rng.normal(size=shape), requires_grad=True)
+    frames = u.data[index].reshape(index.shape[0], -1, shape[2])
     w = Tensor(rng.normal(size=(frames.shape[1], 3, 6, 4)), requires_grad=True)
     c = rng.dirichlet(np.ones(3), size=frames.shape[:2])
     return u, w, c, frames, np.einsum("ijad,nid->nija", w.data, frames)
@@ -257,12 +255,12 @@ def routed_sum_case(rng, index):
 def test_capsule_transform_matches_einsum_and_fd(rng):
     """The votes match einsum, and the routed sum's u and w gradients
     through them match central differences of the votes' weighted sum."""
-    for index in ROUTE_INDEXES:
-        check_votes_and_their_fd(rng, index)
+    for shape, index in ROUTE_CASES:
+        check_votes_and_their_fd(rng, shape, index)
 
 
-def check_votes_and_their_fd(rng, index):
-    u, w, c, _, votes = routed_sum_case(rng, index)
+def check_votes_and_their_fd(rng, shape, index):
+    u, w, c, _, votes = routed_sum_case(rng, shape, index)
     out = N.capsule_transform(u, w, index)
     assert isinstance(out, np.ndarray) and out.shape == votes.shape
     np.testing.assert_allclose(out, votes, atol=1e-12)
@@ -278,17 +276,17 @@ def check_votes_and_their_fd(rng, index):
     num = numeric_grad(loss_fn, {"u": u.data, "w": w.data})
     assert rel_max(u.grad, num["u"]) < 1e-6
     assert rel_max(w.grad, num["w"]) < 1e-6
-    if index is not None:
-        assert not u.grad[3].any()  # no item reads row 3
+    assert not u.grad[np.setdiff1d(np.arange(shape[0]), index)].any()  # unread rows
 
 
 def test_capsule_transform_validation(rng):
+    w = Tensor(np.zeros((5, 3, 6, 4)))
     with pytest.raises(ValueError, match="ranks"):
-        N.capsule_transform(Tensor(np.zeros((5, 4))), Tensor(np.zeros((5, 3, 6, 4))))
+        N.capsule_transform(Tensor(np.zeros((5, 4))), w, np.arange(5)[:, None])
     with pytest.raises(ValueError, match="mismatch"):
-        N.capsule_transform(
-            Tensor(np.zeros((2, 6, 4))), Tensor(np.zeros((5, 3, 6, 4)))
-        )
+        N.capsule_transform(Tensor(np.zeros((2, 6, 4))), w, np.arange(2)[:, None])
+    with pytest.raises(ValueError, match="index"):
+        N.capsule_transform(Tensor(np.zeros((2, 5, 4))), w, np.arange(2))
 
 
 def test_capsule_transform_non_finite_vote_raises(rng):
@@ -299,18 +297,18 @@ def test_capsule_transform_non_finite_vote_raises(rng):
     w = rng.normal(size=(5, 3, 6, 4))
     w[3, 1, 2] = 1e308
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        N.capsule_transform(Tensor(u), Tensor(w))
+        N.capsule_transform(Tensor(u), Tensor(w), np.arange(2)[:, None])
 
 
 def test_capsule_weighted_sum_matches_einsum_and_fd(rng):
     """One tape node from u and w to s = sum_i c votes: s, du and dW
     against the einsum-built votes and central differences."""
-    for index in ROUTE_INDEXES:
-        check_routed_sum(rng, index)
+    for shape, index in ROUTE_CASES:
+        check_routed_sum(rng, shape, index)
 
 
-def check_routed_sum(rng, index):
-    u, w, c, frames, votes = routed_sum_case(rng, index)
+def check_routed_sum(rng, shape, index):
+    u, w, c, frames, votes = routed_sum_case(rng, shape, index)
     out = N.capsule_weighted_sum(u, w, votes, c, index)
     assert out.shape == (frames.shape[0], 3, 6)
     assert out._parents == (u, w)  # the votes are not on the tape
@@ -319,8 +317,7 @@ def check_routed_sum(rng, index):
     g = rng.normal(size=out.shape)
 
     def votes_of(u, w):
-        rows = u.data if index is None else u.data[index].reshape(frames.shape)
-        return np.einsum("ijad,nid->nija", w.data, rows)
+        return np.einsum("ijad,nid->nija", w.data, u.data[index].reshape(frames.shape))
 
     def loss_fn():
         return float(np.sum(N.capsule_weighted_sum(u, w, votes_of(u, w), c, index).data * g))
@@ -329,10 +326,9 @@ def check_routed_sum(rng, index):
     # the chain rule through the votes, whose gradient is c * g
     gv = c[..., None] * g[:, None]
     du = np.einsum("nija,ijad->nid", gv, w.data)
-    if index is not None:
-        du_rows = np.zeros_like(u.data)
-        np.add.at(du_rows, index, du.reshape(index.shape + u.shape[1:]))
-        du = du_rows
+    du_rows = np.zeros_like(u.data)
+    np.add.at(du_rows, index, du.reshape(index.shape + u.shape[1:]))
+    du = du_rows
     dw = np.einsum("nija,nid->ijad", gv, frames)
     for got, ref in ((u.grad, du), (w.grad, dw)):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
@@ -394,7 +390,7 @@ def test_dynamic_routing_forward_and_override(rng):
     np.testing.assert_allclose(v2.data, v.data, atol=1e-14)
     np.testing.assert_array_equal(coupling2, coupling)
     # and matches the oracle's final squashed outputs
-    uh = N.capsule_transform(u, params["route.transform"])
+    uh = N.capsule_transform(u, params["route.transform"], np.arange(2)[:, None])
     _, _, ov = oracles.routing_oracle(uh, cfg.routing_iterations)
     np.testing.assert_allclose(v.data, ov, atol=1e-10)
 
@@ -600,38 +596,51 @@ def test_regression_head_no_dropout_train_needs_no_rng(rng):
 def test_model_forward_shapes_and_batch_invariance(rng):
     cfg = tiny_config()
     params = N.init_parameters(cfg, rng)
-    frames = rng.normal(size=(2, 3, 12, 6))
-    y, coupling = N.model_forward(frames, params, cfg)
+    frames = rng.normal(size=(6, 12, 6))
+    idx = np.arange(6).reshape(2, 3)
+    y, coupling = N.model_forward(frames, params, cfg, index=idx)
     assert y.shape == (2,)
-    assert coupling.shape == (6, 24, 2)  # flat B*S frame batch
+    assert coupling.shape == (6, 24, 2)  # one per frame
     for i in range(2):
-        yi, _ = N.model_forward(frames[i], params, cfg)  # rank-3 promotion
+        yi, ci = N.model_forward(frames, params, cfg, index=idx[i : i + 1])
         np.testing.assert_allclose(yi.data, y.data[i : i + 1], atol=1e-10)
+        # only the 3 frames sequence i names are scored
+        np.testing.assert_allclose(ci, coupling[idx[i]], atol=1e-12)
 
 
 def test_model_forward_validation(rng):
     cfg = tiny_config()
     params = N.init_parameters(cfg, rng)
+    idx = np.arange(6).reshape(2, 3)
     with pytest.raises(ValueError, match="geometry"):
-        N.model_forward(np.zeros((2, 3, 11, 6)), params, cfg)
+        N.model_forward(np.zeros((6, 11, 6)), params, cfg, index=idx)
     with pytest.raises(ValueError, match="rank"):
-        N.model_forward(np.zeros((2, 3, 12, 6, 1)), params, cfg)
+        N.model_forward(np.zeros((2, 3, 12, 6)), params, cfg, index=idx)
+    with pytest.raises(ValueError, match="rank"):
+        N.model_forward(np.zeros((6, 12, 6)), params, cfg, index=idx.ravel())
+    with pytest.raises(TypeError, match="index"):
+        N.model_forward(np.zeros((6, 12, 6)), params, cfg)
+    for bad in (idx - 1, idx + 1):
+        with pytest.raises(ValueError, match="outside"):
+            N.model_forward(np.zeros((6, 12, 6)), params, cfg, index=bad)
     flat_cfg = tiny_config(use_lstm=False, sequence_length=1)
     flat_params = N.init_parameters(flat_cfg, np.random.default_rng(0))
     with pytest.raises(ValueError, match="sequence"):
-        N.model_forward(np.zeros((2, 3, 12, 6)), flat_params, flat_cfg)
-    yf, _ = N.model_forward(np.zeros((2, 1, 12, 6)), flat_params, flat_cfg)
+        N.model_forward(np.zeros((6, 12, 6)), flat_params, flat_cfg, index=idx)
+    yf, _ = N.model_forward(np.zeros((2, 12, 6)), flat_params, flat_cfg,
+                            index=np.arange(2)[:, None])
     assert yf.shape == (2,)
     with pytest.raises(ValueError, match="constants"):
-        N.model_forward(Tensor(np.zeros((2, 3, 12, 6)), requires_grad=True), params, cfg)
+        N.model_forward(Tensor(np.zeros((6, 12, 6)), requires_grad=True), params, cfg,
+                        index=idx)
 
 
 def test_model_forward_train_mode_is_seed_deterministic(rng):
     cfg = tiny_config()
     params = N.init_parameters(cfg, rng)
     frames = rng.normal(size=(2, 3, 12, 6))
-    ya, _ = N.model_forward(frames, params, cfg, "train", np.random.default_rng(9))
-    yb, _ = N.model_forward(frames, params, cfg, "train", np.random.default_rng(9))
+    ya, _ = materialized_forward(frames, params, cfg, "train", np.random.default_rng(9))
+    yb, _ = materialized_forward(frames, params, cfg, "train", np.random.default_rng(9))
     np.testing.assert_array_equal(ya.data, yb.data)
 
 
@@ -639,7 +648,7 @@ def test_predict_scales_and_leaves_grads_untouched(rng):
     cfg = tiny_config()
     params = N.init_parameters(cfg, rng)
     frames = rng.normal(size=(2, 3, 12, 6))
-    y, _ = N.model_forward(frames, params, cfg)
+    y, _ = materialized_forward(frames, params, cfg)
     np.testing.assert_allclose(
         N.predict(frames, params, cfg, label_scale=125.0), y.data * 125.0,
         atol=1e-12,
@@ -653,7 +662,7 @@ def test_predict_chunks_match_direct_forward_bit_for_bit(rng):
     params = N.init_parameters(cfg, rng)
     frames = rng.normal(size=(7, 3, 12, 6))
     expected = np.concatenate([
-        N.model_forward(frames[lo : lo + 3], params, cfg)[0].data * 40.0
+        materialized_forward(frames[lo : lo + 3], params, cfg)[0].data * 40.0
         for lo in (0, 3, 6)
     ])
     got = N.predict(frames, params, cfg, label_scale=40.0, chunk=3)
@@ -700,7 +709,7 @@ def materialized_chunks(x, params, cfg, label_scale, chunk):
     """Dense scoring as it was before frames were scored once: one
     forward per ``chunk`` materialized sequences."""
     return np.concatenate([
-        N.model_forward(x[lo : lo + chunk], params, cfg)[0].data * label_scale
+        materialized_forward(x[lo : lo + chunk], params, cfg)[0].data * label_scale
         for lo in range(0, x.shape[0], chunk)
     ])
 
@@ -734,8 +743,14 @@ def test_model_forward_with_index(rng):
     idx = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 0, 4]])
     y, coupling = N.model_forward(frames, params, cfg, index=idx)
     assert coupling.shape == (5, 24, 2)  # per distinct frame
-    ref, _ = N.model_forward(frames[idx], params, cfg)
+    ref, _ = materialized_forward(frames[idx], params, cfg)
     assert_rel_close(y.data, ref.data)
+    # frames no sequence names are never read; the coupling is that of
+    # the named frames, in ascending frame order
+    padded = np.concatenate([np.full((2, 12, 6), np.nan), frames])
+    y2, coupling2 = N.model_forward(padded, params, cfg, index=idx[[3, 0]] + 2)
+    assert_rel_close(y2.data, y.data[[3, 0]])
+    np.testing.assert_allclose(coupling2, coupling[[0, 1, 2, 4]], atol=1e-12)
     with pytest.raises(ValueError, match="rank"):
         N.model_forward(frames[idx], params, cfg, index=idx)
     with pytest.raises(ValueError, match="index"):

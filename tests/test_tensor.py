@@ -84,13 +84,15 @@ def test_matmul_backward_matches_fd(rng):
 
 
 def test_reduce_ops_axis_keepdims(rng):
+    # both reduce every axis to a scalar
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    assert T.reduce_sum(x, axis=1).shape == (2, 4)
-    assert T.reduce_sum(x, axis=1, keepdims=True).shape == (2, 1, 4)
-    assert T.reduce_mean(x).shape == ()
+    assert T.reduce_sum(x).shape == T.reduce_mean(x).shape == ()
+    assert float(T.reduce_sum(x).data) == x.data.sum()
+    assert float(T.reduce_mean(x).data) == x.data.mean()
 
     def forward():
-        return T.reduce_sum(T.mul(T.reduce_mean(x, axis=2), T.reduce_mean(x, axis=2)))
+        m = T.reduce_mean(x)
+        return T.add(T.reduce_sum(T.mul(x, x)), T.mul(m, m))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
@@ -292,15 +294,6 @@ def test_conv2d_forward_matches_loop_oracle(rng, shape, kshape, stride):
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
-def test_conv2d_rank3_squeeze(rng):
-    x = rng.normal(size=(5, 6, 2))
-    k = rng.normal(size=(1, 2, 2, 3))
-    b = rng.normal(size=3)
-    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), (1, 2))
-    batched = T.conv2d(Tensor(x[None]), Tensor(k), Tensor(b), (1, 2))
-    np.testing.assert_allclose(out.data, batched.data[0], atol=1e-12)
-
-
 def test_conv2d_backward_matches_fd(rng):
     x = Tensor(rng.normal(size=(2, 4, 5, 2)), requires_grad=True)
     k = Tensor(rng.normal(size=(2, 2, 2, 3)), requires_grad=True)
@@ -359,6 +352,8 @@ def test_conv2d_tanh_is_one_node_equal_to_tanh_of_conv2d(rng, shape, kshape, str
 
 def test_conv2d_geometry_errors(rng):
     x = Tensor(rng.normal(size=(1, 3, 3, 2)))
+    with pytest.raises(ValueError, match="rank 4"):
+        T.conv2d(Tensor(x.data[0]), Tensor(rng.normal(size=(2, 2, 2, 1))), Tensor(np.zeros(1)))
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(rng.normal(size=(4, 2, 2, 1))), Tensor(np.zeros(1)))
     with pytest.raises(ValueError):
