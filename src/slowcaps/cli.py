@@ -9,14 +9,15 @@ wall-clock timing goes to a separate ``timing.json`` so the other files
 are byte-stable across reruns.  Errors print one JSON line on stderr;
 exit code 2 flags configuration problems, 1 anything else.
 
-Set ``SLOWCAPS_LOG=DEBUG|INFO|WARNING|ERROR`` to control log verbosity
-(``SDTC_LOG`` is read when it is unset).  Each manifest records the
-numpy version, the BLAS build and the ``*_NUM_THREADS`` environment.
+Set ``SLOWCAPS_LOG=DEBUG|INFO|WARNING|ERROR`` to control log verbosity.
+Each manifest records the numpy version, the BLAS build and the
+``*_NUM_THREADS`` environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import logging
@@ -44,8 +45,7 @@ log = logging.getLogger("slowcaps.cli")
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("SLOWCAPS_LOG", os.environ.get("SDTC_LOG", "WARNING"))
-    name = name.strip().upper()
+    name = os.environ.get("SLOWCAPS_LOG", "WARNING").strip().upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
         level = logging.WARNING
@@ -124,38 +124,46 @@ def _setup(args) -> tuple[dict, Path]:
     return cfg, out
 
 
-def _load_series_dataset(cfg: dict, data_dir: Path, need_test: bool) -> dict:
+def _units(cfg: dict, data_dir: Path, split: str) -> list[D.RunToFailureSeries]:
+    """The ``"train"`` or ``"test"`` units of the configured dataset.
+
+    Milling cuts are split by case (``milling_protocol_split``) and
+    wrapped as series by ``milling_run_series``.
+    """
     ds = cfg["dataset"]
     if ds == "milling":
-        raise ValueError("series loader called for the milling dataset")
-    if ds == "synthetic":
-        tag = "synthetic"
-        n_sensors = int(cfg["synthetic"]["channels"])
-    else:
-        tag = ds
-        n_sensors = D.CMAPSS_SENSORS
-    train_path = data_dir / f"train_{tag}.txt"
-    if not train_path.exists():
-        raise FileNotFoundError(f"missing training data {train_path}")
-    test_path = data_dir / f"test_{tag}.txt"
-    rul_path = data_dir / f"RUL_{tag}.txt"
-    if need_test and not test_path.exists():
-        raise FileNotFoundError(f"missing test data {test_path}")
-    return D.load_cmapss(
-        train_path,
-        test_path if test_path.exists() else None,
-        rul_path if rul_path.exists() else None,
-        rul_max=float(cfg["rul_max"]),
-        n_sensors=n_sensors,
-    )
-
-
-def _load_milling(cfg: dict, data_dir: Path) -> tuple[list, list]:
-    path = data_dir / "milling.csv"
+        path = data_dir / "milling.csv"
+        if not path.exists():
+            raise FileNotFoundError(f"missing milling data {path}")
+        train, test = D.milling_protocol_split(D.load_milling(path)["runs"])
+        return [P.milling_run_series(r) for r in (train if split == "train" else test)]
+    n_sensors = int(cfg["synthetic"]["channels"]) if ds == "synthetic" else D.CMAPSS_SENSORS
+    if split == "train":
+        path = data_dir / f"train_{ds}.txt"
+        if not path.exists():
+            raise FileNotFoundError(f"missing training data {path}")
+        return D.load_cmapss(path, rul_max=float(cfg["rul_max"]),
+                             n_sensors=n_sensors)["train"]
+    path = data_dir / f"test_{ds}.txt"
     if not path.exists():
-        raise FileNotFoundError(f"missing milling data {path}")
-    runs = D.load_milling(path)["runs"]
-    return D.milling_protocol_split(runs)
+        raise FileNotFoundError(f"missing test data {path}")
+    rul_path = data_dir / f"RUL_{ds}.txt"
+    return D.load_cmapss(None, path, rul_path if rul_path.exists() else None,
+                         rul_max=float(cfg["rul_max"]), n_sensors=n_sensors)["test"]
+
+
+def _model_config(cfg: dict, pipe: F.FeaturePipeline, variant: str) -> network.ModelConfig:
+    """The architecture ``variant`` gets on frames of ``pipe`` (the
+    variant's pipe: without slow columns for the no-sfa variants)."""
+    _, use_lstm = P.variant_flags(variant)
+    return C.resolve_model_config(
+        cfg,
+        frame_channels=pipe.frame_channels,
+        num_slow=pipe.sfa.num_slow,
+        plain_channels=pipe.sfa.n_channels,
+        window=pipe.window,
+        use_lstm=use_lstm,
+    )
 
 
 def _features_path(raw: str) -> Path:
@@ -172,12 +180,21 @@ def _load_features(raw: str) -> F.FeaturePipeline:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _build_training_batch(cfg: dict, data_dir: Path, pipe) -> F.FrameBatch:
-    if cfg["dataset"] == "milling":
-        train_runs, _ = _load_milling(cfg, data_dir)
-        return P.build_frames_milling(train_runs, pipe)
-    data = _load_series_dataset(cfg, data_dir, need_test=False)
-    return P.build_frames(data["train"], pipe, float(cfg["rul_max"]))
+def _training_frames(cfg: dict, data_dir: Path, pipe: F.FeaturePipeline,
+                     features: str) -> F.FrameBatch:
+    """Labelled frames of the training units: every row of a milling cut,
+    the degradation stage of a run-to-failure unit."""
+    units = _units(cfg, data_dir, "train")
+    milling = cfg["dataset"] == "milling"
+    rows = max((s.length if milling else s.length - s.change_point for s in units), default=0)
+    if rows < pipe.window:
+        stage = "cut" if milling else "degradation stage"
+        raise ValueError(
+            f"{_features_path(features)}: window {pipe.window} is longer than every "
+            f"training unit's {stage} (at most {rows} rows)")
+    if milling:
+        return P.build_frames_milling(units, pipe)
+    return P.build_frames(units, pipe, float(cfg["rul_max"]))
 
 
 # ---------------------------------------------------------------- commands
@@ -214,17 +231,12 @@ def cmd_synth(args) -> int:
 def cmd_fit_features(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
-    data_dir = Path(args.data_dir)
     settings = C.feature_settings_from(cfg)
-    if cfg["dataset"] == "milling":
-        if settings.per_condition:
-            raise C.ConfigError(
-                ["features.per_condition is not available for the milling dataset"]
-            )
-        train_runs, _ = _load_milling(cfg, data_dir)
-        series = [P.milling_run_series(r) for r in train_runs]
-    else:
-        series = _load_series_dataset(cfg, data_dir, need_test=False)["train"]
+    if cfg["dataset"] == "milling" and settings.per_condition:
+        raise C.ConfigError(
+            ["features.per_condition is not available for the milling dataset"]
+        )
+    series = _units(cfg, Path(args.data_dir), "train")
     pipe, diag, _ = P.fit_features(series, settings)
     ckpt.save_arrays(out / "features.json", F.pipeline_to_arrays(pipe))
 
@@ -267,17 +279,10 @@ def cmd_train(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
     pipe = _load_features(args.features)
-    include_slow, use_lstm = P.variant_flags(args.variant)
+    include_slow, _ = P.variant_flags(args.variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
-    batch = _build_training_batch(cfg, Path(args.data_dir), pipe_v)
-    model_cfg = C.resolve_model_config(
-        cfg,
-        frame_channels=pipe_v.frame_channels,
-        num_slow=pipe.sfa.num_slow,
-        plain_channels=pipe.sfa.n_channels,
-        window=pipe.window,
-        use_lstm=use_lstm,
-    )
+    batch = _training_frames(cfg, Path(args.data_dir), pipe_v, args.features)
+    model_cfg = _model_config(cfg, pipe_v, args.variant)
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
     params, report = T.train(model_cfg, batch, train_cfg)
 
@@ -337,12 +342,7 @@ def cmd_evaluate(args) -> int:
             f"{_features_path(args.features)}: {frame[0]}x{frame[1]} frames do not match "
             f"model_config.json ({model_cfg.window_length}x{model_cfg.in_channels})")
 
-    if cfg["dataset"] == "milling":
-        _, test_runs = _load_milling(cfg, Path(args.data_dir))
-        series = [P.milling_run_series(r) for r in test_runs]
-    else:
-        data = _load_series_dataset(cfg, Path(args.data_dir), need_test=True)
-        series = data["test"]
+    series = _units(cfg, Path(args.data_dir), "test")
     truths = [s.true_rul for s in series]
     if any(t is None for t in truths):
         raise ValueError("evaluation units lack true residual life")
@@ -366,22 +366,19 @@ def cmd_tune(args) -> int:
     cfg, out = _setup(args)
     t0 = time.perf_counter()
     pipe = _load_features(args.features)
-    batch = _build_training_batch(cfg, Path(args.data_dir), pipe)
-    base_config = C.resolve_model_config(
-        cfg,
-        frame_channels=pipe.frame_channels,
-        num_slow=pipe.sfa.num_slow,
-        plain_channels=pipe.sfa.n_channels,
-        window=pipe.window,
-        use_lstm=True,
-    )
+    batch = _training_frames(cfg, Path(args.data_dir), pipe, args.features)
+
+    def config_for(filters: int, lstm_units: int) -> network.ModelConfig:
+        cell = copy.deepcopy(cfg)
+        cell["model"].update(filters=filters, lstm_units=lstm_units)
+        return _model_config(cell, pipe, "full")
+
     tune_cfg = C.train_config_from(cfg, args.seed, cfg["tune"]["epochs"])
     grid = T.sensitivity_grid(
         cfg["tune"]["filter_candidates"],
         cfg["tune"]["lstm_candidates"],
-        batch, base_config, tune_cfg,
+        batch, config_for, tune_cfg,
         explore=cfg["tune"]["explore"],
-        jobs=args.jobs,
     )
     rows = [[c["conv_filters"], c["lstm_units"], c["rmse"], c["score"],
              c["seed"], c["best_epoch"]] for c in grid.to_rows()]
@@ -408,26 +405,17 @@ def cmd_ablate(args) -> int:
         raise C.ConfigError(
             ["ablate runs on run-to-failure series datasets, not milling"]
         )
-    data = _load_series_dataset(cfg, Path(args.data_dir), need_test=True)
-    if not data["test"]:
+    data_dir = Path(args.data_dir)
+    train_units = _units(cfg, data_dir, "train")
+    test_units = _units(cfg, data_dir, "test")
+    if not test_units:
         raise ValueError("ablation needs test units with residual life")
     settings = C.feature_settings_from(cfg)
     variants = tuple(args.variant) if args.variant else P.ABLATION_VARIANTS
-
-    def make_config(pipe, variant):
-        _, use_lstm = P.variant_flags(variant)
-        return C.resolve_model_config(
-            cfg,
-            frame_channels=pipe.frame_channels,
-            num_slow=pipe.sfa.num_slow,
-            plain_channels=pipe.sfa.n_channels,
-            window=pipe.window,
-            use_lstm=use_lstm,
-        )
-
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
     result = P.ablation_run(
-        data["train"], data["test"], settings, make_config, train_cfg,
+        train_units, test_units, settings,
+        lambda pipe, variant: _model_config(cfg, pipe, variant), train_cfg,
         variants=variants,
     )
     artifacts = ["ablation_summary.csv"]
@@ -502,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--features", required=True,
                    help="features.json from fit-features (file or directory)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (full exploration only)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("ablate", help="compare architecture variants")

@@ -140,9 +140,11 @@ def load_cmapss(
     sensor columns.  Training units run to failure, so the change point
     is placed rul_max cycles before the end.  Test units are truncated;
     their residual life comes from the companion file of one integer per
-    unit.  Returns a dict with the "train" and "test" series lists.
+    unit.  Returns a dict with the "train" and "test" series lists; a
+    None path leaves its list empty.
     """
-    train_units = _group_cmapss_units(_read_space_table(train_path), train_path, n_sensors)
+    train_units = [] if train_path is None else \
+        _group_cmapss_units(_read_space_table(train_path), train_path, n_sensors)
     train = []
     for uid, settings, sensors in train_units:
         k = sensors.shape[0]

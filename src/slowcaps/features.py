@@ -398,14 +398,14 @@ def fuse_and_slice(
     s_d,
     window: int,
     labels,
-    stride: int = 1,
     unit_id="u0",
     start_index: int = 1,
 ) -> FrameBatch | None:
     """Concatenate channels with slow features and cut sliding windows.
 
     ``x_d`` (K x J) and ``s_d`` (K x P, may have zero columns) share the
-    sample axis; each window of ``window`` rows becomes one frame whose
+    sample axis; each run of ``window`` consecutive rows (stride 1, as
+    ``training.sequence_index`` assumes) becomes one frame whose
     label is the entry of ``labels`` aligned with the frame's last row.
     ``start_index`` is the 1-based series index of row 0, recorded in the
     frame provenance.  Returns None (with a warning) when the segment is
@@ -424,8 +424,6 @@ def fuse_and_slice(
         raise ValueError(f"labels length {y.size} does not match {xd.shape[0]} samples")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     k = xd.shape[0]
     if k < window:
         log.warning(
@@ -435,8 +433,8 @@ def fuse_and_slice(
         return None
     hybrid = np.hstack([xd, sd]) if sd.shape[1] else xd
     views = np.lib.stride_tricks.sliding_window_view(hybrid, window, axis=0)
-    frames = np.ascontiguousarray(views[::stride].transpose(0, 2, 1))
-    ends = np.arange(window - 1, k, stride, dtype=np.int64)
+    frames = np.ascontiguousarray(views.transpose(0, 2, 1))
+    ends = np.arange(window - 1, k, dtype=np.int64)
     return FrameBatch(
         frames=frames,
         labels=y[ends],

@@ -153,7 +153,6 @@ def build_frames(
     series_list: Sequence[RunToFailureSeries],
     pipe: FeaturePipeline,
     rul_max: float,
-    stride: int = 1,
 ) -> FrameBatch:
     """Degradation-stage frames for every unit, labeled by remaining life."""
     parts = []
@@ -163,7 +162,7 @@ def build_frames(
         labels = F.piecewise_rul_labels(s.length, cp, rul_max)
         part = F.fuse_and_slice(
             z[cp:], slow[cp:], pipe.window, labels[cp:],
-            stride=stride, unit_id=s.unit_id, start_index=cp + 1,
+            unit_id=s.unit_id, start_index=cp + 1,
         )
         if part is not None:
             parts.append(part)
@@ -171,15 +170,15 @@ def build_frames(
 
 
 def build_frames_milling(
-    runs: Sequence[MillingRun], pipe: FeaturePipeline, stride: int = 1
+    series_list: Sequence[RunToFailureSeries], pipe: FeaturePipeline
 ) -> FrameBatch:
-    """One short unit per cut; every frame carries the run-level label."""
+    """Frames over every row of each cut wrapped by ``milling_run_series``,
+    all labeled with the cut's residual life."""
     parts = []
-    for r in runs:
-        z, slow = pipe.transform(r.sensors)
-        labels = np.full(z.shape[0], r.rul)
-        part = F.fuse_and_slice(z, slow, pipe.window, labels,
-                                stride=stride, unit_id=r.unit_id)
+    for s in series_list:
+        z, slow = pipe.transform(s.sensors, s.settings)
+        labels = np.full(z.shape[0], s.true_rul)
+        part = F.fuse_and_slice(z, slow, pipe.window, labels, unit_id=s.unit_id)
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -306,23 +307,23 @@ def sensitivity_grid(
     filter_candidates,
     unit_candidates,
     batch: FrameBatch,
-    base_config: network.ModelConfig,
+    config_for: Callable[[int, int], network.ModelConfig],
     cfg: TrainConfig,
     explore: str = "greedy",
-    jobs: int = 1,
 ) -> GridResult:
     """Two-axis search over convolution filters and LSTM width.
 
-    Candidate lists are scanned in order (customarily multiples of 8
-    starting at 8).  Each cell trains from a seed derived from the base
-    seed and the cell coordinates, always against the same validation
-    units, and is scored by validation RMSE with the prognostics score
-    as tie-break.  In greedy mode an axis stops extending as soon as a
-    step fails to improve: within a row, the next LSTM width must beat
-    the row's best; a new filter row must beat the global best.
-    ``explore="full"`` evaluates every cell; only full mode can spread
-    cells over ``jobs`` worker threads (greedy is order-dependent), and
-    the result is identical to the serial scan.
+    ``config_for(filters, lstm_units)`` supplies each cell's model; the
+    cell's row and seed keep the candidate values even where the config
+    adjusts them (say, bumping filters to a multiple of the capsule
+    dimension).  Candidate lists are scanned in order (customarily
+    multiples of 8 starting at 8).  Each cell trains from a seed derived
+    from the base seed and the cell coordinates, always against the same
+    validation units, and is scored by validation RMSE with the
+    prognostics score as tie-break.  In greedy mode an axis stops
+    extending as soon as a step fails to improve: within a row, the next
+    LSTM width must beat the row's best; a new filter row must beat the
+    global best.  ``explore="full"`` evaluates every cell.
     """
     filters = [int(f) for f in filter_candidates]
     lstm_units = [int(u) for u in unit_candidates]
@@ -330,23 +331,16 @@ def sensitivity_grid(
         raise ValueError("candidate lists must be nonempty")
     if explore not in ("greedy", "full"):
         raise ValueError(f"unknown exploration mode {explore!r}")
-    d = base_config.caps_dim
-    bad = [f for f in filters if f % d != 0]
-    if bad:
-        raise ValueError(
-            f"filter candidates {bad} are not divisible by capsule dim {d}"
-        )
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA5]))
     _, val_units = split_unit_ids(batch.units(), cfg.validation_fraction, split_rng)
     val_set = set(val_units)
-    _, idx_va = _split_sequences(batch.unit_ids, base_config.sequence_length, val_set)
-    y_va = batch.labels[idx_va[:, -1]]
 
     from .evaluation import rmse as _rmse, scoring_function as _sf
 
     def run_cell(f: int, u: int) -> GridCell:
-        config = replace(base_config, conv_filters=f, caps_channels=f // d,
-                         caps_kernel=None, lstm_units=u)
+        config = config_for(f, u)
+        _, idx_va = _split_sequences(batch.unit_ids, config.sequence_length, val_set)
+        y_va = batch.labels[idx_va[:, -1]]
         seed = _cell_seed(cfg.seed, f, u)
         cell_cfg = replace(cfg, seed=seed)
         params, report = train(config, batch, cell_cfg, val_units=val_units)
@@ -361,34 +355,23 @@ def sensitivity_grid(
 
     cells: list[GridCell] = []
     best: GridCell | None = None
-    if explore == "full" and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pairs = [(f, u) for f in filters for u in lstm_units]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_cell, f, u) for f, u in pairs]
-            cells = [fut.result() for fut in futures]
-        for cell in cells:
+    for f in filters:
+        row_best: GridCell | None = None
+        row_improved_global = False
+        for u in lstm_units:
+            cell = run_cell(f, u)
+            cells.append(cell)
             if _better(cell, best):
                 best = cell
-    else:
-        for f in filters:
-            row_best: GridCell | None = None
-            row_improved_global = False
-            for u in lstm_units:
-                cell = run_cell(f, u)
-                cells.append(cell)
-                if _better(cell, best):
-                    best = cell
-                    row_improved_global = True
-                if row_best is None or _better(cell, row_best):
-                    row_best = cell
-                elif explore == "greedy":
-                    # this width did not improve the row; stop extending it
-                    break
-            if explore == "greedy" and not row_improved_global:
-                # a whole row without global improvement ends the filter axis
+                row_improved_global = True
+            if row_best is None or _better(cell, row_best):
+                row_best = cell
+            elif explore == "greedy":
+                # this width did not improve the row; stop extending it
                 break
+        if explore == "greedy" and not row_improved_global:
+            # a whole row without global improvement ends the filter axis
+            break
     assert best is not None
     return GridResult(best=best, cells=cells)
 

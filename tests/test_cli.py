@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from slowcaps import checkpoint as ckpt
 from slowcaps import cli
+from slowcaps import config as C
 from slowcaps import data as D
 from slowcaps import evaluation as E
 from slowcaps.cli import main
@@ -147,6 +149,44 @@ def test_tune_smoke(workspace):
     best = json.loads((out / "best.json").read_text())
     assert best["conv_filters"] == 8 and best["lstm_units"] in (4, 8)
     assert any(str(best["lstm_units"]) == line.split(",")[1] for line in grid[1:])
+
+
+def test_tune_cells_are_the_models_train_builds(workspace, tmp_path, monkeypatch):
+    """With ``basic_capsule.channels`` pinned, each cell keeps the pinned
+    count, exactly as ``train --set model.filters=f`` resolves it."""
+    pinned = SET + ["--set", "model.basic_capsule.channels=3",
+                    "--set", "tune.filter_candidates=[8,16]"]
+    seen = []
+    real_train = cli.T.train
+
+    def recording_train(config, *args, **kwargs):
+        seen.append(config)
+        return real_train(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli.T, "train", recording_train)
+    data, feat = str(workspace / "data"), str(workspace / "feat")
+    assert main(["tune", "--out", str(tmp_path / "tune"), "--data-dir", data,
+                 "--features", feat, "--seed", "3", *pinned]) == 0
+    monkeypatch.setattr(cli.T, "train", real_train)
+    pipe = cli._load_features(feat)
+    cells = [(f, u) for f in (8, 16) for u in (4, 8)]
+    assert len(seen) == len(cells)
+    for (f, u), config in zip(cells, seen):
+        cfg = C.load_config(None)
+        C.apply_overrides(cfg, pinned[1::2] + [f"model.filters={f}", f"model.lstm_units={u}"])
+        assert config == C.resolve_model_config(
+            cfg, frame_channels=pipe.frame_channels, num_slow=pipe.sfa.num_slow,
+            plain_channels=pipe.sfa.n_channels, window=pipe.window)
+        assert (config.conv_filters, config.caps_channels, config.lstm_units) == (f, 3, u)
+    grid = (tmp_path / "tune" / "grid.csv").read_text().splitlines()[1:]
+    assert [tuple(int(v) for v in row.split(",")[:2]) for row in grid] == cells
+    # the 16 x 8 cell is the architecture train writes for those values
+    model = tmp_path / "model"
+    assert main(["train", "--out", str(model), "--data-dir", data, "--features", feat,
+                 "--seed", "3", "--epochs", "1", *pinned,
+                 "--set", "model.filters=16", "--set", "model.lstm_units=8"]) == 0
+    arch = json.loads((model / "model_config.json").read_text())["architecture"]
+    assert arch == json.loads(json.dumps(asdict(seen[-1])))
 
 
 def test_ablate_smoke(workspace):
@@ -341,6 +381,12 @@ ARTIFACT_CORRUPTIONS = [
      "1000000000000x8 frames do not match model_config.json (8x8)"),
     ("fewer_slow_features", "evaluate", "features.json", _set_scalar("num_slow", 1.0),
      "8x7 frames do not match model_config.json (8x8)"),
+    # a window no training unit can fill used to end in "no frames to
+    # concatenate", naming neither the file nor the window
+    ("huge_window_train", "train", "features.json", _set_scalar("window", 1e12),
+     "window 1000000000000 is longer than every training unit's degradation stage"),
+    ("huge_window_tune", "tune", "features.json", _set_scalar("window", 1e12),
+     "window 1000000000000 is longer than every training unit's degradation stage"),
 ]
 
 
@@ -511,15 +557,15 @@ def test_version_flag(capsys):
 
 @pytest.mark.parametrize("env, level", [
     ({"SLOWCAPS_LOG": "debug"}, logging.DEBUG),
-    ({"SDTC_LOG": "info"}, logging.INFO),
-    ({"SLOWCAPS_LOG": "error", "SDTC_LOG": "debug"}, logging.ERROR),
+    ({"SLOWCAPS_LOG": " info "}, logging.INFO),
+    ({"SLOWCAPS_LOG": "Error"}, logging.ERROR),
     ({}, logging.WARNING),
+    ({"SLOWCAPS_LOG": "loud"}, logging.WARNING),
 ])
 def test_log_level_from_environment(monkeypatch, env, level):
     seen = {}
     monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.update(kw))
-    for name in ("SLOWCAPS_LOG", "SDTC_LOG"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("SLOWCAPS_LOG", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     cli._setup_logging()
@@ -604,3 +650,36 @@ def test_fit_features_milling(tmp_path):
     assert "acf.csv" in manifest["artifacts"]
     acf = (tmp_path / "auto" / "acf.csv").read_text().splitlines()
     assert acf[0] == "lag,acf" and acf[1] == "0,1.0"
+
+
+def test_milling_chain(tmp_path):
+    """fit-features, train, evaluate and tune on milling cuts split by
+    case: ten plus three cases give 9 + 2 training and 1 + 1 test cases."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_milling_csv(data / "milling.csv", cases_material=((1, 10), (2, 3)))
+    milling = Path(__file__).resolve().parent.parent / "configs" / "milling.json"
+    common = ["--config", str(milling), "--data-dir", str(data), "--seed", "3",
+              "--set", "model.window_length=10", "--set", "features.num_slow=3",
+              "--set", "model.epoch=1", "--set", "model.sequence_length=3",
+              "--set", "model.fnn.widths=[16,1]"]
+    feat, model = str(tmp_path / "feat"), str(tmp_path / "model")
+    assert main(["fit-features", "--out", feat, *common]) == 0
+    assert main(["train", "--out", model, "--features", feat, *common]) == 0
+    arch = json.loads((tmp_path / "model" / "model_config.json").read_text())["architecture"]
+    assert (arch["window_length"], arch["conv_filters"], arch["caps_channels"]) == (10, 24, 8)
+    history = (tmp_path / "model" / "history.csv").read_text().splitlines()
+    assert len(history) == 2
+    assert main(["evaluate", "--out", str(tmp_path / "eval"), "--model", model,
+                 "--features", feat, *common]) == 0
+    report = E.load_report(tmp_path / "eval" / "report.json")
+    assert [row["unit"] for row in report.rows] == [
+        f"c{c:02d}r{r:02d}" for c in (10, 13) for r in (1, 2, 3)]
+    assert np.isfinite(report.rmse)
+    # the default filter candidates 16, 32, 64 do not divide the pinned
+    # capsule dimension 3: each cell bumps them as train would, and the
+    # grid keeps the candidate values
+    assert main(["tune", "--out", str(tmp_path / "tune"), "--features", feat, *common,
+                 "--set", "tune.epochs=1", "--set", "tune.lstm_candidates=[8]"]) == 0
+    grid = (tmp_path / "tune" / "grid.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in grid][:2] == [16, 32]

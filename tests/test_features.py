@@ -299,15 +299,6 @@ def test_fuse_and_slice_layout():
     assert set(batch.unit_ids) == {"u7"}
 
 
-def test_fuse_and_slice_stride():
-    x = np.arange(14, dtype=np.float64).reshape(7, 2)
-    s = np.empty((7, 0))
-    labels = np.arange(7, dtype=np.float64)
-    batch = F.fuse_and_slice(x, s, window=3, labels=labels, stride=2)
-    assert batch.frames.shape == (3, 3, 2)
-    np.testing.assert_array_equal(batch.labels, [2, 4, 6])
-
-
 def test_fuse_and_slice_short_segment_returns_none(caplog):
     with caplog.at_level(logging.WARNING, logger="slowcaps.features"):
         out = F.fuse_and_slice(np.zeros((2, 3)), np.zeros((2, 1)), window=5,

@@ -93,7 +93,7 @@ def test_fit_features_drops_constant_channels():
     assert hybrid.shape == (widened[0].length, 7)
 
 
-def test_build_frames_layout_and_stride(caplog):
+def test_build_frames_layout(caplog):
     series = planted_series(units=3)
     settings = P.FeatureSettings(rul_max=8.0, num_slow=2, window=4)
     pipe, _, _ = P.fit_features(series, settings)
@@ -118,10 +118,6 @@ def test_build_frames_layout_and_stride(caplog):
     expected = F.piecewise_rul_labels(k, cp, 8.0)[cp:][3:]
     np.testing.assert_array_equal(batch.labels[sel], expected)
     assert batch.labels[sel][0] == 4.0 and batch.labels[sel][-1] == 0.0
-    # stride subsamples the same end positions
-    strided = P.build_frames(series, pipe, rul_max=8.0, stride=3)
-    sel3 = strided.unit_slice(s0.unit_id)
-    np.testing.assert_array_equal(strided.end_indices[sel3], ends[::3])
 
 
 def test_build_frames_skips_too_short_units(caplog):
@@ -280,12 +276,16 @@ def test_fit_features_milling_and_frames():
     stats = F.fit_normalizer([r.sensors for r in runs if r.is_normal])
     np.testing.assert_allclose(pipe.stats.mean, stats.mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pipe.stats.std, stats.std, rtol=0, atol=1e-12)
-    batch = P.build_frames_milling(runs, pipe)
+    batch = P.build_frames_milling(series, pipe)
     assert set(batch.unit_ids) == {r.unit_id for r in runs}
     for r in runs[:3]:
+        # every row of the cut, the normal first cut included
         sel = batch.unit_slice(r.unit_id)
         assert sel.stop - sel.start == 60 - 10 + 1
         np.testing.assert_array_equal(batch.labels[sel], r.rul)
+        np.testing.assert_array_equal(batch.end_indices[sel], np.arange(10, 61))
+        np.testing.assert_allclose(batch.frames[sel.start], pipe.hybrid(r.sensors)[:10],
+                                   rtol=0, atol=1e-12)
     # automatic window selection from the degraded cuts stays sane and
     # reports its noise band like any series fit
     _, diag_auto, _ = P.fit_features(series, P.FeatureSettings(num_slow=2))

@@ -264,12 +264,15 @@ def test_cell_seed_is_deterministic_and_distinct():
     assert TR._cell_seed(1, 8, 16) != TR._cell_seed(2, 8, 16)
 
 
+def grid_config(filters, lstm_units):
+    return tiny_config(conv_filters=filters, lstm_units=lstm_units)
+
+
 def test_sensitivity_grid_full_tiny_run():
-    cfg = tiny_config()
     batch = make_batch()
     tc = TR.TrainConfig(epochs=2, batch_size=16, validation_fraction=0.25,
                         seed=11)
-    res = TR.sensitivity_grid([8], [4, 5], batch, cfg, tc, explore="full")
+    res = TR.sensitivity_grid([8], [4, 5], batch, grid_config, tc, explore="full")
     assert [(c.conv_filters, c.lstm_units) for c in res.cells] == [(8, 4), (8, 5)]
     assert res.best in res.cells
     assert all(np.isfinite(c.rmse) and np.isfinite(c.score) for c in res.cells)
@@ -278,9 +281,6 @@ def test_sensitivity_grid_full_tiny_run():
     assert rows[0].keys() == {
         "conv_filters", "lstm_units", "rmse", "score", "seed", "best_epoch"
     }
-    # threads return the same cells in the same order
-    res2 = TR.sensitivity_grid([8], [4, 5], batch, cfg, tc, explore="full", jobs=2)
-    assert res2.to_rows() == res.to_rows()
 
 
 def _patch_grid_costs(monkeypatch, rmse_map):
@@ -310,32 +310,50 @@ def test_sensitivity_grid_greedy_stopping_rules(monkeypatch):
         (24, 4): 1.0, (24, 8): 1.0, (24, 16): 1.0,   # never reached
     }
     _patch_grid_costs(monkeypatch, rmse_map)
-    cfg = tiny_config()
     batch = FrameBatch(
         np.zeros((8, 12, 6)), np.zeros(8),
         np.array(["a"] * 4 + ["b"] * 4), np.arange(8),
     )
     tc = TR.TrainConfig(epochs=1, validation_fraction=0.5, seed=0)
-    res = TR.sensitivity_grid([8, 16, 24], [4, 8, 16], batch, cfg, tc,
+    res = TR.sensitivity_grid([8, 16, 24], [4, 8, 16], batch, grid_config, tc,
                               explore="greedy")
     assert [(c.conv_filters, c.lstm_units) for c in res.cells] == [
         (8, 4), (8, 8), (16, 4), (16, 8), (16, 16)
     ]
     assert (res.best.conv_filters, res.best.lstm_units) == (8, 4)
     # full mode scans everything and finds the far corner
-    res_full = TR.sensitivity_grid([8, 16, 24], [4, 8, 16], batch, cfg, tc,
+    res_full = TR.sensitivity_grid([8, 16, 24], [4, 8, 16], batch, grid_config, tc,
                                    explore="full")
     assert len(res_full.cells) == 9
     assert res_full.best.conv_filters == 24
 
 
+def test_sensitivity_grid_rows_keep_the_candidates(monkeypatch):
+    # the config may adjust a candidate (here: bump 10 filters to 12);
+    # rows and seeds still name the candidate
+    _patch_grid_costs(monkeypatch, {(12, 4): 2.0, (12, 5): 1.0})
+    batch = FrameBatch(
+        np.zeros((8, 12, 6)), np.zeros(8),
+        np.array(["a"] * 4 + ["b"] * 4), np.arange(8),
+    )
+    tc = TR.TrainConfig(epochs=1, validation_fraction=0.5, seed=3)
+    asked = []
+
+    def bumped(filters, lstm_units):
+        asked.append((filters, lstm_units))
+        return grid_config(12 if filters == 10 else filters, lstm_units)
+
+    res = TR.sensitivity_grid([10], [4, 5], batch, bumped, tc, explore="full")
+    assert asked == [(10, 4), (10, 5)]
+    assert [(c.conv_filters, c.lstm_units, c.rmse) for c in res.cells] == [
+        (10, 4, 2.0), (10, 5, 1.0)]
+    assert [c.seed for c in res.cells] == [TR._cell_seed(3, 10, u) for u in (4, 5)]
+
+
 def test_sensitivity_grid_validation():
-    cfg = tiny_config()
     batch = make_batch()
     tc = TR.TrainConfig(seed=0, validation_fraction=0.25)
-    with pytest.raises(ValueError, match="divisible"):
-        TR.sensitivity_grid([10], [4], batch, cfg, tc)
     with pytest.raises(ValueError, match="nonempty"):
-        TR.sensitivity_grid([], [4], batch, cfg, tc)
+        TR.sensitivity_grid([], [4], batch, grid_config, tc)
     with pytest.raises(ValueError, match="exploration"):
-        TR.sensitivity_grid([8], [4], batch, cfg, tc, explore="beam")
+        TR.sensitivity_grid([8], [4], batch, grid_config, tc, explore="beam")
