@@ -21,6 +21,7 @@ import copy
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -183,18 +184,16 @@ def _load_features(raw: str) -> F.FeaturePipeline:
 def _training_frames(cfg: dict, data_dir: Path, pipe: F.FeaturePipeline,
                      features: str) -> F.FrameBatch:
     """Labelled frames of the training units: every row of a milling cut,
-    the degradation stage of a run-to-failure unit."""
+    the degradation stage of a run-to-failure unit.  A unit that does not
+    fit ``pipe`` (a window longer than every stage, say) is an error of
+    the features file."""
     units = _units(cfg, data_dir, "train")
-    milling = cfg["dataset"] == "milling"
-    rows = max((s.length if milling else s.length - s.change_point for s in units), default=0)
-    if rows < pipe.window:
-        stage = "cut" if milling else "degradation stage"
-        raise ValueError(
-            f"{_features_path(features)}: window {pipe.window} is longer than every "
-            f"training unit's {stage} (at most {rows} rows)")
-    if milling:
-        return P.build_frames_milling(units, pipe)
-    return P.build_frames(units, pipe, float(cfg["rul_max"]))
+    try:
+        if cfg["dataset"] == "milling":
+            return P.build_frames_milling(units, pipe)
+        return P.build_frames(units, pipe, float(cfg["rul_max"]))
+    except ValueError as exc:
+        raise ValueError(f"{_features_path(features)}: {exc}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -319,7 +318,10 @@ def cmd_evaluate(args) -> int:
         model_doc = json.loads(path.read_text(encoding="utf-8"))
         model_cfg = network.ModelConfig(**model_doc["architecture"])
         label_scale = float(model_doc["label_scale"])
+        if not (math.isfinite(label_scale) and label_scale > 0):
+            raise ValueError(f"label_scale must be a positive number, got {label_scale!r}")
         variant = model_doc.get("variant", "full")
+        include_slow, _ = P.variant_flags(variant)
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"{path}: malformed model config: {exc}") from None
     ckpt_path = model_dir / "checkpoint.json"
@@ -334,7 +336,6 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{ckpt_path}: does not match model_config.json: " + "; ".join(problems))
     params = ckpt.arrays_to_tensors(arrays, requires_grad=False)
     pipe = _load_features(args.features)
-    include_slow, _ = P.variant_flags(variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
     frame = (pipe_v.window, pipe_v.frame_channels)
     if frame != (model_cfg.window_length, model_cfg.in_channels):
@@ -347,11 +348,10 @@ def cmd_evaluate(args) -> int:
     if any(t is None for t in truths):
         raise ValueError("evaluation units lack true residual life")
     ids, preds = E.last_point_predictions(params, model_cfg, pipe_v, series, label_scale)
-    clip = bool(cfg["evaluation"]["clip"]) and not args.no_clip
+    clip = not args.no_clip
     report = E.build_report(
         ids, truths, preds, variant=variant, seed=model_doc.get("seed"),
         clip=clip, rul_max=float(cfg["rul_max"]) if clip else None,
-        hist_edges=cfg["evaluation"]["histogram_edges"],
     )
     E.emit_report(report, out, stem="report")
     _write_manifest(out, "evaluate", cfg, args.seed,

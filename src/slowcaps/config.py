@@ -10,12 +10,15 @@ plain JSON file.  Validation collects every problem before failing.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import logging
 from typing import Any
 
+import numpy as np
+
 from .data import SyntheticSpec
-from .network import ModelConfig
+from .network import ModelConfig, _is_int
 from .pipeline import FeatureSettings
 from .training import TrainConfig
 
@@ -82,11 +85,6 @@ _DEFAULTS: dict[str, Any] = {
         "validation_fraction": 0.1,
         "scale_labels": True,
         "shuffle": True,
-    },
-    "evaluation": {
-        "clip": True,
-        "histogram_edges": [-50.0, -40.0, -30.0, -20.0, -10.0, 0.0,
-                            10.0, 20.0, 30.0, 40.0, 50.0],
     },
     "tune": {
         "filter_candidates": [16, 32, 64],
@@ -189,10 +187,6 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_pair(value, name, problems) -> None:
     if value is None:
         return
@@ -222,13 +216,12 @@ def validate_config(cfg: dict) -> None:
         p.append("features.per_condition must be a boolean")
 
     m = cfg.get("model", {})
-    if not _is_int(m.get("epoch")) or m["epoch"] < 1:
-        p.append("model.epoch must be a positive integer")
+    for key in ("epoch", "filters", "routing_iterations", "lstm_units", "sequence_length"):
+        if not _is_int(m.get(key)) or m[key] < 1:
+            p.append(f"model.{key} must be a positive integer")
     if m.get("window_length") is not None and (
             not _is_int(m["window_length"]) or m["window_length"] < 1):
         p.append("model.window_length must be null or a positive integer")
-    if not _is_int(m.get("filters")) or m["filters"] < 1:
-        p.append("model.filters must be a positive integer")
     _check_pair(m.get("kernel_size"), "model.kernel_size", p)
     _check_pair(m.get("strides"), "model.strides", p)
     bc = m.get("basic_capsule", {})
@@ -243,12 +236,6 @@ def validate_config(cfg: dict) -> None:
         v = ac.get(key)
         if v is not None and (not _is_int(v) or v < 1):
             p.append(f"model.advanced_capsule.{key} must be null or a positive integer")
-    if not _is_int(m.get("routing_iterations")) or m["routing_iterations"] < 1:
-        p.append("model.routing_iterations must be a positive integer")
-    if not _is_int(m.get("lstm_units")) or m["lstm_units"] < 1:
-        p.append("model.lstm_units must be a positive integer")
-    if not _is_int(m.get("sequence_length")) or m["sequence_length"] < 1:
-        p.append("model.sequence_length must be a positive integer")
     fnn = m.get("fnn", {})
     widths = fnn.get("widths")
     if (not isinstance(widths, (list, tuple)) or not widths
@@ -259,8 +246,9 @@ def validate_config(cfg: dict) -> None:
         p.append("model.fnn.dropout must be in [0, 1)")
 
     t = cfg.get("training", {})
-    if not _is_int(t.get("batch_size")) or t["batch_size"] < 1:
-        p.append("training.batch_size must be a positive integer")
+    for key in ("batch_size", "patience"):
+        if not _is_int(t.get(key)) or t[key] < 1:
+            p.append(f"training.{key} must be a positive integer")
     if not _is_num(t.get("learning_rate")) or t["learning_rate"] <= 0:
         p.append("training.learning_rate must be a positive number")
     for key in ("beta1", "beta2"):
@@ -268,8 +256,6 @@ def validate_config(cfg: dict) -> None:
             p.append(f"training.{key} must be in [0, 1)")
     if not _is_num(t.get("eps")) or t["eps"] <= 0:
         p.append("training.eps must be a positive number")
-    if not _is_int(t.get("patience")) or t["patience"] < 1:
-        p.append("training.patience must be a positive integer")
     if not _is_num(t.get("min_delta")) or t["min_delta"] < 0:
         p.append("training.min_delta must be a number >= 0")
     if not _is_num(t.get("validation_fraction")) or not 0 < t["validation_fraction"] < 1:
@@ -277,15 +263,6 @@ def validate_config(cfg: dict) -> None:
     for key in ("scale_labels", "shuffle"):
         if not isinstance(t.get(key), bool):
             p.append(f"training.{key} must be a boolean")
-
-    e = cfg.get("evaluation", {})
-    if not isinstance(e.get("clip"), bool):
-        p.append("evaluation.clip must be a boolean")
-    edges = e.get("histogram_edges")
-    if (not isinstance(edges, (list, tuple)) or len(edges) < 2
-            or not all(_is_num(x) for x in edges)
-            or any(b <= a for a, b in zip(edges, edges[1:]))):
-        p.append("evaluation.histogram_edges must be strictly increasing numbers")
 
     tu = cfg.get("tune", {})
     for key in ("filter_candidates", "lstm_candidates"):
@@ -363,8 +340,6 @@ def synthetic_spec_from(cfg: dict) -> tuple[SyntheticSpec, int]:
     s = cfg["synthetic"]
     mixing = s["mixing"]
     if isinstance(mixing, list):
-        import numpy as np
-
         mixing = np.asarray(mixing, dtype=np.float64)
     spec = SyntheticSpec(
         channels=int(s["channels"]),
@@ -451,7 +426,5 @@ def resolve_model_config(
 
 
 def config_digest(cfg: dict) -> str:
-    import hashlib
-
     text = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

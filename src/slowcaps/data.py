@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ log = logging.getLogger("slowcaps.data")
 
 CMAPSS_SETTINGS = 3
 CMAPSS_SENSORS = 21
-MILLING_SENSORS = 6
 MILLING_SAMPLES_PER_RUN = 90
 MILLING_WEAR_THRESHOLD = 0.45
 MILLING_COLUMNS = [
@@ -56,7 +55,6 @@ class RunToFailureSeries:
     change_point: int
     settings: np.ndarray | None = None
     true_rul: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.sensors = np.asarray(self.sensors, dtype=np.float64)
@@ -75,10 +73,6 @@ class RunToFailureSeries:
     @property
     def length(self) -> int:
         return self.sensors.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.sensors.shape[1]
 
 
 def _read_space_table(path) -> list[list[float]]:
@@ -201,18 +195,15 @@ class MillingRun:
         return f"c{self.case_id:02d}r{self.run_id:02d}"
 
 
-def load_milling(
-    csv_path,
-    wear_threshold: float = MILLING_WEAR_THRESHOLD,
-    samples_per_run: int = MILLING_SAMPLES_PER_RUN,
-) -> dict:
+def load_milling(csv_path, samples_per_run: int = MILLING_SAMPLES_PER_RUN) -> dict:
     """Load the milling CSV (one row per sample, runs of fixed length).
 
     Columns: case, run, material, three cutting parameters, six sensor
     channels, and the measured flank wear (may be empty on unmeasured
     runs).  Missing wear values are filled by linear interpolation over
     run order within each case, clamped at the ends.  Per-run labels
-    count the cuts remaining until wear first exceeds ``wear_threshold``.
+    count the cuts remaining until wear first exceeds
+    ``MILLING_WEAR_THRESHOLD``.
     Returns a dict with the "runs" list.
     """
     path = Path(csv_path)
@@ -264,11 +255,11 @@ def load_milling(
         ))
     if not runs:
         raise ValueError(f"{path}: no runs found")
-    _fill_wear_and_label(runs, wear_threshold)
+    _fill_wear_and_label(runs)
     return {"runs": runs}
 
 
-def _fill_wear_and_label(runs: list[MillingRun], threshold: float) -> None:
+def _fill_wear_and_label(runs: list[MillingRun]) -> None:
     by_case: dict[int, list[MillingRun]] = {}
     for r in runs:
         by_case.setdefault(r.case_id, []).append(r)
@@ -281,14 +272,14 @@ def _fill_wear_and_label(runs: list[MillingRun], threshold: float) -> None:
         xi = np.asarray([m[0] for m in measured], dtype=np.float64)
         yi = np.asarray([m[1] for m in measured], dtype=np.float64)
         filled = np.interp(order, xi, yi)
-        exceed = np.flatnonzero(filled > threshold)
+        exceed = np.flatnonzero(filled > MILLING_WEAR_THRESHOLD)
         if exceed.size:
             fail_at = int(exceed[0])
         else:
             fail_at = len(case_runs)
             log.warning(
                 "case %s never exceeds wear threshold %.2f; labeling from end of record",
-                case, threshold,
+                case, MILLING_WEAR_THRESHOLD,
             )
         for i, r in enumerate(case_runs):
             r.wear_filled = float(filled[i])
@@ -344,7 +335,6 @@ class SyntheticSpec:
     units: int = 20
     length_range: tuple[int, int] = (280, 320)
     rul_max: float = 120.0
-    change_fraction: tuple[float, float] | None = None
     mixing: np.ndarray | str | None = None
 
     def __post_init__(self):
@@ -398,11 +388,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict:
     truth_units = []
     for u in range(spec.units):
         k_c = int(rng.integers(lo, hi + 1))
-        if spec.change_fraction is None:
-            cp = max(int(k_c - spec.rul_max), 1)
-        else:
-            flo, fhi = spec.change_fraction
-            cp = int(np.clip(round(rng.uniform(flo, fhi) * k_c), 1, k_c - 1))
+        cp = max(int(k_c - spec.rul_max), 1)
         t = np.arange(1, k_c + 1, dtype=np.float64)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=spec.latents)
         latents = np.stack(

@@ -50,6 +50,9 @@ __all__ = [
 
 log = logging.getLogger("slowcaps.features")
 
+# a standard deviation below this is a flat channel, not a scale
+MIN_STD = 1e-12
+
 
 def _as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
@@ -108,14 +111,14 @@ class NormalizationStats:
             raise ValueError("mean and std must be matching 1-D arrays")
 
 
-def fit_normalizer(segments, tol: float = 1e-12) -> NormalizationStats:
+def fit_normalizer(segments) -> NormalizationStats:
     """Fit pooled z-score statistics over the given normal-stage segments."""
     pooled = np.vstack(_as_segments(segments))
     if pooled.shape[0] < 2:
         raise ValueError("need at least two samples to fit normalization")
     mean = pooled.mean(axis=0)
     std = pooled.std(axis=0)
-    bad = np.flatnonzero(std < tol)
+    bad = np.flatnonzero(std < MIN_STD)
     if bad.size:
         raise ValueError(f"zero-variance channel(s) at indices {bad.tolist()}; "
                          "drop constant channels first")
@@ -154,8 +157,9 @@ class ConditionNormalizer:
         return (sensors - self.means[nearest]) / self.stds[nearest]
 
 
-def fit_condition_normalizer(series_list, tol: float = 1e-12) -> ConditionNormalizer:
-    """Fit per-condition statistics on the normal stage of each series."""
+def fit_condition_normalizer(series_list) -> ConditionNormalizer:
+    """Fit per-condition statistics on the normal stage of each series; a
+    channel flat within a condition keeps scale 1 there."""
     groups: dict[tuple, list] = {}
     for s in series_list:
         if s.settings is None:
@@ -171,7 +175,7 @@ def fit_condition_normalizer(series_list, tol: float = 1e-12) -> ConditionNormal
         std = block.std(axis=0)
         centers.append(key)
         means.append(block.mean(axis=0))
-        stds.append(np.where(std < tol, 1.0, std))
+        stds.append(np.where(std < MIN_STD, 1.0, std))
     return ConditionNormalizer(
         centers=np.asarray(centers, dtype=np.float64),
         means=np.asarray(means),
@@ -347,36 +351,25 @@ class FrameBatch:
     """Sliding-window frames with aligned labels and provenance.
 
     ``frames`` has shape (n, window, channels); frames of the same unit
-    are stored contiguously in time order.  ``end_indices`` records the
-    1-based sample index of each frame's last row within its unit.
+    are stored contiguously in time order.
     """
 
     frames: np.ndarray
     labels: np.ndarray
     unit_ids: np.ndarray
-    end_indices: np.ndarray
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.unit_ids = np.asarray(self.unit_ids)
-        self.end_indices = np.asarray(self.end_indices, dtype=np.int64)
         n = self.frames.shape[0]
         if self.frames.ndim != 3:
             raise ValueError(f"frames must be rank 3, got shape {self.frames.shape}")
-        if not (self.labels.shape == (n,) == self.unit_ids.shape == self.end_indices.shape):
-            raise ValueError("frames, labels, unit_ids and end_indices disagree in length")
+        if not (self.labels.shape == (n,) == self.unit_ids.shape):
+            raise ValueError("frames, labels and unit_ids disagree in length")
 
     def __len__(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.frames.shape[2]
 
     def units(self) -> list:
         out, seen = [], set()
@@ -386,12 +379,6 @@ class FrameBatch:
                 out.append(u)
         return out
 
-    def unit_slice(self, unit) -> slice:
-        idx = np.flatnonzero(self.unit_ids == unit)
-        if idx.size == 0:
-            raise KeyError(f"unit {unit} not in batch")
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-
 
 def fuse_and_slice(
     x_d,
@@ -399,7 +386,6 @@ def fuse_and_slice(
     window: int,
     labels,
     unit_id="u0",
-    start_index: int = 1,
 ) -> FrameBatch | None:
     """Concatenate channels with slow features and cut sliding windows.
 
@@ -407,9 +393,8 @@ def fuse_and_slice(
     sample axis; each run of ``window`` consecutive rows (stride 1, as
     ``training.sequence_index`` assumes) becomes one frame whose
     label is the entry of ``labels`` aligned with the frame's last row.
-    ``start_index`` is the 1-based series index of row 0, recorded in the
-    frame provenance.  Returns None (with a warning) when the segment is
-    shorter than the window.
+    Returns None (with a warning) when the segment is shorter than the
+    window.
     """
     xd = _as_matrix(x_d)
     sd = np.asarray(s_d, dtype=np.float64)
@@ -434,12 +419,10 @@ def fuse_and_slice(
     hybrid = np.hstack([xd, sd]) if sd.shape[1] else xd
     views = np.lib.stride_tricks.sliding_window_view(hybrid, window, axis=0)
     frames = np.ascontiguousarray(views.transpose(0, 2, 1))
-    ends = np.arange(window - 1, k, dtype=np.int64)
     return FrameBatch(
         frames=frames,
-        labels=y[ends],
+        labels=y[window - 1 :].copy(),
         unit_ids=np.full(frames.shape[0], unit_id, dtype=object),
-        end_indices=ends + start_index,
     )
 
 
@@ -451,7 +434,6 @@ def concat_batches(batches: Sequence[FrameBatch]) -> FrameBatch:
         frames=np.concatenate([b.frames for b in parts]),
         labels=np.concatenate([b.labels for b in parts]),
         unit_ids=np.concatenate([b.unit_ids for b in parts]),
-        end_indices=np.concatenate([b.end_indices for b in parts]),
     )
 
 
@@ -482,16 +464,12 @@ class FeaturePipeline:
             raise ValueError("window must be >= 1")
 
     @property
-    def n_retained(self) -> int:
-        return int(self.channel_mask.sum())
-
-    @property
     def num_slow(self) -> int:
         return int(self.sfa.num_slow)
 
     @property
     def frame_channels(self) -> int:
-        return self.n_retained + (self.num_slow if self.include_slow else 0)
+        return int(self.channel_mask.sum()) + (self.num_slow if self.include_slow else 0)
 
     def transform(self, raw_matrix, settings=None) -> tuple[np.ndarray, np.ndarray]:
         m = _as_matrix(raw_matrix)
@@ -548,17 +526,36 @@ def _whole_number(arrays: dict[str, np.ndarray], name: str, lo: int, hi: float) 
 
 
 def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
-    """Rebuild a pipeline from :func:`pipeline_to_arrays` output; a window
-    below 1 or a slow-feature count outside 1 .. retained channels, or
-    either not a whole number, raises ``ValueError``."""
-    retained = int((arrays["channel_mask"] > 0.5).sum())
+    """Rebuild a pipeline from :func:`pipeline_to_arrays` output; a missing
+    array, an array whose shape does not fit the 1-D channel mask, a
+    window below 1 or a slow-feature count outside 1 .. retained channels,
+    or either not a whole number, raises ``ValueError``."""
+    def shape(name: str) -> tuple:
+        if name not in arrays:
+            raise ValueError(f"missing array {name}")
+        return np.shape(arrays[name])
+
+    if len(shape("channel_mask")) != 1:
+        raise ValueError(f"channel_mask must be 1-D, got shape {shape('channel_mask')}")
+    j = int((arrays["channel_mask"] > 0.5).sum())
+    want = {"norm_mean": (j,), "norm_std": (j,), "sfa_weights": (j, j), "sfa_lambdas": (j,),
+            "sfa_cov_static": (j, j), "sfa_cov_diff": (j, j), "sfa_ridge": (),
+            "num_slow": (), "window": (), "include_slow": ()}
+    if any(name.startswith("condition_") for name in arrays):
+        centers = shape("condition_centers")
+        if len(centers) != 2:
+            raise ValueError(f"condition_centers must be 2-D, got shape {centers}")
+        want["condition_means"] = want["condition_stds"] = centers[:1] + shape("channel_mask")
+    for name, expected in want.items():
+        if shape(name) != expected:
+            raise ValueError(f"{name} has shape {shape(name)}, expected {expected}")
     sfa = SlowFeatureModel(
         weights=arrays["sfa_weights"],
         lambdas=arrays["sfa_lambdas"],
         ridge=float(arrays["sfa_ridge"]),
         cov_static=arrays["sfa_cov_static"],
         cov_diff=arrays["sfa_cov_diff"],
-        num_slow=_whole_number(arrays, "num_slow", 1, retained),
+        num_slow=_whole_number(arrays, "num_slow", 1, j),
     )
     condition = None
     if "condition_centers" in arrays:

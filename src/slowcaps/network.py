@@ -48,18 +48,26 @@ SQUASH_EPS = 1e-12
 # name: 8 MiB is 73 frames at FD001 geometry, and the whole validation
 # set in one pass at desk geometry
 BLOCK_BYTES = 8 << 20
-# OpenBLAS rounds the capsule-kernel gradient, a reduction over every
-# distinct patch of the batch, the same on 1 and 2 threads when the
-# patch count is a multiple of 32 (checked at FD001 geometry)
+# OpenBLAS 0.3.31 rounds a weight gradient, a reduction over the batch's
+# patches, frames or sequence steps, the same on 1 and 2 threads when
+# their count is a multiple of 32 (checked at FD001 geometry); padding
+# with zero rows leaves the bits of a reduction of up to 384 unchanged
 PATCH_MULTIPLE = 32
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
 def _pair(v, name: str) -> tuple[int, int]:
-    try:
-        a, b = int(v[0]), int(v[1])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"{name} must be a pair of ints, got {v!r}") from exc
-    return a, b
+    if not (isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_int, v))):
+        raise ValueError(f"{name} must be a pair of ints, got {v!r}")
+    return int(v[0]), int(v[1])
+
+
+_INT_FIELDS = ("window_length", "in_channels", "conv_filters", "caps_dim", "caps_channels",
+               "num_advanced", "advanced_dim", "routing_iterations", "lstm_units",
+               "sequence_length")
 
 
 @dataclass
@@ -91,6 +99,15 @@ class ModelConfig:
     dropout: float = 0.2
 
     def __post_init__(self):
+        wrong = [f"{name} must be an integer, got {getattr(self, name)!r}"
+                 for name in _INT_FIELDS if not _is_int(getattr(self, name))
+                 and not (name == "caps_channels" and self.caps_channels is None)]
+        if not all(map(_is_int, self.fnn_widths)):
+            wrong.append(f"fnn_widths must be integers, got {self.fnn_widths!r}")
+        if not isinstance(self.use_lstm, (bool, np.bool_)):
+            wrong.append(f"use_lstm must be a boolean, got {self.use_lstm!r}")
+        if wrong:
+            raise ValueError("invalid model config: " + "; ".join(wrong))
         self.conv_kernel = _pair(self.conv_kernel, "conv_kernel")
         self.conv_stride = _pair(self.conv_stride, "conv_stride")
         self.caps_stride = _pair(self.caps_stride, "caps_stride")
@@ -250,15 +267,16 @@ def parameter_count(params: Mapping[str, Tensor]) -> int:
     return int(sum(t.data.size for t in params.values()))
 
 
-def squash(s: Tensor, eps: float = SQUASH_EPS) -> Tensor:
+def squash(s: Tensor) -> Tensor:
     """Nonlinear length normalization of capsule vectors (last axis).
 
     v = (|s|^2 / (1 + |s|^2)) * s / |s|; short vectors shrink toward
     zero, long vectors approach unit length, direction is preserved.
-    The eps guard keeps the zero vector mapped exactly to zero.  One tape
-    node: the forward is :func:`_squash_np`, the routing squash; with
-    v = f(n2) s, n2 = |s|^2 and r = sqrt(n2 + eps), the backward is the
-    closed form g f + s 2 f'(n2) (g . s), where
+    The eps = :data:`SQUASH_EPS` guard keeps the zero vector mapped
+    exactly to zero.  One tape node: the forward is :func:`_squash_np`,
+    the routing squash; with v = f(n2) s, n2 = |s|^2 and
+    r = sqrt(n2 + eps), the backward is the closed form
+    g f + s 2 f'(n2) (g . s), where
     f' = (n2 + 2 eps - n2^2) / (2 r^3 (1 + n2)^2).
     """
     x = s.data
@@ -266,19 +284,19 @@ def squash(s: Tensor, eps: float = SQUASH_EPS) -> Tensor:
     def bw(g):
         if s.requires_grad:
             n2 = (x * x).sum(axis=-1, keepdims=True)
-            r = np.sqrt(n2 + eps)
+            r = np.sqrt(n2 + SQUASH_EPS)
             q = 1.0 + n2
-            df2 = (n2 + 2.0 * eps - n2 * n2) / (r * r * r * q * q)
+            df2 = (n2 + 2.0 * SQUASH_EPS - n2 * n2) / (r * r * r * q * q)
             gx = g * (n2 / (q * r))
             gx += x * (df2 * (g * x).sum(axis=-1, keepdims=True))
             _accumulate_new(s, gx)
 
-    return make_op(_squash_np(x, eps), (s,), bw)
+    return make_op(_squash_np(x), (s,), bw)
 
 
-def _squash_np(s: np.ndarray, eps: float = SQUASH_EPS) -> np.ndarray:
+def _squash_np(s: np.ndarray) -> np.ndarray:
     n2 = (s * s).sum(axis=-1, keepdims=True)
-    return s * (n2 / ((1.0 + n2) * np.sqrt(n2 + eps)))
+    return s * (n2 / ((1.0 + n2) * np.sqrt(n2 + SQUASH_EPS)))
 
 
 def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
@@ -344,13 +362,19 @@ def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.n
     out = np.einsum("nij,nija->nja", c, votes, optimize=True)
 
     def bw(g):
-        # (J, N, ...) slabs, contiguous per advanced capsule
+        # (J, N, ...) slabs, contiguous per advanced capsule, with zero
+        # rows padding the frame axis, dW's reduction, to PATCH_MULTIPLE
         cj = np.ascontiguousarray(c.transpose(2, 0, 1))
-        ds = np.ascontiguousarray(np.asarray(g).transpose(1, 0, 2))
+        padded = n + -n % PATCH_MULTIPLE
+        dsp = np.zeros((j, padded, a))
+        ds = dsp[:, :n]
+        ds[...] = np.asarray(g).transpose(1, 0, 2)
         if w.requires_grad:
-            x = np.einsum("jni,nid->jnid", cj, _frame_capsules(u, index)).reshape(j, n, i * d)
-            gw = np.matmul(x.transpose(0, 2, 1), ds).reshape(j, i, d, a)
-            accumulate_grad(w, gw.transpose(1, 0, 3, 2))
+            x = np.empty((j, padded, i, d))
+            x[:, n:] = 0.0
+            np.einsum("jni,nid->jnid", cj, _frame_capsules(u, index), out=x[:, :n])
+            gw = np.matmul(x.reshape(j, padded, i * d).transpose(0, 2, 1), dsp)
+            accumulate_grad(w, gw.reshape(j, i, d, a).transpose(1, 0, 3, 2))
         if u.requires_grad:
             wj = np.ascontiguousarray(w.data.transpose(1, 2, 0, 3)).reshape(j, a, i * d)
             gx = np.matmul(ds, wj).reshape(j, n, i, d)
@@ -495,7 +519,9 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
     parameters concatenated in i, f, g, o order; c = f c + i g and
     h = o tanh(c).  The backward pass is closed-form BPTT (Greff et al.,
     "LSTM: A Search Space Odyssey", appendix) over the saved gates and
-    cell states, with each weight gradient one GEMM over all S*B rows.
+    cell states, with each weight gradient one GEMM over all S*B rows,
+    padded to a multiple of :data:`PATCH_MULTIPLE` by rows that meet
+    zero gate gradients.
     """
     if v_seq.ndim != 3:
         raise ValueError(f"lstm input must be rank 3, got shape {v_seq.shape}")
@@ -508,10 +534,17 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
     ps = [params[f"lstm.{kind}{gate}"] for kind in ("w_x", "w_h", "b_") for gate in "ifgo"]
     wx, wh, b = (np.concatenate([p.data for p in ps[k : k + 4]], axis=-1) for k in (0, 4, 8))
     u = config.lstm_units
-    x = np.ascontiguousarray(v_seq.data.transpose(1, 0, 2))
+    # the weight gradients reduce over the S*B rows of x and h_0 .. h_S-1
+    # and the padded rows after them, which meet zero rows of dz
+    n = steps * batch
+    padded = n + -n % PATCH_MULTIPLE
+    xs = np.zeros((padded, width))
+    x = xs[:n].reshape(steps, batch, width)
+    x[...] = v_seq.data.transpose(1, 0, 2)
+    hrows = np.zeros((max(padded, n + batch), u))
+    hs = hrows[: n + batch].reshape(steps + 1, batch, u)  # h_0 .. h_S
     gates = np.empty((steps, batch, 4 * u))
     cs = np.zeros((steps + 1, batch, u))      # c_0 .. c_S
-    hs = np.zeros((steps + 1, batch, u))      # h_0 .. h_S
     tcs = np.empty((steps, batch, u))         # tanh(c_1) .. tanh(c_S)
     for t in range(steps):
         z = x[t] @ wx + hs[t] @ wh + b
@@ -524,7 +557,8 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
         hs[t + 1] = o * tcs[t]
 
     def bw(grad):
-        dz = np.empty_like(gates)
+        dzs = np.zeros((padded, 4 * u))
+        dz = dzs[:n].reshape(steps, batch, 4 * u)
         dh = np.asarray(grad)
         dc = np.zeros((batch, u))
         for t in reversed(range(steps)):
@@ -538,9 +572,8 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
             do[:] = dh * tc * o * (1.0 - o)
             dc = dc * f
             dh = dz[t] @ wh.T
-        rows = dz.reshape(steps * batch, 4 * u)
-        sums = (x.reshape(steps * batch, width).T @ rows,
-                hs[:-1].reshape(steps * batch, u).T @ rows, rows.sum(axis=0))
+        rows = dzs[:n]
+        sums = (xs.T @ dzs, hrows[:padded].T @ dzs, rows.sum(axis=0))
         for k, full in enumerate(sums):
             for p, part in zip(ps[4 * k : 4 * k + 4], np.split(full, 4, axis=-1)):
                 if p.requires_grad:

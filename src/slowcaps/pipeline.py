@@ -154,16 +154,17 @@ def build_frames(
     pipe: FeaturePipeline,
     rul_max: float,
 ) -> FrameBatch:
-    """Degradation-stage frames for every unit, labeled by remaining life."""
+    """Degradation-stage frames for every unit, labeled by remaining life;
+    a window longer than every unit's stage raises ``ValueError``."""
+    _check_window(pipe.window, [s.length - s.change_point for s in series_list],
+                  "degradation stage")
     parts = []
     for s in series_list:
         z, slow = pipe.transform(s.sensors, s.settings)
         cp = s.change_point
         labels = F.piecewise_rul_labels(s.length, cp, rul_max)
-        part = F.fuse_and_slice(
-            z[cp:], slow[cp:], pipe.window, labels[cp:],
-            unit_id=s.unit_id, start_index=cp + 1,
-        )
+        part = F.fuse_and_slice(z[cp:], slow[cp:], pipe.window, labels[cp:],
+                                unit_id=s.unit_id)
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)
@@ -173,7 +174,8 @@ def build_frames_milling(
     series_list: Sequence[RunToFailureSeries], pipe: FeaturePipeline
 ) -> FrameBatch:
     """Frames over every row of each cut wrapped by ``milling_run_series``,
-    all labeled with the cut's residual life."""
+    all labeled with the cut's residual life, under the same window rule."""
+    _check_window(pipe.window, [s.length for s in series_list], "cut")
     parts = []
     for s in series_list:
         z, slow = pipe.transform(s.sensors, s.settings)
@@ -182,6 +184,13 @@ def build_frames_milling(
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)
+
+
+def _check_window(window: int, rows: list[int], stage: str) -> None:
+    longest = max(rows, default=0)
+    if longest < window:
+        raise ValueError(f"window {window} is longer than every unit's {stage} "
+                         f"(at most {longest} rows)")
 
 
 def milling_run_series(run: MillingRun) -> RunToFailureSeries:
@@ -196,8 +205,6 @@ def milling_run_series(run: MillingRun) -> RunToFailureSeries:
         sensors=run.sensors,
         change_point=run.sensors.shape[0] if run.is_normal else 0,
         true_rul=run.rul,
-        metadata={"case": run.case_id, "run": run.run_id,
-                  "wear": run.wear_filled},
     )
 
 

@@ -38,7 +38,11 @@ __all__ = [
 _grad_state = threading.local()
 # matmul's forward runs in blocks of this many rows: OpenBLAS 0.3.31
 # rounds the head's (M x 200) @ (200 x 100) product differently on 1 and
-# 2 threads at M = 51-100, and a 32-row block the same on both
+# 2 threads at M = 51-100, and a 32-row block the same on both.  Its
+# weight gradient, a reduction over the M rows, differs from M = 385 on
+# unless zero rows pad M to a multiple of this count; a one-column
+# gradient is a matrix-vector product, which OpenBLAS does not split
+# across threads and which padding would round differently
 MATMUL_ROWS = 32
 
 
@@ -277,7 +281,11 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             accumulate_grad(a, g @ b.data.T)
         if b.requires_grad:
-            accumulate_grad(b, a.data.T @ g)
+            x, gb = a.data, g
+            if g.shape[1] > 1 and x.shape[0] % MATMUL_ROWS:
+                pad = ((0, -x.shape[0] % MATMUL_ROWS), (0, 0))
+                x, gb = np.pad(x, pad), np.pad(gb, pad)
+            accumulate_grad(b, x.T @ gb)
 
     return make_op(out_data, (a, b), bw)
 

@@ -12,7 +12,6 @@ in the scaled space and predictions are unscaled on the way out.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -85,10 +84,9 @@ class TrainReport:
     train_sequences: int
     val_sequences: int
     label_scale: float
-    wall_seconds: float
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "train_loss": self.train_loss,
             "val_loss": self.val_loss,
             "best_epoch": self.best_epoch,
@@ -98,9 +96,6 @@ class TrainReport:
             "val_sequences": self.val_sequences,
             "label_scale": self.label_scale,
         }
-        if include_timing:
-            doc["wall_seconds"] = self.wall_seconds
-        return doc
 
 
 def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
@@ -182,7 +177,6 @@ def train(
     config: network.ModelConfig,
     batch: FrameBatch,
     cfg: TrainConfig,
-    params: dict[str, Tensor] | None = None,
     val_units: list | None = None,
 ) -> tuple[dict[str, Tensor], TrainReport]:
     """Fit the model on a frame batch; returns best-validation parameters.
@@ -194,7 +188,6 @@ def train(
     training stopped.  Everything is driven by ``cfg.seed``: repeated
     calls are bit-identical.
     """
-    t0 = time.perf_counter()
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_split, ss_shuffle, ss_dropout = root.spawn(4)
     units = batch.units()
@@ -213,8 +206,7 @@ def train(
     ys_tr = batch.labels[idx_tr[:, -1]] / cfg.label_scale
     ys_va = batch.labels[idx_va[:, -1]] / cfg.label_scale
 
-    if params is None:
-        params = network.init_parameters(config, np.random.default_rng(ss_init))
+    params = network.init_parameters(config, np.random.default_rng(ss_init))
     adam = Adam(params, lr=cfg.learning_rate, beta1=cfg.beta1,
                 beta2=cfg.beta2, eps=cfg.eps)
     shuffle_rng = np.random.default_rng(ss_shuffle)
@@ -270,7 +262,6 @@ def train(
         train_sequences=int(n_tr),
         val_sequences=int(ys_va.size),
         label_scale=cfg.label_scale,
-        wall_seconds=time.perf_counter() - t0,
     )
     return params, report
 

@@ -14,6 +14,8 @@ from slowcaps import cli
 from slowcaps import config as C
 from slowcaps import data as D
 from slowcaps import evaluation as E
+from slowcaps import features as F
+from slowcaps import network as N
 from slowcaps.cli import main
 
 SET = [
@@ -207,6 +209,57 @@ def test_ablate_smoke(workspace):
     assert manifest["variants"] == ["full", "no-sfa"]
 
 
+def test_ablate_scores_like_train_and_evaluate(workspace, tmp_path):
+    """Each ablation variant writes the report, predictions and train
+    report that ``train --variant`` followed by ``evaluate`` write."""
+    variants = ("full", "no-lstm", "no-sfa")
+    data, feat = str(workspace / "data"), str(workspace / "feat")
+    run = ["--epochs", "1", "--seed", "3", *SET]
+    argv = ["ablate", "--out", str(tmp_path / "ablate"), "--data-dir", data, *run]
+    for variant in variants:
+        argv += ["--variant", variant]
+    assert main(argv) == 0
+    for variant in variants:
+        model, ev = tmp_path / variant / "model", tmp_path / variant / "eval"
+        assert main(["train", "--out", str(model), "--data-dir", data, "--features", feat,
+                     "--variant", variant, *run]) == 0
+        assert main(["evaluate", "--out", str(ev), "--data-dir", data, "--features", feat,
+                     "--model", str(model), "--seed", "3", *SET]) == 0
+        for got, want in (("report.json", ev), ("report_predictions.csv", ev),
+                          ("train_report.json", model)):
+            assert (tmp_path / "ablate" / variant / got).read_bytes() == \
+                (want / got).read_bytes(), (variant, got)
+
+
+def test_evaluate_no_clip_reports_the_raw_predictions(workspace, tmp_path):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "checkpoint.json").write_bytes((workspace / "model" / "checkpoint.json").read_bytes())
+    doc = json.loads((workspace / "model" / "model_config.json").read_text())
+    doc["label_scale"] = 1000.0  # predictions far outside [0, rul_max]
+    (model / "model_config.json").write_text(json.dumps(doc))
+    for out, flags in (("clipped", []), ("raw", ["--no-clip"])):
+        assert main(["evaluate", "--out", str(tmp_path / out), "--data-dir",
+                     str(workspace / "data"), "--model", str(model), "--features",
+                     str(workspace / "feat"), *flags, *SET]) == 0
+    data = workspace / "data"
+    units = D.load_cmapss(None, data / "test_synthetic.txt", data / "RUL_synthetic.txt",
+                          rul_max=40.0, n_sensors=6)["test"]
+    ids, preds = E.last_point_predictions(
+        ckpt.arrays_to_tensors(ckpt.load_arrays(model / "checkpoint.json")),
+        N.ModelConfig(**doc["architecture"]),
+        F.pipeline_from_arrays(ckpt.load_arrays(workspace / "feat" / "features.json")),
+        units, 1000.0)
+    assert np.any((preds < 0.0) | (preds > 40.0))
+    raw = json.loads((tmp_path / "raw" / "report.json").read_text())
+    assert raw["clipped"] is False and raw["rul_max"] is None
+    assert [r["unit"] for r in raw["rows"]] == ids
+    assert [r["predicted_rul"] for r in raw["rows"]] == preds.tolist()
+    clipped = json.loads((tmp_path / "clipped" / "report.json").read_text())
+    assert clipped["clipped"] is True and clipped["rul_max"] == 40.0
+    assert [r["predicted_rul"] for r in clipped["rows"]] == np.clip(preds, 0.0, 40.0).tolist()
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -360,6 +413,33 @@ def _set_scalar(name: str, value: float):
     return edit
 
 
+def _set_array(name: str, edit):
+    def apply(text: str) -> str:
+        doc = json.loads(text)
+        a = edit(ckpt.loads_arrays(json.dumps({"x": doc[name]}))["x"])
+        doc[name] = {"shape": list(a.shape), "data": a.ravel().tolist()}
+        return json.dumps(doc)
+    return apply
+
+
+def _drop(name: str):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        del doc[name]
+        return json.dumps(doc)
+    return edit
+
+
+def _set_model(key: str, value):
+    """Set a field of model_config.json: ``label_scale`` or an
+    architecture field."""
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        (doc if key == "label_scale" else doc["architecture"])[key] = value
+        return json.dumps(doc)
+    return edit
+
+
 # (case, command, file edited, edit, reason)
 ARTIFACT_CORRUPTIONS = [
     ("nan_in_features", "train", "features.json", _nan_in_cov_diff,
@@ -384,9 +464,29 @@ ARTIFACT_CORRUPTIONS = [
     # a window no training unit can fill used to end in "no frames to
     # concatenate", naming neither the file nor the window
     ("huge_window_train", "train", "features.json", _set_scalar("window", 1e12),
-     "window 1000000000000 is longer than every training unit's degradation stage"),
+     "window 1000000000000 is longer than every unit's degradation stage"),
     ("huge_window_tune", "tune", "features.json", _set_scalar("window", 1e12),
-     "window 1000000000000 is longer than every training unit's degradation stage"),
+     "window 1000000000000 is longer than every unit's degradation stage"),
+    # arrays of the wrong shape or missing used to end in a TypeError,
+    # IndexError or KeyError naming no file
+    ("ridge_of_two", "train", "features.json", _set_array("sfa_ridge", lambda a: a.repeat(2)),
+     "sfa_ridge has shape (2,), expected ()"),
+    ("include_slow_of_two", "evaluate", "features.json",
+     _set_array("include_slow", lambda a: a.repeat(2)), "include_slow has shape (2,), expected ()"),
+    ("channel_mask_2d", "train", "features.json", _set_array("channel_mask", lambda a: a[None]),
+     "channel_mask must be 1-D, got shape (1, 6)"),
+    ("missing_ridge", "evaluate", "features.json", _drop("sfa_ridge"),
+     "missing array sfa_ridge"),
+    # whole-number floats used to end in a TypeError traceback at
+    # initialization; a string use_lstm and a zero label_scale exited 0
+    ("float_window_length", "evaluate", "model_config.json", _set_model("window_length", 8.0),
+     "window_length must be an integer, got 8.0"),
+    ("float_conv_filters", "evaluate", "model_config.json", _set_model("conv_filters", 8.0),
+     "conv_filters must be an integer, got 8.0"),
+    ("string_use_lstm", "evaluate", "model_config.json", _set_model("use_lstm", "no"),
+     "use_lstm must be a boolean, got 'no'"),
+    ("zero_label_scale", "evaluate", "model_config.json", _set_model("label_scale", 0),
+     "label_scale must be a positive number, got 0.0"),
 ]
 
 
@@ -460,6 +560,10 @@ CORRUPTIONS = [
      "training.batch_size must be a positive integer"),
     ("shuffle_not_bool", "train", None, None, ["--set", "training.shuffle=1"], 2,
      "training.shuffle must be a boolean"),
+    # ablate fits its own features: its frames used to end in "no frames
+    # to concatenate" after one warning per unit
+    ("huge_window_ablate", "ablate", None, None, ["--set", "model.window_length=100000"], 1,
+     "window 100000 is longer than every unit's degradation stage (at most 40 rows)"),
 ]
 
 

@@ -33,11 +33,15 @@ def test_load_config_merges_file(tmp_path):
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"modle": {}, "model": {"floof": 3}}))
+    # `evaluate --no-clip` is the one clip switch and the histogram bands
+    # are fixed, so there is no evaluation section
+    p.write_text(json.dumps({"modle": {}, "model": {"floof": 3},
+                             "evaluation": {"clip": False}}))
     with pytest.raises(C.ConfigError) as err:
         C.load_config(p)
     assert any("'modle'" in q for q in err.value.problems)
     assert any("'model.floof'" in q for q in err.value.problems)
+    assert "unknown config key 'evaluation'" in err.value.problems
 
 
 def test_load_config_rejects_malformed_files(tmp_path):

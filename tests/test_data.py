@@ -17,7 +17,7 @@ def test_series_accessors():
     s = D.RunToFailureSeries(
         unit_id="u1", sensors=np.arange(12.0).reshape(6, 2), change_point=4
     )
-    assert s.length == 6 and s.n_channels == 2
+    assert s.length == 6
 
 
 def test_series_validation():
@@ -175,14 +175,6 @@ def test_generate_synthetic_truth_and_geometry():
     assert [s.unit_id for s in made["series"]] == [
         "s001", "s002", "s003", "s004", "s005"
     ]
-
-
-def test_generate_synthetic_change_fraction_window():
-    spec = D.SyntheticSpec(units=8, length_range=(100, 100),
-                           change_fraction=(0.4, 0.6))
-    made = D.generate_synthetic(spec, seed=1)
-    for s in made["series"]:
-        assert 40 <= s.change_point <= 60
 
 
 def test_synthetic_spec_validation():

@@ -359,6 +359,92 @@ def test_fd001_training_steps_ignore_blas_thread_count():
     assert_same_output_on_1_and_2_threads(FULL_STEPS)
 
 
+WIDE_STEPS = """
+import hashlib
+import numpy as np
+from slowcaps import network as N
+from slowcaps import training as TR
+from slowcaps.optim import Adam
+from slowcaps.tensor import backward
+from conftest import sliding_frames
+from test_fd001_geometry import fd001_config
+
+config = fd001_config()
+rng = np.random.default_rng(13)
+params = N.init_parameters(config, rng)
+adam = Adam(params)
+# 6 units x 160 rows: 798 sliding-window frames and 774 sequences, 440
+# of them in three batches of 128 and a tail of 56
+frames = sliding_frames(rng.normal(size=(6, 160, 16)), 28)
+index = TR.sequence_index(np.repeat(np.arange(6), 133), 5)[rng.permutation(774)[:440]]
+y = rng.uniform(size=len(frames))
+distinct = []
+for lo in range(0, 440, 128):
+    batch = index[lo : lo + 128]
+    distinct.append(np.unique(batch).size)
+    loss = TR._forward_loss(frames, batch, y[batch[:, -1]], params, config, "train", rng)
+    adam.zero_grad()
+    backward(loss)
+    adam.step()
+assert min(distinct[:3]) > 384, distinct
+digest = hashlib.sha256()
+for name in sorted(params):
+    digest.update(params[name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fd001_wide_training_steps_ignore_blas_thread_count():
+    """Four training steps at batch size 128, three naming more than 384
+    distinct frames and a 56-sequence tail, give byte-identical
+    parameters on 1 and 2 BLAS threads: the weight gradients' reductions
+    over frames and sequence steps are zero-padded to a multiple of
+    ``PATCH_MULTIPLE``, and the head's over rows to ``MATMUL_ROWS``."""
+    assert_same_output_on_1_and_2_threads(WIDE_STEPS)
+
+
+REDUCTIONS = """
+import hashlib
+import numpy as np
+from slowcaps import network as N
+from slowcaps import tensor as T
+from test_fd001_geometry import fd001_config
+
+config = fd001_config()
+rng = np.random.default_rng(17)
+params = N.init_parameters(config, rng)
+digest = hashlib.sha256()
+
+def leaf(*shape):
+    return T.Tensor(rng.normal(size=shape), requires_grad=True)
+
+for rows in (100, 385, 419, 700, 1281):
+    # routed sum over `rows` frames, the head's middle product over `rows`
+    # sequences, the LSTM over `rows` // 2 sequences of 5 steps
+    params["route.transform"].grad[...] = 0.0
+    v, _ = N.dynamic_routing(leaf(rows, 224, 8), params, config)
+    T.backward(T.reduce_sum(v))
+    digest.update(params["route.transform"].grad.tobytes())
+    w = leaf(200, 100)
+    T.backward(T.reduce_sum(T.matmul(T.Tensor(rng.normal(size=(rows, 200))), w)))
+    digest.update(w.grad.tobytes())
+    for p in params.values():
+        p.grad[...] = 0.0
+    T.backward(T.reduce_sum(N.lstm_forward(leaf(rows // 2, 5, 32), params, config)))
+    for name in sorted(params):
+        digest.update(params[name].grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fd001_weight_gradients_ignore_blas_thread_count_at_any_batch_size():
+    """The routed sum's, a head layer's and the LSTM's weight gradients
+    are byte-identical on 1 and 2 BLAS threads at batch sizes where the
+    unpadded products round differently: 385 to 1,281 frames or rows,
+    and 50 to 640 sequences of 5 steps."""
+    assert_same_output_on_1_and_2_threads(REDUCTIONS)
+
+
 PREDICT_BLOCK = """
 import hashlib
 import numpy as np

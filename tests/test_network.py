@@ -871,8 +871,7 @@ def test_desk_validation_set_is_one_forward(monkeypatch):
     rng = np.random.default_rng(8)
     n = 20 + n_val * per_unit
     uids = np.array(["t"] * 20 + [f"v{i // per_unit}" for i in range(n - 20)])
-    batch = FrameBatch(rng.normal(size=(n, 31, 8)), rng.uniform(size=n), uids,
-                       np.zeros(n, dtype=int))
+    batch = FrameBatch(rng.normal(size=(n, 31, 8)), rng.uniform(size=n), uids)
     calls = []
     forward = N.model_forward
 
@@ -891,7 +890,7 @@ def test_train_val_loss_is_predict_mse(rng):
     frames = rng.normal(size=(24, 12, 6))
     labels = np.tile(np.linspace(20.0, 0.0, 8), 3)
     uids = np.repeat(np.array(["a", "b", "c"]), 8)
-    batch = FrameBatch(frames, labels, uids, np.tile(np.arange(8), 3))
+    batch = FrameBatch(frames, labels, uids)
     tc = TR.TrainConfig(epochs=1, batch_size=4, label_scale=20.0, seed=3)
     params, report = TR.train(cfg, batch, tc, val_units=["b"])
     idx = TR.sequence_index(uids, cfg.sequence_length)

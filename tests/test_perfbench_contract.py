@@ -43,7 +43,7 @@ def test_tracer_sees_training_and_dense_scoring(monkeypatch):
     frames = rng.normal(size=(24, 12, 6))
     labels = np.tile(np.linspace(1.0, 0.0, 8), 3)
     uids = np.repeat(np.array(["a", "b", "c"]), 8)
-    batch = FrameBatch(frames, labels, uids, np.tile(np.arange(8), 3))
+    batch = FrameBatch(frames, labels, uids)
 
     tracer = spans.Tracer()
     tracer.install_slowcaps(sc)

@@ -1,6 +1,7 @@
 """Feature-chain orchestration, per-condition normalization, milling
 adapters, and the architecture ablation driver."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -100,19 +101,13 @@ def test_build_frames_layout(caplog):
     batch = P.build_frames(series, pipe, rul_max=8.0)
     s0 = series[0]
     cp, k = s0.change_point, s0.length
-    sel = batch.unit_slice(s0.unit_id)
+    sel = np.flatnonzero(batch.unit_ids == s0.unit_id)
     n0 = (k - cp) - 4 + 1
-    assert sel.stop - sel.start == n0
-    # frame content matches the hybrid rows ending at each end index
+    np.testing.assert_array_equal(sel, np.arange(n0))
+    # frame content matches the hybrid rows ending at rows cp + 4 .. k
     hybrid = pipe.hybrid(s0.sensors)
-    ends = batch.end_indices[sel]
-    np.testing.assert_array_equal(ends, np.arange(cp + 4, k + 1))
-    np.testing.assert_allclose(
-        batch.frames[sel.start], hybrid[cp : cp + 4], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        batch.frames[sel.stop - 1], hybrid[k - 4 : k], atol=1e-12
-    )
+    for end, frame in zip(range(cp + 4, k + 1), batch.frames[sel]):
+        np.testing.assert_allclose(frame, hybrid[end - 4 : end], atol=1e-12)
     # labels follow the capped countdown from the change point; the first
     # frame already spans four degradation rows, so its label is 8 - 4
     expected = F.piecewise_rul_labels(k, cp, 8.0)[cp:][3:]
@@ -132,6 +127,24 @@ def test_build_frames_skips_too_short_units(caplog):
         batch = P.build_frames(series + [stub], pipe, rul_max=100.0)
     assert "stub" not in set(batch.unit_ids)
     assert any("stub" in r.message for r in caplog.records)
+
+
+def test_build_frames_rejects_a_window_no_unit_fills(caplog):
+    series = planted_series(units=3)
+    pipe, _, _ = P.fit_features(series, P.FeatureSettings(num_slow=1, window=4))
+    longest = max(s.length - s.change_point for s in series)
+    wide = dataclasses.replace(pipe, window=longest + 1)
+    with caplog.at_level(logging.WARNING, logger="slowcaps.features"):
+        with pytest.raises(ValueError, match=f"window {longest + 1} is longer than every "
+                           f"unit's degradation stage \\(at most {longest} rows\\)"):
+            P.build_frames(series, wide, rul_max=8.0)
+    assert not caplog.records  # no warning per unit first
+    assert len(P.build_frames(series, dataclasses.replace(pipe, window=longest), 8.0)) >= 1
+    cuts = [P.milling_run_series(r) for r in milling_runs()]
+    cut_pipe, _, _ = P.fit_features(cuts, P.FeatureSettings(num_slow=2, window=61))
+    with pytest.raises(ValueError, match="window 61 is longer than every unit's cut "
+                       "\\(at most 60 rows\\)"):
+        P.build_frames_milling(cuts, cut_pipe)
 
 
 # --------------------------------------------- per-condition normalization
@@ -280,12 +293,12 @@ def test_fit_features_milling_and_frames():
     assert set(batch.unit_ids) == {r.unit_id for r in runs}
     for r in runs[:3]:
         # every row of the cut, the normal first cut included
-        sel = batch.unit_slice(r.unit_id)
-        assert sel.stop - sel.start == 60 - 10 + 1
+        sel = np.flatnonzero(batch.unit_ids == r.unit_id)
+        assert sel.size == 60 - 10 + 1
         np.testing.assert_array_equal(batch.labels[sel], r.rul)
-        np.testing.assert_array_equal(batch.end_indices[sel], np.arange(10, 61))
-        np.testing.assert_allclose(batch.frames[sel.start], pipe.hybrid(r.sensors)[:10],
-                                   rtol=0, atol=1e-12)
+        hybrid = pipe.hybrid(r.sensors)
+        for end, frame in zip(range(10, 61), batch.frames[sel]):
+            np.testing.assert_allclose(frame, hybrid[end - 10 : end], rtol=0, atol=1e-12)
     # automatic window selection from the degraded cuts stays sane and
     # reports its noise band like any series fit
     _, diag_auto, _ = P.fit_features(series, P.FeatureSettings(num_slow=2))
@@ -313,7 +326,6 @@ def test_milling_run_series_wrapper():
     assert s.unit_id == run.unit_id
     assert s.change_point == 0  # a worn cut is all degradation
     assert s.true_rul == run.rul
-    assert s.metadata["case"] == run.case_id
     assert P.milling_run_series(first).change_point == first.sensors.shape[0]
 
 

@@ -26,7 +26,7 @@ def tiny_config(**kw):
 def make_batch(seed=0, n_units=4, n_frames=20):
     """Frames drifting along a fixed direction as the label ramps down."""
     rng = np.random.default_rng(seed)
-    frames, labels, uids, ends = [], [], [], []
+    frames, labels, uids = [], [], []
     direction = rng.normal(size=(12, 6))
     direction /= np.linalg.norm(direction)
     for u in range(n_units):
@@ -38,9 +38,7 @@ def make_batch(seed=0, n_units=4, n_frames=20):
             )
             labels.append(lab)
             uids.append(f"u{u}")
-            ends.append(t + 12)
-    return FrameBatch(np.array(frames), np.array(labels),
-                      np.array(uids), np.array(ends))
+    return FrameBatch(np.array(frames), np.array(labels), np.array(uids))
 
 
 # ------------------------------------------------------------- validation
@@ -184,8 +182,7 @@ def test_train_label_scaling_equivalence():
     cfg = tiny_config()
     base = make_batch()
     # power-of-two scale keeps y * 32 / 32 bit-exact
-    scaled = FrameBatch(base.frames, base.labels * 32.0, base.unit_ids,
-                        base.end_indices)
+    scaled = FrameBatch(base.frames, base.labels * 32.0, base.unit_ids)
     tc1 = TR.TrainConfig(epochs=3, batch_size=16, learning_rate=5e-3,
                          validation_fraction=0.25, seed=11, label_scale=1.0)
     tc32 = TR.TrainConfig(epochs=3, batch_size=16, learning_rate=5e-3,
@@ -209,11 +206,10 @@ def test_train_report_json_dict():
     rep = TR.TrainReport(
         train_loss=[1.0], val_loss=[2.0], best_epoch=1, stopped_early=False,
         parameter_count=10, train_sequences=5, val_sequences=2,
-        label_scale=1.0, wall_seconds=0.5,
+        label_scale=1.0,
     )
     doc = rep.to_json_dict()
     assert "wall_seconds" not in doc
-    assert rep.to_json_dict(include_timing=True)["wall_seconds"] == 0.5
     assert doc["best_epoch"] == 1
 
 
@@ -286,11 +282,11 @@ def test_sensitivity_grid_full_tiny_run():
 def _patch_grid_costs(monkeypatch, rmse_map):
     """Replace the inner training with a table lookup for policy tests."""
 
-    def fake_train(config, batch, cell_cfg, params=None, val_units=None):
+    def fake_train(config, batch, cell_cfg, val_units=None):
         rep = TR.TrainReport(
             train_loss=[0.0], val_loss=[0.0], best_epoch=1,
             stopped_early=False, parameter_count=0, train_sequences=1,
-            val_sequences=1, label_scale=1.0, wall_seconds=0.0,
+            val_sequences=1, label_scale=1.0,
         )
         return {"cfg": config}, rep
 
@@ -312,7 +308,7 @@ def test_sensitivity_grid_greedy_stopping_rules(monkeypatch):
     _patch_grid_costs(monkeypatch, rmse_map)
     batch = FrameBatch(
         np.zeros((8, 12, 6)), np.zeros(8),
-        np.array(["a"] * 4 + ["b"] * 4), np.arange(8),
+        np.array(["a"] * 4 + ["b"] * 4),
     )
     tc = TR.TrainConfig(epochs=1, validation_fraction=0.5, seed=0)
     res = TR.sensitivity_grid([8, 16, 24], [4, 8, 16], batch, grid_config, tc,
@@ -334,7 +330,7 @@ def test_sensitivity_grid_rows_keep_the_candidates(monkeypatch):
     _patch_grid_costs(monkeypatch, {(12, 4): 2.0, (12, 5): 1.0})
     batch = FrameBatch(
         np.zeros((8, 12, 6)), np.zeros(8),
-        np.array(["a"] * 4 + ["b"] * 4), np.arange(8),
+        np.array(["a"] * 4 + ["b"] * 4),
     )
     tc = TR.TrainConfig(epochs=1, validation_fraction=0.5, seed=3)
     asked = []
