@@ -326,8 +326,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"{path}: malformed model config: {exc}") from None
     ckpt_path = model_dir / "checkpoint.json"
     arrays = ckpt.load_arrays(ckpt_path)
-    want = {k: t.shape for k, t in network.init_parameters(
-        model_cfg, np.random.default_rng(0)).items()}
+    want = network.parameter_shapes(model_cfg)
     problems = ([f"missing {k}" for k in sorted(want.keys() - arrays.keys())]
                 + [f"unexpected {k}" for k in sorted(arrays.keys() - want.keys())]
                 + [f"{k} has shape {arrays[k].shape}, expected {want[k]}"
@@ -513,7 +512,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "config", "problems": exc.problems}),
               file=sys.stderr)
         return 2
-    except (ValueError, OSError, FloatingPointError, KeyError) as exc:
+    except (ValueError, OSError, FloatingPointError, KeyError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

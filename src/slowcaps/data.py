@@ -195,8 +195,9 @@ class MillingRun:
         return f"c{self.case_id:02d}r{self.run_id:02d}"
 
 
-def load_milling(csv_path, samples_per_run: int = MILLING_SAMPLES_PER_RUN) -> dict:
-    """Load the milling CSV (one row per sample, runs of fixed length).
+def load_milling(csv_path) -> dict:
+    """Load the milling CSV (one row per sample, ``MILLING_SAMPLES_PER_RUN``
+    per run).
 
     Columns: case, run, material, three cutting parameters, six sensor
     channels, and the measured flank wear (may be empty on unmeasured
@@ -244,10 +245,10 @@ def load_milling(csv_path, samples_per_run: int = MILLING_SAMPLES_PER_RUN) -> di
     runs: list[MillingRun] = []
     for (case, run), entry in sorted(raw.items()):
         block = np.asarray(entry["sensors"], dtype=np.float64)
-        if block.shape[0] != samples_per_run:
+        if block.shape[0] != MILLING_SAMPLES_PER_RUN:
             raise ValueError(
                 f"{path}: case {case} run {run} has {block.shape[0]} samples, "
-                f"expected {samples_per_run}"
+                f"expected {MILLING_SAMPLES_PER_RUN}"
             )
         runs.append(MillingRun(
             case_id=case, run_id=run, material=int(entry["material"]),
@@ -287,21 +288,16 @@ def _fill_wear_and_label(runs: list[MillingRun]) -> None:
             r.is_normal = i == 0
 
 
-def milling_protocol_split(
-    runs: list[MillingRun],
-    train_cases_primary: int = 9,
-    train_cases_secondary: int = 2,
-) -> tuple[list[MillingRun], list[MillingRun]]:
-    """Case-level split: first N cases of each material train, rest test.
+def milling_protocol_split(runs: list[MillingRun]) -> tuple[list[MillingRun], list[MillingRun]]:
+    """Case-level split: first cases of each material train, rest test.
 
-    Materials are taken in ascending id; the first
-    ``train_cases_primary`` cases of the first material and the first
-    ``train_cases_secondary`` of the second go to training.
+    Materials are taken in ascending id; the first 9 cases of the first
+    material and the first 2 of the second go to training.
     """
     materials = sorted({r.material for r in runs})
     if len(materials) != 2:
         raise ValueError(f"protocol split expects two materials, got {materials}")
-    quota = {materials[0]: train_cases_primary, materials[1]: train_cases_secondary}
+    quota = {materials[0]: 9, materials[1]: 2}
     train_cases = set()
     for m in materials:
         cases = sorted({r.case_id for r in runs if r.material == m})

@@ -40,7 +40,6 @@ __all__ = [
     "last_point_predictions",
     "sequence_predictions",
     "emit_report",
-    "load_report",
 ]
 
 log = logging.getLogger("slowcaps.evaluation")
@@ -137,7 +136,6 @@ def build_report(
     seed: int | None = None,
     clip: bool = True,
     rul_max: float | None = None,
-    hist_edges=DEFAULT_HIST_EDGES,
     extra: dict | None = None,
 ) -> EvaluationReport:
     """Clip, score and bundle predictions into a report."""
@@ -160,7 +158,7 @@ def build_report(
         rows=rows,
         rmse=rmse(preds, truths),
         score=scoring_function(preds, truths),
-        histogram=error_distribution(d, hist_edges),
+        histogram=error_distribution(d),
         variant=variant,
         seed=seed,
         clipped=bool(clip),
@@ -255,22 +253,3 @@ def emit_report(report: EvaluationReport, out_dir, stem: str = "report") -> dict
     csv_path.write_text(_report_csv_text(report), encoding="utf-8")
     return {"json": json_path, "csv": csv_path}
 
-
-def load_report(path) -> EvaluationReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report schema {doc.get('schema_version')!r}"
-        )
-    return EvaluationReport(
-        rows=doc["rows"],
-        rmse=doc["rmse"],
-        score=doc["score"],
-        histogram=doc["histogram"],
-        variant=doc["variant"],
-        seed=doc["seed"],
-        clipped=doc["clipped"],
-        rul_max=doc["rul_max"],
-        extra=doc.get("extra", {}),
-        schema_version=doc["schema_version"],
-    )

@@ -27,6 +27,7 @@ from .tensor import Tensor, _accumulate_new, _check_finite, accumulate_grad, mak
 
 __all__ = [
     "ModelConfig",
+    "parameter_shapes",
     "init_parameters",
     "parameter_count",
     "squash",
@@ -53,6 +54,14 @@ BLOCK_BYTES = 8 << 20
 # their count is a multiple of 32 (checked at FD001 geometry); padding
 # with zero rows leaves the bits of a reduction of up to 384 unchanged
 PATCH_MULTIPLE = 32
+# the regression head's products run in blocks of this many rows:
+# OpenBLAS 0.3.31 rounds its (M x 200) @ (200 x 100) differently on 1 and
+# 2 threads at M = 51-100, and a 32-row block the same on both.  A layer's
+# weight gradient, a reduction over the M rows, differs from M = 385 on
+# unless zero rows pad M to a multiple of this count; a one-column
+# gradient is a matrix-vector product, which OpenBLAS does not split
+# across threads and which padding would round differently
+MATMUL_ROWS = 32
 
 
 def _is_int(x) -> bool:
@@ -214,52 +223,55 @@ class ModelConfig:
         return self.lstm_units if self.use_lstm else self.advanced_flat_size
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialization order; computed
+    without allocating, so a checkpoint can be checked against a config
+    of any size."""
+    kh, kw = config.conv_kernel
+    m = config.conv_filters
+    ckh, ckw = config.caps_kernel
+    cm = config.caps_channels * config.caps_dim
+    shapes = {
+        "conv.kernel": (kh, kw, 1, m),
+        "conv.bias": (m,),
+        "caps.kernel": (ckh, ckw, m, cm),
+        "caps.bias": (cm,),
+        "route.transform": (config.num_basic_capsules, config.num_advanced,
+                            config.advanced_dim, config.caps_dim),
+    }
+    if config.use_lstm:
+        f, u = config.advanced_flat_size, config.lstm_units
+        for gate in "ifgo":
+            shapes.update({f"lstm.w_x{gate}": (f, u), f"lstm.w_h{gate}": (u, u),
+                           f"lstm.b_{gate}": (u,)})
+    prev = config.head_input_size
+    for li, width in enumerate(config.fnn_widths):
+        shapes.update({f"fnn.{li}.weight": (prev, width), f"fnn.{li}.bias": (width,)})
+        prev = width
+    return shapes
 
 
 def init_parameters(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Seeded initialization; draw order is fixed by construction order.
+    """Seeded initialization; draw order is the order of
+    :func:`parameter_shapes`.
 
     Convolution and fully connected weights use the symmetric uniform
-    fan-based scheme, routing transforms are normal with sigma 0.05, and
-    the LSTM forget-gate bias starts at 1 so memory is initially kept.
+    fan-based scheme (a kernel's leading axes multiply both fans),
+    routing transforms are normal with sigma 0.05, biases start at zero,
+    and the LSTM forget-gate bias starts at 1 so memory is initially
+    kept.
     """
-    kh, kw = config.conv_kernel
-    m = config.conv_filters
     params: dict[str, Tensor] = {}
-
-    def put(name, arr):
+    for name, shape in parameter_shapes(config).items():
+        if name == "route.transform":
+            arr = rng.normal(0.0, 0.05, size=shape)
+        elif len(shape) == 1:
+            arr = np.ones(shape) if name == "lstm.b_f" else np.zeros(shape)
+        else:
+            field = int(np.prod(shape[:-2]))
+            limit = np.sqrt(6.0 / (field * shape[-2] + field * shape[-1]))
+            arr = rng.uniform(-limit, limit, size=shape)
         params[name] = Tensor(arr, requires_grad=True)
-
-    put("conv.kernel", _glorot(rng, (kh, kw, 1, m), kh * kw, kh * kw * m))
-    put("conv.bias", np.zeros(m))
-    ckh, ckw = config.caps_kernel
-    cm = config.caps_channels * config.caps_dim
-    put("caps.kernel", _glorot(rng, (ckh, ckw, m, cm), ckh * ckw * m, ckh * ckw * cm))
-    put("caps.bias", np.zeros(cm))
-    put(
-        "route.transform",
-        rng.normal(
-            0.0,
-            0.05,
-            size=(config.num_basic_capsules, config.num_advanced,
-                  config.advanced_dim, config.caps_dim),
-        ),
-    )
-    if config.use_lstm:
-        f = config.advanced_flat_size
-        u = config.lstm_units
-        for gate in ("i", "f", "g", "o"):
-            put(f"lstm.w_x{gate}", _glorot(rng, (f, u), f, u))
-            put(f"lstm.w_h{gate}", _glorot(rng, (u, u), u, u))
-            put(f"lstm.b_{gate}", np.ones(u) if gate == "f" else np.zeros(u))
-    prev = config.head_input_size
-    for li, width in enumerate(config.fnn_widths):
-        put(f"fnn.{li}.weight", _glorot(rng, (prev, width), prev, width))
-        put(f"fnn.{li}.bias", np.zeros(width))
-        prev = width
     return params
 
 
@@ -594,21 +606,66 @@ def regression_head(
     """Fully connected stack ending in a single linear output per sample.
 
     Hidden layers use relu followed, in training mode, by inverted
-    dropout; the final layer is affine with no activation.
+    dropout: keep with probability 1 - p, drawn from ``rng`` one layer
+    at a time, and rescale by 1 / (1 - p); the final layer is affine
+    with no activation.  One tape node from ``h`` and the ``fnn.*``
+    parameters.  Each product runs in blocks of :data:`MATMUL_ROWS`
+    rows, and its backward is the closed form: the dropout mask and the
+    relu gate, the bias gradient as the column sum, the weight gradient
+    x^T g over the rows zero-padded to a multiple of
+    :data:`MATMUL_ROWS` (unless it has one column), and the input
+    gradient g W^T.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and config.dropout > 0.0 and rng is None:
+    drop = config.dropout if mode == "train" else 0.0
+    if drop > 0.0 and rng is None:
         raise ValueError("training mode with dropout needs an rng")
-    z = h
-    last = len(config.fnn_widths) - 1
-    for li in range(len(config.fnn_widths)):
-        z = T.add(T.matmul(z, params[f"fnn.{li}.weight"]), params[f"fnn.{li}.bias"])
-        if li < last:
-            z = T.relu(z)
-            if mode == "train" and config.dropout > 0.0:
-                z = T.dropout(z, config.dropout, rng)
-    return T.reshape(z, (z.shape[0],))
+    layers = range(len(config.fnn_widths))
+    ws = [params[f"fnn.{li}.weight"] for li in layers]
+    bs = [params[f"fnn.{li}.bias"] for li in layers]
+    if h.ndim != 2 or h.shape[1] != ws[0].shape[0]:
+        raise ValueError(f"head input must be (rows, {ws[0].shape[0]}), got shape {h.shape}")
+    rows = h.shape[0]
+    # each layer's input, and the dropout mask of each hidden layer
+    xs, masks = [h.data], []
+    for li in layers:
+        z = np.empty((rows, ws[li].shape[1]))
+        for lo in range(0, rows, MATMUL_ROWS):
+            np.matmul(xs[li][lo : lo + MATMUL_ROWS], ws[li].data, out=z[lo : lo + MATMUL_ROWS])
+        z += bs[li].data
+        _check_finite(z, f"regression head layer {li}")
+        if li < layers[-1]:
+            np.maximum(z, 0.0, out=z)
+            if drop > 0.0:
+                masks.append((rng.random(z.shape) >= drop) / (1.0 - drop))
+                z = z * masks[-1]
+            xs.append(z)
+
+    def bw(grad):
+        g = np.asarray(grad).reshape(rows, 1)
+        for li in reversed(layers):
+            w, b, x = ws[li], bs[li], xs[li]
+            if b.requires_grad:
+                accumulate_grad(b, g.sum(axis=0))
+            if w.requires_grad:
+                xp, gp = x, g
+                if g.shape[1] > 1 and rows % MATMUL_ROWS:
+                    pad = ((0, -rows % MATMUL_ROWS), (0, 0))
+                    xp, gp = np.pad(x, pad), np.pad(g, pad)
+                accumulate_grad(w, xp.T @ gp)
+            if li == 0:
+                break
+            g = g @ w.data.T
+            if masks:
+                g = g * masks[li - 1]
+            # relu gate: the layer's input is positive exactly where the
+            # relu's input was and dropout kept it
+            g = g * (x > 0.0)
+        if h.requires_grad:
+            accumulate_grad(h, g @ ws[0].data.T)
+
+    return make_op(z.reshape(rows), (h, *ws, *bs), bw)
 
 
 def model_forward(

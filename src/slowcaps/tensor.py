@@ -21,29 +21,17 @@ __all__ = [
     "accumulate_grad",
     "backward",
     "zero_grads",
-    "add",
     "sub",
     "mul",
-    "matmul",
     "conv2d",
     "conv2d_tanh",
-    "relu",
     "reduce_sum",
     "reduce_mean",
     "reshape",
     "take_rows",
-    "dropout",
 ]
 
 _grad_state = threading.local()
-# matmul's forward runs in blocks of this many rows: OpenBLAS 0.3.31
-# rounds the head's (M x 200) @ (200 x 100) product differently on 1 and
-# 2 threads at M = 51-100, and a 32-row block the same on both.  Its
-# weight gradient, a reduction over the M rows, differs from M = 385 on
-# unless zero rows pad M to a multiple of this count; a one-column
-# gradient is a matrix-vector product, which OpenBLAS does not split
-# across threads and which padding would round differently
-MATMUL_ROWS = 32
 
 
 def _grad_on() -> bool:
@@ -225,20 +213,6 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, opname: str) -> None:
         raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}") from None
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "add")
-    out_data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _unbroadcast(g, b.data.shape))
-
-    return make_op(out_data, (a, b), bw)
-
-
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.data, b.data, "sub")
@@ -265,40 +239,6 @@ def mul(a, b) -> Tensor:
             accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
 
     return make_op(out_data, (a, b), bw)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    out_data = np.empty((a.shape[0], b.shape[1]))
-    for lo in range(0, a.shape[0], MATMUL_ROWS):
-        np.matmul(a.data[lo : lo + MATMUL_ROWS], b.data, out=out_data[lo : lo + MATMUL_ROWS])
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g @ b.data.T)
-        if b.requires_grad:
-            x, gb = a.data, g
-            if g.shape[1] > 1 and x.shape[0] % MATMUL_ROWS:
-                pad = ((0, -x.shape[0] % MATMUL_ROWS), (0, 0))
-                x, gb = np.pad(x, pad), np.pad(gb, pad)
-            accumulate_grad(b, x.T @ gb)
-
-    return make_op(out_data, (a, b), bw)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * (a.data > 0.0))
-
-    return make_op(out_data, (a,), bw)
 
 
 def reduce_sum(a) -> Tensor:
@@ -352,23 +292,6 @@ def take_rows(a, index) -> Tensor:
             _accumulate_new(a, full)
 
     return make_op(a.data[idx], (a,), bw)
-
-
-def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: keep with probability 1-p and rescale by 1/(1-p)."""
-    a = _as_tensor(a)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return a
-    keep = 1.0 - p
-    mask = (rng.random(a.data.shape) >= p) / keep
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, g * mask)
-
-    return make_op(a.data * mask, (a,), bw)
 
 
 def conv2d(a, kernels, bias, stride=(1, 1)) -> Tensor:

@@ -116,12 +116,12 @@ def test_train_artifacts(workspace):
 
 def test_evaluate_artifacts_and_determinism(workspace):
     out = workspace / "eval"
-    report = E.load_report(out / "report.json")
-    assert len(report.rows) == 3
-    assert np.isfinite(report.rmse) and np.isfinite(report.score)
-    assert all(0.0 <= r["predicted_rul"] <= 40.0 for r in report.rows)
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["rows"]) == 3
+    assert np.isfinite(report["rmse"]) and np.isfinite(report["score"])
+    assert all(0.0 <= r["predicted_rul"] <= 40.0 for r in report["rows"])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["rmse"] == report.rmse
+    assert manifest["rmse"] == report["rmse"]
     assert manifest["units"] == 3
     csv_head = (out / "report_predictions.csv").read_text().splitlines()[0]
     assert csv_head == "unit,true_rul,predicted_rul,error"
@@ -601,6 +601,45 @@ def test_corrupt_input_fails_at_the_boundary(workspace, tmp_path, capsys, case, 
         assert not (out / name).exists(), name
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_huge_model_fails_at_the_boundary(workspace, tmp_path, capsys, command):
+    """A capsule count whose routing transforms would take 2 EiB, more
+    than any address space: ``train`` reports the failed allocation, and
+    ``evaluate`` checks the checkpoint's shapes without allocating the
+    model.  Both used to end in a MemoryError traceback."""
+    arch = json.loads((workspace / "model" / "model_config.json").read_text())["architecture"]
+    cfg = N.ModelConfig(**arch)
+    number = 2**61 // (cfg.num_basic_capsules * cfg.advanced_dim * cfg.caps_dim * 8)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--data-dir", str(workspace / "data"),
+            "--features", str(workspace / "feat"), *SET]
+    if command == "train":
+        argv += ["--set", f"model.advanced_capsule.number={number}"]
+        error, reason = "MemoryError", "Unable to allocate"
+    else:
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "checkpoint.json").write_bytes(
+            (workspace / "model" / "checkpoint.json").read_bytes())
+        doc = json.loads((workspace / "model" / "model_config.json").read_text())
+        doc["architecture"]["num_advanced"] = number
+        (model / "model_config.json").write_text(json.dumps(doc))
+        argv += ["--model", str(model)]
+        error = "ValueError"
+        reason = (f"route.transform has shape ({cfg.num_basic_capsules}, {cfg.num_advanced}, "
+                  f"{cfg.advanced_dim}, {cfg.caps_dim}), expected ({cfg.num_basic_capsules}, "
+                  f"{number}, {cfg.advanced_dim}, {cfg.caps_dim})")
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    assert reason in err["message"]
+    for name in ("checkpoint.json", "report.json"):
+        assert not (out / name).exists(), name
+
+
 def test_train_no_sfa_on_fd001_geometry(tmp_path):
     # configs/fd001.json pins a (1, 8) capsule kernel, the full conv output
     # width of 14 sensors + 2 slow features; without the slow columns the
@@ -646,8 +685,8 @@ def test_per_condition_chain(workspace, tmp_path):
     assert meta["per_condition"] is True
     saved = json.loads((tmp_path / "feat" / "features.json").read_text())
     assert {"condition_centers", "condition_means", "condition_stds"} <= set(saved)
-    report = E.load_report(tmp_path / "eval" / "report.json")
-    assert len(report.rows) == 3 and np.isfinite(report.rmse)
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert len(report["rows"]) == 3 and np.isfinite(report["rmse"])
 
 
 def test_version_flag(capsys):
@@ -776,10 +815,10 @@ def test_milling_chain(tmp_path):
     assert len(history) == 2
     assert main(["evaluate", "--out", str(tmp_path / "eval"), "--model", model,
                  "--features", feat, *common]) == 0
-    report = E.load_report(tmp_path / "eval" / "report.json")
-    assert [row["unit"] for row in report.rows] == [
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert [row["unit"] for row in report["rows"]] == [
         f"c{c:02d}r{r:02d}" for c in (10, 13) for r in (1, 2, 3)]
-    assert np.isfinite(report.rmse)
+    assert np.isfinite(report["rmse"])
     # the default filter candidates 16, 32, 64 do not divide the pinned
     # capsule dimension 3: each cell bumps them as train would, and the
     # grid keeps the candidate values

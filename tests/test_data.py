@@ -199,22 +199,23 @@ def test_synthetic_spec_validation():
 # ----------------------------------------------------------- milling data
 
 
-def milling_csv(tmp_path, per_run=4):
-    """Five cases over two materials with gaps in the wear column."""
+def milling_csv(tmp_path):
+    """Thirteen cases of three cuts at the protocol's 90 samples per cut:
+    cases 1-10 of the first material and 11-13 of the second, so the
+    protocol split trains on cases 1-9, 11 and 12.  Cases 1-3 have gaps
+    in the wear column."""
     rng = np.random.default_rng(0)
     lines = [",".join(D.MILLING_COLUMNS)]
     wear_plan = {
         1: [0.1, None, 0.5],
         2: [0.2, 0.3, 0.4],          # never exceeds the threshold
         3: [None, 0.5, None],
-        4: [0.1, 0.2, 0.6],
-        5: [0.1, 0.4, 0.7],
     }
-    material = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}
-    for case, wears in wear_plan.items():
+    for case in range(1, 14):
+        wears = wear_plan.get(case, [0.1, 0.2 + 0.01 * case, 0.6])
         for run, wear in enumerate(wears, start=1):
-            for k in range(per_run):
-                row = [case, run, material[case], 1.5, 0.5, 200]
+            for k in range(D.MILLING_SAMPLES_PER_RUN):
+                row = [case, run, 1 if case <= 10 else 2, 1.5, 0.5, 200]
                 row += list(np.round(rng.normal(size=6), 4))
                 row.append("" if (wear is None or k > 0) else wear)
                 lines.append(",".join(str(v) for v in row))
@@ -225,11 +226,11 @@ def milling_csv(tmp_path, per_run=4):
 
 def test_load_milling_fills_wear_and_labels(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="slowcaps.data"):
-        out = D.load_milling(milling_csv(tmp_path), samples_per_run=4)
+        out = D.load_milling(milling_csv(tmp_path))
     runs = out["runs"]
-    assert len(runs) == 15
+    assert len(runs) == 39
     assert runs[0].unit_id == "c01r01"
-    assert all(r.sensors.shape == (4, 6) for r in runs)
+    assert all(r.sensors.shape == (90, 6) for r in runs)
     by_case = {}
     for r in runs:
         by_case.setdefault(r.case_id, []).append(r)
@@ -249,9 +250,11 @@ def test_load_milling_fills_wear_and_labels(tmp_path, caplog):
 
 
 def test_load_milling_validation(tmp_path):
-    good = milling_csv(tmp_path)
-    with pytest.raises(ValueError, match="samples"):
-        D.load_milling(good, samples_per_run=90)  # fixture holds 4 per run
+    lines = milling_csv(tmp_path).read_text().splitlines()
+    short_cut = tmp_path / "c.csv"
+    short_cut.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="case 1 run 1 has 89 samples, expected 90"):
+        D.load_milling(short_cut)
 
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("a,b,c\n")
@@ -289,23 +292,23 @@ def test_loaders_reject_non_finite_values(tmp_path, token):
     milling.write_text(",".join(D.MILLING_COLUMNS) + "\n"
                        f"1,1,1,1.5,0.5,200,1,2,{token},4,5,6,0.1\n")
     with pytest.raises(ValueError, match=f"{milling}:2: non-finite"):
-        D.load_milling(milling, samples_per_run=1)
+        D.load_milling(milling)
     milling.write_text(",".join(D.MILLING_COLUMNS) + "\n"
                        f"1,1,1,1.5,0.5,200,1,2,3,4,5,6,{token}\n")
     with pytest.raises(ValueError, match=f"{milling}:2: non-finite"):
-        D.load_milling(milling, samples_per_run=1)
+        D.load_milling(milling)
 
 
 def test_milling_protocol_split(tmp_path):
-    runs = D.load_milling(milling_csv(tmp_path), samples_per_run=4)["runs"]
-    train, test = D.milling_protocol_split(
-        runs, train_cases_primary=2, train_cases_secondary=1
-    )
-    assert sorted({r.case_id for r in train}) == [1, 2, 4]
-    assert sorted({r.case_id for r in test}) == [3, 5]
-    assert len(train) == 9 and len(test) == 6
-    with pytest.raises(ValueError, match="fewer"):
-        D.milling_protocol_split(runs, train_cases_primary=7)
+    runs = D.load_milling(milling_csv(tmp_path))["runs"]
+    train, test = D.milling_protocol_split(runs)
+    assert sorted({r.case_id for r in train}) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
+    assert sorted({r.case_id for r in test}) == [10, 13]
+    assert len(train) == 33 and len(test) == 6
+    # 8 cases of the first material, or 1 of the second
+    for few in ([r for r in runs if r.case_id > 2], [r for r in runs if r.case_id < 12]):
+        with pytest.raises(ValueError, match="fewer"):
+            D.milling_protocol_split(few)
     single = [r for r in runs if r.material == 1]
     with pytest.raises(ValueError, match="two materials"):
         D.milling_protocol_split(single)

