@@ -155,9 +155,15 @@ def _units(cfg: dict, data_dir: Path, split: str) -> list[D.RunToFailureSeries]:
 
 def _model_config(cfg: dict, pipe: F.FeaturePipeline, variant: str) -> network.ModelConfig:
     """The architecture ``variant`` gets on frames of ``pipe`` (the
-    variant's pipe: without slow columns for the no-sfa variants)."""
+    variant's pipe: without slow columns for the no-sfa variants).
+
+    A model whose float64 values, gradients and two Adam moments would
+    not fit in the host's physical memory is refused with a
+    ``MemoryError`` before anything is allocated: on a host that
+    overcommits memory the allocation could succeed and the
+    initialization's draw be killed."""
     _, use_lstm = P.variant_flags(variant)
-    return C.resolve_model_config(
+    model_cfg = C.resolve_model_config(
         cfg,
         frame_channels=pipe.frame_channels,
         num_slow=pipe.sfa.num_slow,
@@ -165,6 +171,22 @@ def _model_config(cfg: dict, pipe: F.FeaturePipeline, variant: str) -> network.M
         window=pipe.window,
         use_lstm=use_lstm,
     )
+    need = 4 * 8 * sum(math.prod(s) for s in network.parameter_shapes(model_cfg).values())
+    host = _host_memory_bytes()
+    if host is not None and need > host:
+        raise MemoryError(f"Unable to allocate {need / 2**30:.1f} GiB for the model's "
+                          f"parameters, gradients and Adam moments: the host has "
+                          f"{host / 2**30:.1f} GiB of memory")
+    return model_cfg
+
+
+def _host_memory_bytes() -> int | None:
+    """The host's physical memory, or None where ``os.sysconf`` cannot
+    tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _features_path(raw: str) -> Path:

@@ -11,8 +11,13 @@ run of frame rows; those runs are scored once per distinct content.
 
 Routing coefficients are recomputed from zero logits on every forward
 pass and are treated as constants by the backward pass: gradients flow
-from the final weighted sum of the votes into the basic capsules and the
-routing transforms, not through the softmax that produced the coupling.
+from the final weighted sum into the basic capsules and the routing
+transforms, not through the softmax that produced the coupling.  Routing
+never builds the (N, I, J, A) votes W u: each round's weighted sums are
+one GEMM of the coupling-scaled capsules with the transforms, and its
+agreements one GEMM of the squashed outputs with the transposed
+transforms, contracted with the capsules; logits and coupling live in
+(J, N, I) order, so the softmax reduces over the outer axis.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, _accumulate_new, _check_finite, accumulate_grad, make_op
+from .tensor import (Tensor, _accumulate_new, _check_finite, _grad_on, accumulate_grad,
+                     make_op)
 
 __all__ = [
     "ModelConfig",
@@ -32,8 +38,6 @@ __all__ = [
     "parameter_count",
     "squash",
     "capsule_row_patches",
-    "capsule_transform",
-    "capsule_weighted_sum",
     "routing_coefficients",
     "conv_features",
     "build_basic_capsules",
@@ -286,22 +290,13 @@ def squash(s: Tensor) -> Tensor:
     zero, long vectors approach unit length, direction is preserved.
     The eps = :data:`SQUASH_EPS` guard keeps the zero vector mapped
     exactly to zero.  One tape node: the forward is :func:`_squash_np`,
-    the routing squash; with v = f(n2) s, n2 = |s|^2 and
-    r = sqrt(n2 + eps), the backward is the closed form
-    g f + s 2 f'(n2) (g . s), where
-    f' = (n2 + 2 eps - n2^2) / (2 r^3 (1 + n2)^2).
+    the routing squash, and the backward :func:`_squash_grad`.
     """
     x = s.data
 
     def bw(g):
         if s.requires_grad:
-            n2 = (x * x).sum(axis=-1, keepdims=True)
-            r = np.sqrt(n2 + SQUASH_EPS)
-            q = 1.0 + n2
-            df2 = (n2 + 2.0 * SQUASH_EPS - n2 * n2) / (r * r * r * q * q)
-            gx = g * (n2 / (q * r))
-            gx += x * (df2 * (g * x).sum(axis=-1, keepdims=True))
-            _accumulate_new(s, gx)
+            _accumulate_new(s, _squash_grad(x, g))
 
     return make_op(_squash_np(x), (s,), bw)
 
@@ -311,120 +306,81 @@ def _squash_np(s: np.ndarray) -> np.ndarray:
     return s * (n2 / ((1.0 + n2) * np.sqrt(n2 + SQUASH_EPS)))
 
 
+def _squash_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The squash's input gradient in closed form: with v = f(n2) s,
+    n2 = |s|^2 and r = sqrt(n2 + eps), it is g f + s 2 f'(n2) (g . s),
+    where f' = (n2 + 2 eps - n2^2) / (2 r^3 (1 + n2)^2)."""
+    n2 = (s * s).sum(axis=-1, keepdims=True)
+    r = np.sqrt(n2 + SQUASH_EPS)
+    q = 1.0 + n2
+    df2 = (n2 + 2.0 * SQUASH_EPS - n2 * n2) / (r * r * r * q * q)
+    gs = g * (n2 / (q * r))
+    gs += s * (df2 * (g * s).sum(axis=-1, keepdims=True))
+    return gs
+
+
 def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
     z = b - b.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> np.ndarray:
-    """Per-pair linear votes (N,I,J,A) from patch rows u (P, I/H, D) and
-    transforms w (I,J,A,D).
+def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Routing's two operands: each item's capsules uf (N, I, D) and the
+    transforms w (I, J, A, D) laid out as wj (J, I*D, A).
 
-    ``index`` is an (N, H) int array: capsule h * I/H + c of item n is
-    row ``index[n, h]``, capsule c, of ``u``.  Computed as one matmul
-    batched over I; the result is a transposed view of the (I, N, J, A)
-    product.  The votes are plain finite-checked values and are not
-    recorded on the tape: routing reads them, and
-    :func:`capsule_weighted_sum` differentiates the weighted sum built
-    from them through ``u`` and ``w`` directly.
+    ``u`` holds patch rows (P, I/H, D) and ``index`` is an (N, H) int
+    array: capsule h * I/H + c of item n is row ``index[n, h]``, capsule
+    c, of ``u``.  Item n's vote sum for advanced capsule j under a
+    coupling x_j (N, I*D) of its capsules is the GEMM x_j @ wj[j], so no
+    (N, I, J, A) vote tensor is ever built.
     """
     if u.ndim != 3 or w.ndim != 4:
         raise ValueError(f"bad ranks for capsule transform: {u.shape}, {w.shape}")
-    uf = _frame_capsules(u, index)
-    n, i, d = uf.shape
-    if i != w.shape[0] or d != w.shape[3]:
-        raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
-    _, j, a, _ = w.shape
-    wi = w.data.reshape(i, j * a, d)
-    ui = uf.transpose(1, 0, 2)
-    out = np.matmul(ui, wi.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n, i, j, a)
-    _check_finite(out, "capsule votes")
-    return out
-
-
-def _frame_capsules(u: Tensor, index: np.ndarray) -> np.ndarray:
-    """Each item's (I, D) capsules, read from its patch rows through
-    ``index``."""
     index = np.asarray(index)
     if index.ndim != 2:
         raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
-    return u.data[index].reshape(index.shape[0], -1, u.shape[2])
+    uf = u.data[index].reshape(index.shape[0], -1, u.shape[2])
+    n, i, d = uf.shape
+    if i != w.shape[0] or d != w.shape[3]:
+        raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
+    j, a = w.shape[1:3]
+    return uf, np.ascontiguousarray(w.data.transpose(1, 0, 3, 2)).reshape(j, i * d, a)
 
 
-def capsule_weighted_sum(u: Tensor, w: Tensor, votes: np.ndarray, coupling: np.ndarray,
-                         index: np.ndarray) -> Tensor:
-    """Coupling-weighted vote sum s (N,J,A), one tape node from u and w.
-
-    ``votes`` are ``capsule_transform(u, w, index)`` and ``coupling``
-    (N,I,J) is a constant: no gradient flows into the routing softmax,
-    implementing the stop-gradient convention.  The forward is
-    s[n,j] = sum_i c[n,i,j] votes[n,i,j].  The backward needs no votes:
-    with x_j = c_j * u, the (N, I*D) capsules scaled by their coupling
-    to j, and W_j the (A, I*D) transforms into j,
-    dW_j = x_j^T ds_j and du = sum_j c_j * (ds_j W_j), summed into the
-    patch rows with one bincount.
-    """
-    c = np.asarray(coupling, dtype=np.float64)
-    index = np.asarray(index)
-    n, i, j, a = votes.shape
-    d = u.shape[2]
-    if c.shape != (n, i, j):
-        raise ValueError(f"coupling shape {c.shape} does not match votes {votes.shape}")
-    out = np.einsum("nij,nija->nja", c, votes, optimize=True)
-
-    def bw(g):
-        # (J, N, ...) slabs, contiguous per advanced capsule, with zero
-        # rows padding the frame axis, dW's reduction, to PATCH_MULTIPLE
-        cj = np.ascontiguousarray(c.transpose(2, 0, 1))
-        padded = n + -n % PATCH_MULTIPLE
-        dsp = np.zeros((j, padded, a))
-        ds = dsp[:, :n]
-        ds[...] = np.asarray(g).transpose(1, 0, 2)
-        if w.requires_grad:
-            x = np.empty((j, padded, i, d))
-            x[:, n:] = 0.0
-            np.einsum("jni,nid->jnid", cj, _frame_capsules(u, index), out=x[:, :n])
-            gw = np.matmul(x.reshape(j, padded, i * d).transpose(0, 2, 1), dsp)
-            accumulate_grad(w, gw.reshape(j, i, d, a).transpose(1, 0, 3, 2))
-        if u.requires_grad:
-            wj = np.ascontiguousarray(w.data.transpose(1, 2, 0, 3)).reshape(j, a, i * d)
-            gx = np.matmul(ds, wj).reshape(j, n, i, d)
-            gu = np.einsum("jni,jnid->nid", cj, gx)
-            # one bincount sums each row element over its read places,
-            # in a fixed order
-            rows, per_row, _ = u.shape
-            width = per_row * d
-            keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
-            _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
-                                           minlength=rows * width).reshape(u.shape))
-
-    return make_op(out, (u, w), bw)
-
-
-def routing_coefficients(u_hat_values: np.ndarray, iterations: int):
-    """Run routing-by-agreement on plain vote arrays.
+def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int, x: np.ndarray):
+    """Routing by agreement on :func:`capsule_transform`'s operands.
 
     Logits start at zero.  Each of the first ``iterations - 1`` rounds
-    takes the softmax over the advanced-capsule axis, forms the weighted
-    sums, squashes them, and adds each vote's agreement (dot product with
-    the squashed output) to its logit; the last round only takes the
-    softmax, because :func:`dynamic_routing` records its weighted sum and
-    squash on the tape.  Returns (coupling, logits), both (N, I, J), where
-    ``coupling`` is the softmax of ``logits`` over the advanced capsules.
+    takes the softmax over the advanced capsules, forms the weighted
+    sums s_j = (c_j * uf) @ wj[j], squashes them to v_j and adds each
+    capsule's agreement <W_ij uf_i, v_j> = <(v_j wj[j]^T)_i, uf_i> to its
+    logit; the last round only takes the softmax, because
+    :func:`dynamic_routing` records its weighted sum and squash on the
+    tape.  The first round's coupling is uniform, so its sums are one
+    GEMM of uf times 1/J.  ``x`` is a (J, >= N, I, D) work buffer: rows
+    :N of each slab hold c_j * uf, then the agreement product.  Returns
+    (coupling, logits), both (J, N, I), where ``coupling`` is the
+    softmax of ``logits`` over the advanced capsules.
     """
-    uh = np.asarray(u_hat_values, dtype=np.float64)
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
-    # work in (n, j, i) order: the softmax reduces over an outer axis and
-    # both contractions over i and a are batched matmuls
-    ut = uh.transpose(0, 2, 1, 3)
-    b = np.zeros(ut.shape[:3])
-    for _ in range(iterations - 1):
-        c = _softmax_np(b, axis=1)
-        s = np.matmul(c[:, :, None, :], ut)[:, :, 0]
-        b = b + np.matmul(ut, _squash_np(s)[..., None])[..., 0]
-    return _softmax_np(b, axis=1).transpose(0, 2, 1), b.transpose(0, 2, 1)
+    n, i, d = uf.shape
+    j = wj.shape[0]
+    xs = x[:, :n]
+    xf = x.reshape(j, -1, i * d)[:, :n]
+    b = np.zeros((j, n, i))
+    for r in range(iterations - 1):
+        if r == 0:
+            s = np.matmul(uf.reshape(1, n, i * d), wj) * (1.0 / j)
+        else:
+            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0), uf, out=xs)
+            s = np.matmul(xf, wj)
+        v = _squash_np(s)
+        _check_finite(v, "routed capsules")
+        np.matmul(v, wj.transpose(0, 2, 1), out=xf)
+        b += np.einsum("jnid,nid->jni", xs, uf)
+    return _softmax_np(b, axis=0), b
 
 
 def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -495,27 +451,63 @@ def dynamic_routing(
     coupling_override: np.ndarray | None = None,
     index: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Route basic capsules to advanced capsules.
+    """Route basic capsules to advanced capsules: one tape node from the
+    capsules ``u`` and ``route.transform`` W to the squashed v (N, J, A).
 
-    The iterative agreement loop runs on detached vote values; only the
-    final coupling-weighted sum and squash are recorded for gradients.
-    Returns the advanced capsules and the coupling (N, I, J) they were
-    built from.  ``coupling_override`` substitutes a fixed coupling array
-    (used to hold the routing constant while probing the loss surface).
-    With ``index`` (N, H_c), ``u`` holds patch rows and frame n reads
-    its capsules from them as :func:`capsule_transform` describes;
-    without it, item n is row n.
+    With ``index`` (N, H_c), ``u`` holds patch rows and item n reads its
+    capsules from them as :func:`capsule_transform` describes; without
+    it, item n is row n.  :func:`routing_coefficients` finds the
+    coupling c, a constant to the backward (no gradient flows into the
+    routing softmax); ``coupling_override`` (N, I, J) substitutes a fixed
+    one, used to hold the routing still while probing the loss surface.
+    With x_j = c_j * uf, the final sums are s_j = x_j @ W_j, and the
+    backward is the squash's closed form followed by dW_j = x_j^T ds_j
+    and du = sum_j c_j * (ds_j W_j^T), summed into the patch rows with
+    one bincount.  x is kept from the forward and only read there; when
+    a weight gradient will be taken, its frame axis, dW's reduction, is
+    padded with zero rows to a multiple of :data:`PATCH_MULTIPLE`.
+    Returns v and the coupling (N, I, J) it was built from.
     """
     if index is None:
         index = np.arange(u.shape[0])[:, None]
     w = params["route.transform"]
-    votes = capsule_transform(u, w, index)
-    if coupling_override is not None:
-        c = np.asarray(coupling_override, dtype=np.float64)
+    uf, wj = capsule_transform(u, w, index)
+    n, i, d = uf.shape
+    j, _, a = wj.shape
+    padded = n + -n % PATCH_MULTIPLE if w.requires_grad and _grad_on() else n
+    x = np.empty((j, padded, i, d))
+    x[:, n:] = 0.0
+    if coupling_override is None:
+        c, _ = routing_coefficients(uf, wj, config.routing_iterations, x)
     else:
-        c, _ = routing_coefficients(votes, config.routing_iterations)
-    v = squash(capsule_weighted_sum(u, w, votes, c, index))
-    return v, c
+        c = np.asarray(coupling_override, dtype=np.float64).transpose(2, 0, 1)
+        if c.shape != (j, n, i):
+            raise ValueError(f"coupling override shape {coupling_override.shape} "
+                             f"does not match ({n}, {i}, {j})")
+    np.einsum("jni,nid->jnid", c, uf, out=x[:, :n])
+    xf = x.reshape(j, padded, i * d)
+    s = np.matmul(xf[:, :n], wj)
+
+    def bw(g):
+        dsp = np.zeros((j, padded, a))
+        ds = dsp[:, :n]
+        ds[...] = _squash_grad(s, np.asarray(g).transpose(1, 0, 2))
+        if w.requires_grad:
+            gw = np.matmul(xf.transpose(0, 2, 1), dsp)
+            accumulate_grad(w, gw.reshape(j, i, d, a).transpose(1, 0, 3, 2))
+        if u.requires_grad:
+            gx = np.matmul(ds, wj.transpose(0, 2, 1)).reshape(j, n, i, d)
+            gu = np.einsum("jni,jnid->nid", c, gx)
+            # one bincount sums each row element over its read places,
+            # in a fixed order
+            rows, per_row, _ = u.shape
+            width = per_row * d
+            keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+            _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
+                                           minlength=rows * width).reshape(u.shape))
+
+    v = np.ascontiguousarray(_squash_np(s).transpose(1, 0, 2))
+    return make_op(v, (u, w), bw), c.transpose(1, 2, 0)
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:

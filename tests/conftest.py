@@ -67,6 +67,21 @@ def per_frame_forward(x, params, config, mode="eval", rng=None):
     return N.regression_head(h, params, config, mode, rng), coupling
 
 
+def route_votes(uh: np.ndarray, iterations: int):
+    """``routing_coefficients`` on an (N, I, J, A) vote array ``uh``:
+    (coupling, logits), both in the oracle's (N, I, J) order.  Any vote
+    array is some W u; routing runs on capsules u (N, I, D) and
+    transforms W (I, J, A, D) with D = N, u[n, i] = e_n and
+    W[i, j][:, n] = uh[n, i, j]."""
+    n = uh.shape[0]
+    u = np.zeros(uh.shape[:2] + (n,))
+    u[np.arange(n), :, np.arange(n)] = 1.0
+    w = np.ascontiguousarray(uh.transpose(1, 2, 3, 0))
+    uf, wj = N.capsule_transform(T.Tensor(u), T.Tensor(w), np.arange(n)[:, None])
+    c, b = N.routing_coefficients(uf, wj, iterations, np.empty((wj.shape[0],) + uf.shape))
+    return c.transpose(1, 2, 0), b.transpose(1, 2, 0)
+
+
 def materialized_forward(x, params, config, *args, **kwargs):
     """``model_forward`` on materialized (B, S, window, channels)
     sequences: the B * S frames in order, each sequence naming its own."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import materialized_forward
+from conftest import materialized_forward, route_votes
 
 from slowcaps import config as C
 from slowcaps import data as D
@@ -157,22 +157,24 @@ def test_criterion_04_routing_and_squash_properties():
         assert np.all(cos > 1.0 - 1e-9)
         total_checks += s.shape[0]
 
+    # routing on capsules and transforms whose votes are each random
+    # (N, I, J, A) array (conftest.route_votes)
     for _ in range(40):
         shape = (int(rng.integers(1, 3)), int(rng.integers(2, 7)),
                  int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         uh = rng.normal(size=shape)
-        c, _ = N.routing_coefficients(uh, int(rng.integers(1, 4)))
+        c, _ = route_votes(uh, int(rng.integers(1, 4)))
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-12)
         total_checks += c.sum(axis=2).size
-        single, _ = N.routing_coefficients(uh[:, :, :1, :], 2)
+        single, _ = route_votes(uh[:, :, :1, :], 2)
         np.testing.assert_array_equal(single, 1.0)
     assert total_checks >= 10_000
 
     # one basic capsule voting for two advanced capsules in the plane
     uh = np.array([[[[2.0, 0.0], [0.0, 1.0]]]])
-    _, b1 = N.routing_coefficients(uh, 2)
+    _, b1 = route_votes(uh, 2)
     np.testing.assert_allclose(b1[0, 0], [1.0, 0.2], atol=1e-9)
-    c2, _ = N.routing_coefficients(uh, 2)
+    c2, _ = route_votes(uh, 2)
     np.testing.assert_allclose(c2[0, 0], [0.690, 0.310], atol=1e-4)
     assert time.monotonic() - start < 10.0
 

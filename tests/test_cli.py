@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -604,7 +605,7 @@ def test_corrupt_input_fails_at_the_boundary(workspace, tmp_path, capsys, case, 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_huge_model_fails_at_the_boundary(workspace, tmp_path, capsys, command):
     """A capsule count whose routing transforms would take 2 EiB, more
-    than any address space: ``train`` reports the failed allocation, and
+    than any address space: ``train`` refuses it before allocating, and
     ``evaluate`` checks the checkpoint's shapes without allocating the
     model.  Both used to end in a MemoryError traceback."""
     arch = json.loads((workspace / "model" / "model_config.json").read_text())["architecture"]
@@ -638,6 +639,41 @@ def test_huge_model_fails_at_the_boundary(workspace, tmp_path, capsys, command):
     assert reason in err["message"]
     for name in ("checkpoint.json", "report.json"):
         assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("command", ["train", "tune", "ablate"])
+def test_model_larger_than_host_memory_exits_1(workspace, tmp_path, capsys, monkeypatch,
+                                               command):
+    """A model whose float64 values, gradients and two Adam moments
+    exceed the host's physical memory is refused before anything is
+    allocated.  The memory figure is patched: one byte short of the
+    workspace model's 4 x 8 bytes per parameter."""
+    arch = json.loads((workspace / "model" / "model_config.json").read_text())["architecture"]
+    need = 32 * sum(math.prod(s) for s in N.parameter_shapes(N.ModelConfig(**arch)).values())
+    monkeypatch.setattr(cli, "_host_memory_bytes", lambda: need - 1)
+
+    def no_allocation(*args):
+        raise AssertionError("parameters allocated")
+
+    monkeypatch.setattr(N, "init_parameters", no_allocation)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--data-dir", str(workspace / "data"), *SET]
+    if command != "ablate":
+        argv += ["--features", str(workspace / "feat")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "MemoryError"
+    assert f"{need / 2**30:.1f} GiB" in err["message"] and "the host has" in err["message"]
+    assert not (out / "manifest.json").exists()
+    if command == "train":
+        # exactly enough memory trains
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_host_memory_bytes", lambda: need)
+        assert main(argv) == 0
+        assert (out / "checkpoint.json").exists()
 
 
 def test_train_no_sfa_on_fd001_geometry(tmp_path):

@@ -266,12 +266,12 @@ for frames, local in batches:
     seq = T.reshape(v, (64, 5, 32)) if local is None else T.take_rows(v, local)
     h = N.lstm_forward(seq, params, config)
     weights = T.Tensor(rng.normal(size=h.shape))
-    with T.no_grad():
-        votes = N.capsule_transform(u, params["route.transform"], patch_index)
+    uf, wj = N.capsule_transform(u, params["route.transform"], patch_index)
+    logits = N.routing_coefficients(uf, wj, config.routing_iterations,
+                                    np.empty((2,) + uf.shape))[1]
     digest.update(v.data.tobytes())
     digest.update(h.data.tobytes())
-    digest.update(np.ascontiguousarray(
-        N.routing_coefficients(votes, config.routing_iterations)[1]).tobytes())
+    digest.update(logits.tobytes())
     adam.zero_grad()
     T.backward(T.reduce_sum(T.mul(h, weights)))
     # the routed sum's gradient into the capsules, then every front-end
@@ -478,9 +478,46 @@ def test_fd001_predict_block_ignores_blas_thread_count():
     assert_same_output_on_1_and_2_threads(PREDICT_BLOCK)
 
 
+CLI_CHAIN = """
+import hashlib
+import tempfile
+from pathlib import Path
+from slowcaps.cli import main
+
+# the benchmark's FD001 fleet: 14 sensors plus 2 slow features, FD001's
+# lengths and rul_max; 3 training units, 2 test units
+sets = ["dataset=synthetic", "synthetic.channels=14", "synthetic.length_range=[128,362]",
+        "synthetic.rul_max=125", "synthetic.units=3", "synthetic.test_units=2"]
+with tempfile.TemporaryDirectory() as tmp:
+    ws = Path(tmp)
+    common = ["--config", FD001_JSON, "--seed", "4", "--data-dir", str(ws / "data")]
+    for s in sets:
+        common += ["--set", s]
+    features = ["--features", str(ws / "feat")]
+    for argv in (["synth", "--out", str(ws / "data")],
+                 ["fit-features", "--out", str(ws / "feat")],
+                 ["train", "--out", str(ws / "model"), "--epochs", "1", *features],
+                 ["evaluate", "--out", str(ws / "eval"), "--model", str(ws / "model"),
+                  *features]):
+        assert main(argv + common) == 0, argv[0]
+    digest = hashlib.sha256()
+    for name in ("model/checkpoint.json", "eval/report.json"):
+        digest.update((ws / name).read_bytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fd001_cli_chain_ignores_blas_thread_count():
+    """synth, fit-features, one epoch of train and evaluate through the
+    CLI at FD001 geometry write byte-identical ``checkpoint.json`` and
+    ``report.json`` on 1 and 2 BLAS threads."""
+    fd001_json = Path(__file__).resolve().parent.parent / "configs" / "fd001.json"
+    assert_same_output_on_1_and_2_threads(CLI_CHAIN.replace("FD001_JSON", repr(str(fd001_json))))
+
+
 def test_fd001_training_step_tape_nodes():
-    """23 parameters, 9 nodes from the patches to the LSTM's one node,
-    the head's one node and 3 in the loss."""
+    """23 parameters, 8 nodes from the patches to the LSTM's one node
+    (routing is one), the head's one node and 3 in the loss."""
     config = fd001_config()
     rng = np.random.default_rng(14)
     params = N.init_parameters(config, rng)
@@ -497,7 +534,53 @@ def test_fd001_training_step_tape_nodes():
             continue
         seen.add(id(node))
         stack.extend(node._parents)
-    assert len(seen) <= 36
+    assert len(seen) <= 35
+
+
+def test_fd001_routing_node_gradients_match_fd():
+    """Central differences on the routing node's u and W at FD001
+    geometry, with the coupling held still: every entry of a patch row
+    the frames read four times, and random entries elsewhere; a row no
+    frame reads gets exact zeros.  The loss is nonlinear through the
+    squash; a 1e-4 step keeps the differences' rounding noise well
+    below the bound."""
+    config = fd001_config()
+    rng = np.random.default_rng(31)
+    params = N.init_parameters(config, rng)
+    w = params["route.transform"]
+    w.data = w.data + rng.normal(0.0, 0.05, size=w.shape)
+    # 5 frames of 28 capsule rows read from 40 patch rows: row 3 four
+    # times, row 7 never
+    others = np.setdiff1d(np.arange(40), [3, 7])
+    index = rng.choice(others, size=5 * 28).reshape(5, 28)
+    index.ravel()[rng.choice(index.size, size=4, replace=False)] = 3
+    assert (index == 3).sum() == 4 and not (index == 7).any()
+    u = Tensor(N._squash_np(rng.normal(size=(40, 8, 8))), requires_grad=True)
+    _, coupling = N.dynamic_routing(u, params, config, index=index)
+    g = rng.normal(size=(5, 2, 16))
+
+    def loss():
+        v, _ = N.dynamic_routing(u, params, config, coupling, index)
+        return float(np.sum(v.data * g))
+
+    v, _ = N.dynamic_routing(u, params, config, coupling, index)
+    backward(T.reduce_sum(T.mul(v, Tensor(g))))
+    assert not u.grad[7].any()
+    worst = 0.0
+    for t, flat_picks in ((u, np.arange(3 * 64, 4 * 64)),
+                          (u, rng.choice(np.arange(8 * 64, u.size), 24, replace=False)),
+                          (w, rng.choice(w.size, 40, replace=False))):
+        flat, grad = t.data.reshape(-1), t.grad.reshape(-1)
+        for i in flat_picks:
+            keep = flat[i]
+            flat[i] = keep + 1e-4
+            lp = loss()
+            flat[i] = keep - 1e-4
+            lm = loss()
+            flat[i] = keep
+            num = (lp - lm) / 2e-4
+            worst = max(worst, abs(grad[i] - num) / max(abs(grad[i]), abs(num), 1e-6))
+    assert worst < 1e-6
 
 
 def fd001_units(rng, units=3, per_unit=30):

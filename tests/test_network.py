@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (materialized_forward, numeric_grad, per_frame_forward, rel_max,
-                      sliding_frames)
+                      route_votes, sliding_frames)
 
 from slowcaps import config as C
 from slowcaps import evaluation as E
@@ -232,10 +232,10 @@ def test_squash_backward_edge_lengths(rng):
         assert _worst_of_max(grad, num) < 1e-7
 
 
-# ----------------------------------------------------- votes and coupling
+# ------------------------------------------------------- the routing node
 
 
-# (u shape, index) of the votes' two uses: whole items, each its own
+# (u shape, index) of routing's two uses: whole items, each its own
 # row, as the benchmark's backward replay routes, and patch rows read
 # through an (N, H) index, here 5 rows of 2 capsules of which row 2 is
 # read four times and row 3 never
@@ -243,8 +243,9 @@ ROUTE_CASES = [((2, 5, 4), np.arange(2)[:, None]),
                ((5, 2, 4), np.array([[0, 2, 1], [2, 2, 4], [1, 0, 2]]))]
 
 
-def routed_sum_case(rng, shape, index):
-    """u, w, coupling and the einsum-built votes of a small routed sum."""
+def routed_case(rng, shape, index):
+    """u, w, a coupling (N, I, J) and the einsum-built votes of a small
+    routing node."""
     u = Tensor(rng.normal(size=shape), requires_grad=True)
     frames = u.data[index].reshape(index.shape[0], -1, shape[2])
     w = Tensor(rng.normal(size=(frames.shape[1], 3, 6, 4)), requires_grad=True)
@@ -253,27 +254,34 @@ def routed_sum_case(rng, shape, index):
 
 
 def test_capsule_transform_matches_einsum_and_fd(rng):
-    """The votes match einsum, and the routed sum's u and w gradients
-    through them match central differences of the votes' weighted sum."""
+    """The gathered capsules and the transforms' layout give the einsum
+    votes' weighted sums, and the routing node's u and w gradients match
+    central differences with the coupling held still."""
     for shape, index in ROUTE_CASES:
-        check_votes_and_their_fd(rng, shape, index)
+        check_operands_and_their_fd(rng, shape, index)
 
 
-def check_votes_and_their_fd(rng, shape, index):
-    u, w, c, _, votes = routed_sum_case(rng, shape, index)
-    out = N.capsule_transform(u, w, index)
-    assert isinstance(out, np.ndarray) and out.shape == votes.shape
-    np.testing.assert_allclose(out, votes, atol=1e-12)
-    g = rng.normal(size=(out.shape[0], 3, 6))
+def check_operands_and_their_fd(rng, shape, index):
+    u, w, c, frames, votes = routed_case(rng, shape, index)
+    uf, wj = N.capsule_transform(u, w, index)
+    np.testing.assert_array_equal(uf, frames)
+    assert wj.shape == (3, frames.shape[1] * 4, 6)
+    # (c_j * uf) @ wj[j] is the coupling-weighted vote sum into j
+    x = np.einsum("nij,nid->jnid", c, uf).reshape(3, len(uf), -1)
+    np.testing.assert_allclose(np.matmul(x, wj).transpose(1, 0, 2),
+                               np.einsum("nij,nija->nja", c, votes), rtol=0, atol=1e-12)
+    params, g = {"route.transform": w}, rng.normal(size=(len(uf), 3, 6))
 
-    def routed(u, w):
-        return N.capsule_weighted_sum(u, w, N.capsule_transform(u, w, index), c, index)
+    def routed():
+        return N.dynamic_routing(u, params, tiny_config(), c, index)[0]
 
     def loss_fn():
-        return float(np.sum(routed(u, w).data * g))
+        return float(np.sum(routed().data * g))
 
-    backward(T.reduce_sum(T.mul(routed(u, w), Tensor(g))))
-    num = numeric_grad(loss_fn, {"u": u.data, "w": w.data})
+    backward(T.reduce_sum(T.mul(routed(), Tensor(g))))
+    # the squash makes the loss nonlinear; a 1e-4 step keeps both the
+    # truncation and the rounding error of the differences near 1e-8
+    num = numeric_grad(loss_fn, {"u": u.data, "w": w.data}, eps=1e-4)
     assert rel_max(u.grad, num["u"]) < 1e-6
     assert rel_max(w.grad, num["w"]) < 1e-6
     assert not u.grad[np.setdiff1d(np.arange(shape[0]), index)].any()  # unread rows
@@ -289,56 +297,66 @@ def test_capsule_transform_validation(rng):
         N.capsule_transform(Tensor(np.zeros((2, 5, 4))), w, np.arange(2))
 
 
-def test_capsule_transform_non_finite_vote_raises(rng):
-    # the votes are a transposed view of the batched product; one
-    # overflowing vote in it must still fail the finite check
-    u = rng.normal(size=(2, 5, 4))
-    u[1, 3] = 10.0
-    w = rng.normal(size=(5, 3, 6, 4))
-    w[3, 1, 2] = 1e308
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        N.capsule_transform(Tensor(u), Tensor(w), np.arange(2)[:, None])
+def test_dynamic_routing_non_finite_raises(rng):
+    """Capsules near 1e300 overflow the routed sums' squash; routing
+    fails loudly, in the agreement rounds and with the coupling held."""
+    cfg = tiny_config()
+    params = N.init_parameters(cfg, rng)
+    u = Tensor(rng.normal(size=(2, 24, 4)) * 1e300)
+    for override in (None, np.full((2, 24, 2), 0.5)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            N.dynamic_routing(u, params, cfg, override)
 
 
-def test_capsule_weighted_sum_matches_einsum_and_fd(rng):
-    """One tape node from u and w to s = sum_i c votes: s, du and dW
-    against the einsum-built votes and central differences."""
+def test_dynamic_routing_node_matches_einsum(rng):
+    """One tape node from u and w to v = squash(sum_i c votes): v, du and
+    dW against the einsum-built votes, the squash node and the chain rule
+    through the votes."""
     for shape, index in ROUTE_CASES:
-        check_routed_sum(rng, shape, index)
+        check_routing_node(rng, shape, index)
 
 
-def check_routed_sum(rng, shape, index):
-    u, w, c, frames, votes = routed_sum_case(rng, shape, index)
-    out = N.capsule_weighted_sum(u, w, votes, c, index)
-    assert out.shape == (frames.shape[0], 3, 6)
-    assert out._parents == (u, w)  # the votes are not on the tape
-    np.testing.assert_allclose(out.data, np.einsum("nij,nija->nja", c, votes),
-                               rtol=0, atol=1e-12)
-    g = rng.normal(size=out.shape)
-
-    def votes_of(u, w):
-        return np.einsum("ijad,nid->nija", w.data, u.data[index].reshape(frames.shape))
-
-    def loss_fn():
-        return float(np.sum(N.capsule_weighted_sum(u, w, votes_of(u, w), c, index).data * g))
-
-    backward(T.reduce_sum(T.mul(out, Tensor(g))))
-    # the chain rule through the votes, whose gradient is c * g
-    gv = c[..., None] * g[:, None]
+def check_routing_node(rng, shape, index):
+    u, w, c, frames, votes = routed_case(rng, shape, index)
+    v, coupling = N.dynamic_routing(u, {"route.transform": w}, tiny_config(), c, index)
+    assert v._parents == (u, w)  # no vote, sum or squash node
+    np.testing.assert_array_equal(coupling, c)
+    s = Tensor(np.einsum("nij,nija->nja", c, votes), requires_grad=True)
+    ref = N.squash(s)
+    np.testing.assert_allclose(v.data, ref.data, rtol=0, atol=1e-12)
+    g = rng.normal(size=v.shape)
+    backward(T.reduce_sum(T.mul(v, Tensor(g))))
+    backward(T.reduce_sum(T.mul(ref, Tensor(g))))
+    # the chain rule through the votes, whose gradient is c * ds
+    gv = c[..., None] * s.grad[:, None]
     du = np.einsum("nija,ijad->nid", gv, w.data)
     du_rows = np.zeros_like(u.data)
     np.add.at(du_rows, index, du.reshape(index.shape + u.shape[1:]))
-    du = du_rows
     dw = np.einsum("nija,nid->ijad", gv, frames)
-    for got, ref in ((u.grad, du), (w.grad, dw)):
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
-    # the loss is linear in u and in w separately, so a wide
-    # finite-difference step adds no truncation error in either
-    num = numeric_grad(loss_fn, {"u": u.data, "w": w.data}, eps=1e-2)
-    assert rel_max(u.grad, num["u"]) < 1e-6
-    assert rel_max(w.grad, num["w"]) < 1e-6
+    for got, want in ((u.grad, du_rows), (w.grad, dw)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
     with pytest.raises(ValueError, match="coupling"):
-        N.capsule_weighted_sum(u, w, votes, c[:, :4], index)
+        N.dynamic_routing(u, {"route.transform": w}, tiny_config(), c[:, :-1], index)
+
+
+def test_dynamic_routing_backward_only_reads_the_forward(rng):
+    """A second backward call adds exactly the first's gradients again,
+    so the backward never writes into what the forward kept; the forward
+    gives the same bits with and without a tape."""
+    shape, index = ROUTE_CASES[1]
+    u, w, _, _, _ = routed_case(rng, shape, index)
+    params, cfg = {"route.transform": w}, tiny_config(routing_iterations=3)
+    v, coupling = N.dynamic_routing(u, params, cfg, index=index)
+    g = rng.normal(size=v.shape)
+    v._backward(g)
+    once = u.grad.copy(), w.grad.copy()
+    v._backward(g)
+    np.testing.assert_array_equal(u.grad, 2.0 * once[0])
+    np.testing.assert_array_equal(w.grad, 2.0 * once[1])
+    with T.no_grad():
+        v2, coupling2 = N.dynamic_routing(u, params, cfg, index=index)
+    np.testing.assert_array_equal(v2.data, v.data)
+    np.testing.assert_array_equal(coupling2, coupling)
 
 
 # ---------------------------------------------------------------- routing
@@ -347,11 +365,11 @@ def check_routed_sum(rng, shape, index):
 def test_routing_hand_example():
     # one basic capsule voting for two advanced capsules in the plane
     uh = np.array([[[[2.0, 0.0], [0.0, 1.0]]]])  # (1, 1, 2, 2)
-    c1, _ = N.routing_coefficients(uh, 1)
+    c1, _ = route_votes(uh, 1)
     np.testing.assert_allclose(c1[0, 0], [0.5, 0.5], atol=1e-12)
     # uniform coupling: s1=(1,0) squashes to (0.5,0), s2=(0,0.5) to (0,0.2),
     # so the agreement update gives logits (2*0.5, 1*0.2) = (1.0, 0.2)
-    c2, b1 = N.routing_coefficients(uh, 2)
+    c2, b1 = route_votes(uh, 2)
     np.testing.assert_allclose(b1[0, 0], [1.0, 0.2], atol=1e-9)
     np.testing.assert_allclose(c2[0, 0], [0.6900, 0.3100], atol=5e-5)
     e = np.exp([1.0, 0.2])
@@ -361,7 +379,7 @@ def test_routing_hand_example():
 def test_routing_matches_oracle(rng):
     uh = rng.normal(size=(2, 6, 3, 4))
     for r in range(1, 5):
-        c, b = N.routing_coefficients(uh, r)
+        c, b = route_votes(uh, r)
         oc, _, _ = oracles.routing_oracle(uh, r)
         # the logits the returned coupling is the softmax of: r - 1
         # agreement updates (zeros at r = 1)
@@ -372,9 +390,10 @@ def test_routing_matches_oracle(rng):
 
 
 def test_routing_validation(rng):
-    uh = rng.normal(size=(1, 4, 2, 3))
+    uf, wj = N.capsule_transform(Tensor(rng.normal(size=(1, 4, 3))),
+                                 Tensor(rng.normal(size=(4, 2, 5, 3))), np.zeros((1, 1), int))
     with pytest.raises(ValueError):
-        N.routing_coefficients(uh, 0)
+        N.routing_coefficients(uf, wj, 0, np.empty((2, 1, 4, 3)))
 
 
 def test_dynamic_routing_forward_and_override(rng):
@@ -390,7 +409,7 @@ def test_dynamic_routing_forward_and_override(rng):
     np.testing.assert_allclose(v2.data, v.data, atol=1e-14)
     np.testing.assert_array_equal(coupling2, coupling)
     # and matches the oracle's final squashed outputs
-    uh = N.capsule_transform(u, params["route.transform"], np.arange(2)[:, None])
+    uh = np.einsum("ijad,nid->nija", params["route.transform"].data, u.data)
     _, _, ov = oracles.routing_oracle(uh, cfg.routing_iterations)
     np.testing.assert_allclose(v.data, ov, atol=1e-10)
 
