@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -315,7 +315,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
         "dataset": cfg["dataset"],
     })
-    _write_json(out / "train_report.json", report.to_json_dict())
+    _write_json(out / "train_report.json", asdict(report))
     rows = []
     for i, tr in enumerate(report.train_loss):
         va = report.val_loss[i] if i < len(report.val_loss) else ""
@@ -401,17 +401,10 @@ def cmd_tune(args) -> int:
         batch, config_for, tune_cfg,
         explore=cfg["tune"]["explore"],
     )
-    rows = [[c["conv_filters"], c["lstm_units"], c["rmse"], c["score"],
-             c["seed"], c["best_epoch"]] for c in grid.to_rows()]
-    _write_csv(out / "grid.csv",
-               ["conv_filters", "lstm_units", "rmse", "score", "seed", "best_epoch"],
-               rows)
+    _write_csv(out / "grid.csv", [f.name for f in fields(T.GridCell)],
+               [astuple(c) for c in grid.cells])
     best = grid.best
-    _write_json(out / "best.json", {
-        "conv_filters": best.conv_filters, "lstm_units": best.lstm_units,
-        "rmse": best.rmse, "score": best.score, "seed": best.seed,
-        "best_epoch": best.best_epoch,
-    })
+    _write_json(out / "best.json", asdict(best))
     _write_manifest(out, "tune", cfg, args.seed, ["grid.csv", "best.json"],
                     cells=len(grid.cells),
                     best_filters=best.conv_filters, best_lstm=best.lstm_units)
@@ -444,8 +437,7 @@ def cmd_ablate(args) -> int:
         vdir = out / variant
         vdir.mkdir(parents=True, exist_ok=True)
         E.emit_report(result.reports[variant], vdir, stem="report")
-        _write_json(vdir / "train_report.json",
-                    result.train_reports[variant].to_json_dict())
+        _write_json(vdir / "train_report.json", asdict(result.train_reports[variant]))
         artifacts += [f"{variant}/report.json",
                       f"{variant}/report_predictions.csv",
                       f"{variant}/train_report.json"]
@@ -529,7 +521,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every stage checks its results and raises on a non-finite value;
+        # numpy's warnings would only print lines beside the JSON error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except C.ConfigError as exc:
         print(json.dumps({"error": "config", "problems": exc.problems}),
               file=sys.stderr)

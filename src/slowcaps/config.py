@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import logging
+import math
 from typing import Any
 
 import numpy as np
@@ -184,7 +185,14 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite number: JSON parses ``NaN``, ``Infinity`` and ``1e999``
+    to floats that are not, and an int may not fit a float."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_pair(value, name, problems) -> None:

@@ -75,6 +75,18 @@ class RunToFailureSeries:
         return self.sensors.shape[0]
 
 
+# the feature fit sums squared deviations from channel means: beyond
+# this magnitude those float64 sums can overflow
+_MAX_ABS = 1e150
+
+
+def _check_values(values: list[float], path, ln: int) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}:{ln}: non-finite value")
+    if values and max(map(abs, values)) > _MAX_ABS:
+        raise ValueError(f"{path}:{ln}: value of magnitude above {_MAX_ABS:g}")
+
+
 def _read_space_table(path) -> list[list[float]]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,8 +98,7 @@ def _read_space_table(path) -> list[list[float]]:
                 row = [float(tok) for tok in stripped.split()]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {ln}") from exc
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{ln}: non-finite value")
+            _check_values(row, path, ln)
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -106,6 +117,12 @@ def _group_cmapss_units(rows: list[list[float]], path, n_sensors: int):
             f"(unit, cycle, {CMAPSS_SETTINGS} settings, {n_sensors} sensors), got {width}"
         )
     arr = np.asarray(rows)
+    keys = arr[:, :2]
+    whole = ((keys == np.floor(keys)) & (np.abs(keys) < 2**31)).all(axis=1)
+    if not whole.all():
+        r = int(np.argmin(whole))
+        raise ValueError(f"{path}: row {r + 1}: unit id and cycle must be whole numbers, "
+                         f"got {float(keys[r, 0])!r} and {float(keys[r, 1])!r}")
     units = []
     for uid in np.unique(arr[:, 0]).astype(int):
         block = arr[arr[:, 0] == uid]
@@ -158,6 +175,10 @@ def load_cmapss(
             raise ValueError("test data requires the residual-life file")
         test_units = _group_cmapss_units(_read_space_table(test_path), test_path, n_sensors)
         ruls = [r[0] for r in _read_space_table(rul_path)]
+        for i, rul in enumerate(ruls):
+            if rul < 0 or rul != math.floor(rul):
+                raise ValueError(f"{rul_path}: entry {i + 1}: residual life must be "
+                                 f"a whole number >= 0, got {rul!r}")
         if len(ruls) != len(test_units):
             raise ValueError(
                 f"residual-life file has {len(ruls)} entries for "
@@ -233,8 +254,7 @@ def load_milling(csv_path) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {ln}") from exc
             values = params + sensors + ([] if wear is None else [wear])
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}:{ln}: non-finite value")
+            _check_values(values, path, ln)
             entry = raw.setdefault(
                 (case, run),
                 {"material": material, "params": params, "sensors": [], "wear": wear},

@@ -19,7 +19,8 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -113,20 +114,6 @@ class EvaluationReport:
     extra: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "variant": self.variant,
-            "seed": self.seed,
-            "clipped": self.clipped,
-            "rul_max": self.rul_max,
-            "rmse": self.rmse,
-            "score": self.score,
-            "histogram": self.histogram,
-            "rows": self.rows,
-            "extra": self.extra,
-        }
-
 
 def build_report(
     unit_ids,
@@ -154,10 +141,14 @@ def build_report(
          "error": float(p - t)}
         for u, t, p in zip(ids, truths, preds)
     ]
+    metrics = {"rmse": rmse(preds, truths), "score": scoring_function(preds, truths)}
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the {name} overflows: the largest error is "
+                             f"{float(np.max(np.abs(d)))!r} cycles")
     return EvaluationReport(
         rows=rows,
-        rmse=rmse(preds, truths),
-        score=scoring_function(preds, truths),
+        **metrics,
         histogram=error_distribution(d),
         variant=variant,
         seed=seed,
@@ -247,7 +238,7 @@ def emit_report(report: EvaluationReport, out_dir, stem: str = "report") -> dict
     json_path = out / f"{stem}.json"
     csv_path = out / f"{stem}_predictions.csv"
     json_path.write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=1) + "\n",
+        json.dumps(asdict(report), sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
     )
     csv_path.write_text(_report_csv_text(report), encoding="utf-8")

@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 SQUASH_EPS = 1e-12
-# one frame's conv map times the frames one dense-inference block may
-# name: 8 MiB is 73 frames at FD001 geometry, and the whole validation
-# set in one pass at desk geometry
-BLOCK_BYTES = 8 << 20
 # OpenBLAS 0.3.31 rounds a weight gradient, a reduction over the batch's
 # patches, frames or sequence steps, the same on 1 and 2 threads when
 # their count is a multiple of 32 (checked at FD001 geometry); padding
@@ -69,7 +65,9 @@ MATMUL_ROWS = 32
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+    """An integer numpy can size and index with: one that fits int64."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+            and -2**63 <= x < 2**63)
 
 
 def _pair(v, name: str) -> tuple[int, int]:
@@ -205,13 +203,6 @@ class ModelConfig:
         kh, kw = self.caps_kernel
         sh, sw = self.caps_stride
         return ((h - kh) // sh + 1, (w - kw) // sw + 1)
-
-    @property
-    def conv_map_bytes(self) -> int:
-        """Bytes of one frame's float64 conv map, the largest per-frame
-        array of the forward pass."""
-        h, w = self.conv_out_hw
-        return h * w * self.conv_filters * 8
 
     @property
     def num_basic_capsules(self) -> int:
@@ -729,10 +720,10 @@ def predict(
     ``index[b]``; without ``index`` it is materialized sequences,
     (B, S, window, channels) or a single (S, window, channels), each
     frame its own.  A block is a run of at most ``chunk`` consecutive
-    sequences that name at most ``BLOCK_BYTES // conv_map_bytes``
-    distinct frames (always room for one sequence);
-    :func:`model_forward` scores each of those frames once.  Returns
-    (B,) outputs times ``label_scale``.
+    sequences, so it names at most ``chunk`` x S frames, and
+    :func:`model_forward` scores each of them once: ``chunk`` is the one
+    bound on a forward's memory.  Returns (B,) outputs times
+    ``label_scale``.
     """
     x = np.asarray(frames)
     if index is None:
@@ -745,23 +736,9 @@ def predict(
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if index.ndim != 2:
         raise ValueError(f"index must be (sequences, steps), got shape {index.shape}")
-    budget = max(index.shape[1], BLOCK_BYTES // config.conv_map_bytes)
     out = np.empty(index.shape[0])
     with T.no_grad():
-        for lo, hi in _blocks(index, chunk, budget):
-            y, _ = model_forward(x, params, config, mode="eval", index=index[lo:hi])
-            out[lo:hi] = y.data * float(label_scale)
+        for lo in range(0, len(index), chunk):
+            y, _ = model_forward(x, params, config, mode="eval", index=index[lo : lo + chunk])
+            out[lo : lo + chunk] = y.data * float(label_scale)
     return out
-
-
-def _blocks(index: np.ndarray, chunk: int, budget: int):
-    """(lo, hi) runs of at most ``chunk`` consecutive sequences that name
-    at most ``budget`` distinct frames, covering every sequence."""
-    lo, seen = 0, set()
-    for i, row in enumerate(index.tolist()):
-        if i - lo == chunk or len(seen.union(row)) > budget:
-            yield lo, i
-            lo, seen = i, set()
-        seen.update(row)
-    if lo < len(index):
-        yield lo, len(index)

@@ -157,8 +157,10 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of every tracked tensor reachable from ``loss``.
 
     Gradients accumulate: each use of a tensor contributes exactly once,
-    and repeated calls sum their contributions (call :func:`zero_grads`
-    between optimization steps).
+    and repeated calls sum their contributions into the leaves (call
+    :func:`zero_grads` between optimization steps).  Each call starts
+    the graph's intermediate nodes from empty gradient slots and leaves
+    them filled, so they hold this call's gradients afterwards.
     """
     if loss.ndim != 0:
         raise ValueError("loss must be a scalar tensor")
@@ -181,6 +183,9 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    for node in order:
+        if node._backward is not None:
+            node.grad = None
     accumulate_grad(loss, np.ones((), dtype=np.float64))
     for node in reversed(order):
         if node._backward is not None:

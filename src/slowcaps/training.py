@@ -85,18 +85,6 @@ class TrainReport:
     val_sequences: int
     label_scale: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-            "parameter_count": self.parameter_count,
-            "train_sequences": self.train_sequences,
-            "val_sequences": self.val_sequences,
-            "label_scale": self.label_scale,
-        }
-
 
 def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
     """Frame indices of every run of ``length`` consecutive frames
@@ -280,14 +268,6 @@ class GridCell:
 class GridResult:
     best: GridCell
     cells: list[GridCell] = field(default_factory=list)
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"conv_filters": c.conv_filters, "lstm_units": c.lstm_units,
-             "rmse": c.rmse, "score": c.score, "seed": c.seed,
-             "best_epoch": c.best_epoch}
-            for c in self.cells
-        ]
 
 
 def _cell_seed(base_seed: int, filters: int, units: int) -> int:

@@ -4,6 +4,9 @@ import json
 import logging
 import math
 import os
+import re
+import shutil
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -307,7 +310,7 @@ def test_non_finite_training_data_exits_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "feat" / "features.json").exists()
 
 
-@pytest.mark.parametrize("case", ["unknown_key", "string_int", "null_scale"])
+@pytest.mark.parametrize("case", ["unknown_key", "string_int", "null_scale", "int_beyond_int64"])
 def test_malformed_model_config_exits_1(workspace, tmp_path, capsys, case):
     model = tmp_path / "model"
     model.mkdir()
@@ -318,6 +321,10 @@ def test_malformed_model_config_exits_1(workspace, tmp_path, capsys, case):
         doc["architecture"]["kernel"] = 3
     elif case == "string_int":
         doc["architecture"]["window_length"] = "8"
+    elif case == "int_beyond_int64":
+        # found by test_seeded_corruption_sweep: the last-point pass's
+        # padding ended in an OverflowError traceback
+        doc["architecture"]["sequence_length"] = 10**20
     else:
         doc["label_scale"] = None
     (model / "model_config.json").write_text(json.dumps(doc))
@@ -543,6 +550,13 @@ def _first_unit_only(rows):
     return [r for r in rows if r[0] == rows[0][0]]
 
 
+def _set_field(row, col, value):
+    def edit(rows):
+        rows[row][col] = value
+        return rows
+    return edit
+
+
 # (case, command, file edited, edit, extra arguments, exit code, reason)
 CORRUPTIONS = [
     ("truncated_row", "fit-features", "train", _truncate_row, [], 1,
@@ -565,6 +579,18 @@ CORRUPTIONS = [
     # to concatenate" after one warning per unit
     ("huge_window_ablate", "ablate", None, None, ["--set", "model.window_length=100000"], 1,
      "window 100000 is longer than every unit's degradation stage (at most 40 rows)"),
+    # found by test_seeded_corruption_sweep: each used to end in a
+    # traceback, a numpy warning line or a report with an infinite score
+    ("infinite_rul_max", "fit-features", None, None, ["--set", "rul_max=1e999"], 2,
+     "rul_max must be a positive number"),
+    ("fractional_unit_id", "fit-features", "train", _set_field(3, 0, "1.5"), [], 1,
+     "row 4: unit id and cycle must be whole numbers, got 1.5 and 4.0"),
+    ("huge_sensor_value", "fit-features", "train", _set_field(3, 7, "1e160"), [], 1,
+     "train_synthetic.txt:4: value of magnitude above 1e+150"),
+    ("fractional_rul", "evaluate", "RUL", _set_field(1, 0, "12.5"), [], 1,
+     "entry 2: residual life must be a whole number >= 0, got 12.5"),
+    ("score_overflow", "evaluate", "RUL", _set_field(0, 0, "99999999999999999999"), [], 1,
+     "the score overflows"),
 ]
 
 
@@ -600,6 +626,99 @@ def test_corrupt_input_fails_at_the_boundary(workspace, tmp_path, capsys, case, 
     assert reason in (err["problems"][0] if code == 2 else err["message"])
     for name in ("features.json", "checkpoint.json", "report.json"):
         assert not (out / name).exists(), name
+
+
+# (workspace file mutated, command that reads it); None mutates a --set value
+SWEEP_TARGETS = [
+    ("feat/features.json", "evaluate"),
+    ("model/checkpoint.json", "evaluate"),
+    ("model/model_config.json", "evaluate"),
+    ("data/train_synthetic.txt", "fit-features"),
+    ("data/test_synthetic.txt", "evaluate"),
+    ("data/RUL_synthetic.txt", "evaluate"),
+    (None, "fit-features"),
+    (None, "evaluate"),
+]
+SWEEP_DRAWS = 160
+SWEEP_TOKENS = ["0", "-1", "2.5", "1e308", "1e999", "-1e999", "1e-320", "nan", "NaN",
+                "Infinity", "99999999999999999999", "null", "true", '""', '"x"', "[]",
+                "{}", "[1,2]", "x", ""]
+# a JSON string, a run of number or word characters, or one other character
+_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[-+.\w]+|\S')
+_LOG_LINE = re.compile(r"^(DEBUG|INFO|WARNING|ERROR|CRITICAL) ")
+
+
+def _mutate(raw: bytes, rng) -> bytes:
+    """One seeded token- or byte-level mutation of ``raw``: a token
+    replaced, a byte overwritten, a span deleted or duplicated, bytes
+    inserted, or the tail cut."""
+    kind = int(rng.integers(6))
+    pos = int(rng.integers(len(raw) + 1))
+    span = int(rng.integers(1, 9))
+    if kind == 0:
+        tokens = list(_TOKEN.finditer(raw))
+        if tokens:
+            m = tokens[int(rng.integers(len(tokens)))]
+            new = SWEEP_TOKENS[int(rng.integers(len(SWEEP_TOKENS)))].encode()
+            return raw[: m.start()] + new + raw[m.end() :]
+    if kind == 1 and pos < len(raw):
+        return raw[:pos] + bytes([int(rng.integers(256))]) + raw[pos + 1 :]
+    if kind == 2:
+        return raw[:pos] + raw[pos + span :]
+    if kind == 3:
+        return raw[:pos] + raw[pos : pos + span] + raw[pos:]
+    if kind == 4:
+        alphabet = b'0123456789-+.eE"[]{},: x\n'
+        return raw[:pos] + bytes(rng.choice(list(alphabet), size=span).tolist()) + raw[pos:]
+    return raw[:pos]
+
+
+def test_seeded_corruption_sweep(workspace, tmp_path, capsys):
+    """Seeded mutations of each CLI input (the features, checkpoint and
+    model config, the data files, a --set value) exit 0 with finite
+    outputs, or 1 or 2 with one JSON error line; none raises or warns."""
+    for k in range(SWEEP_DRAWS):
+        rng = np.random.default_rng(np.random.SeedSequence([2024, k]))
+        target, command = SWEEP_TARGETS[k % len(SWEEP_TARGETS)]
+        run = tmp_path / f"draw{k}"
+        for name in ("data", "feat", "model"):
+            shutil.copytree(workspace / name, run / name)
+        overrides = list(SET)
+        if target is None:
+            i = 2 * int(rng.integers(len(SET) // 2)) + 1
+            key, value = overrides[i].split("=", 1)
+            overrides[i] = key + "=" + _mutate(value.encode(), rng).decode("utf-8", "replace")
+            what = overrides[i]
+        else:
+            path = run / target
+            path.write_bytes(_mutate(path.read_bytes(), rng))
+            what = target
+        out = run / "out"
+        argv = [command, "--out", str(out), "--data-dir", str(run / "data"), *overrides]
+        if command == "evaluate":
+            argv += ["--features", str(run / "feat"), "--model", str(run / "model")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            # a numpy warning would print lines beside the JSON error
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.strip() and not _LOG_LINE.match(line)]
+        if code == 0:
+            if command == "evaluate":
+                report = json.loads((out / "report.json").read_text())
+                values = [report["rmse"], report["score"]]
+                values += [r["predicted_rul"] for r in report["rows"]]
+            else:
+                values = [v for a in ckpt.load_arrays(out / "features.json").values()
+                          for v in a.ravel()]
+            assert all(math.isfinite(v) for v in values), (k, what)
+            continue
+        assert code in (1, 2), (k, what, code)
+        assert len(err) == 1, (k, what, err)
+        assert "error" in json.loads(err[0]), (k, what, err)
+        for name in ("features.json", "report.json"):
+            assert not (out / name).exists(), (k, what, name)
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -110,7 +110,7 @@ def test_report_roundtrip_and_determinism(tmp_path):
     assert paths["json"].read_bytes() == again["json"].read_bytes()
     assert paths["csv"].read_bytes() == again["csv"].read_bytes()
     loaded = json.loads(paths["json"].read_text())
-    assert loaded == rep.to_json_dict()
+    assert loaded == asdict(rep)
     assert loaded["schema_version"] == E.SCHEMA_VERSION
     assert loaded["variant"] == "full" and loaded["seed"] == 3
     assert loaded["extra"] == {"note": 1}

@@ -17,7 +17,6 @@ import numpy as np
 from conftest import materialized_forward, per_frame_forward, sliding_frames
 
 import slowcaps
-from slowcaps import evaluation as E
 from slowcaps import network as N
 from slowcaps import tensor as T
 from slowcaps import training as TR
@@ -465,8 +464,6 @@ for p in params.values():
 # the head's products have 65 rows
 frames = sliding_frames(rng.normal(size=(1, 96, 16)), 28)
 index = TR.sequence_index(np.zeros(69), 5)
-budget = N.BLOCK_BYTES // config.conv_map_bytes
-assert list(N._blocks(index, 512, budget)) == [(0, 65)]
 print(hashlib.sha256(N.predict(frames, params, config, index=index).tobytes()).hexdigest())
 """
 
@@ -476,6 +473,43 @@ def test_fd001_predict_block_ignores_blas_thread_count():
     which OpenBLAS rounds the unblocked head product differently on 1
     and 2 threads, predicts byte-identically on both."""
     assert_same_output_on_1_and_2_threads(PREDICT_BLOCK)
+
+
+INFER_PASSES = """
+import hashlib
+import numpy as np
+from slowcaps import evaluation as E
+from slowcaps import network as N
+from conftest import sliding_frames
+from test_fd001_geometry import fd001_config
+
+config = fd001_config()
+rng = np.random.default_rng(43)
+params = N.init_parameters(config, rng)
+for p in params.values():
+    p.data = p.data + rng.normal(0.0, 0.1, size=p.data.shape)
+digest = hashlib.sha256()
+# the fd001-infer pass: 8 units of 98 sliding-window frames, 752
+# sequences in 3 blocks of at most 256, about 270 distinct frames each
+frames = sliding_frames(rng.normal(size=(8, 125, 16)), 28)
+uids = np.repeat(np.arange(8), 98)
+preds, _, _ = E.sequence_predictions(params, config, frames, np.zeros(len(frames)),
+                                     uids, 5, 125.0, chunk=256)
+assert preds.shape == (752,)
+digest.update(preds.tobytes())
+# a last-point pass: each of 24 units' final materialized sequence, all
+# 120 frames in one block
+x = sliding_frames(rng.normal(size=(24, 32, 16)), 28).reshape(24, 5, 28, 16)
+digest.update(N.predict(x, params, config, 125.0).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fd001_inference_passes_ignore_blas_thread_count():
+    """A dense pass of ``fd001-infer``'s size, 256 sequences per block,
+    and a 24-unit last-point pass in one block predict byte-identically
+    on 1 and 2 BLAS threads."""
+    assert_same_output_on_1_and_2_threads(INFER_PASSES)
 
 
 CLI_CHAIN = """
@@ -606,26 +640,3 @@ def test_fd001_frame_once_predict_matches_materialized():
     for ref in refs:
         tol = 1e-12 * np.max(np.abs(ref))
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
-
-
-def test_fd001_dense_forwards_stay_within_the_block_budget(monkeypatch):
-    config = fd001_config()
-    budget = N.BLOCK_BYTES // config.conv_map_bytes
-    assert budget == 73  # 8 MiB over 28 x 8 x 64 doubles per frame
-    rng = np.random.default_rng(13)
-    params = N.init_parameters(config, rng)
-    frames, labels, uids = fd001_units(rng)
-    sizes = []
-    forward = N.model_forward
-
-    def counting_forward(x, *args, **kwargs):
-        sizes.append(np.unique(kwargs["index"]).size)
-        return forward(x, *args, **kwargs)
-
-    monkeypatch.setattr(N, "model_forward", counting_forward)
-    preds, _, _ = E.sequence_predictions(params, config, frames, labels, uids, 5,
-                                         125.0, chunk=256)
-    assert preds.shape == (3 * 26,)
-    assert max(sizes) <= budget
-    # 90 distinct frames: two blocks, sharing at most S - 1 = 4 frames
-    assert len(sizes) == 2 and sum(sizes) <= 90 + 4

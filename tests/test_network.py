@@ -966,7 +966,7 @@ def test_desk_validation_set_is_one_forward(monkeypatch):
                                        plain_channels=6, window=31)
     per_unit = 200 - 31 + 1
     n_val = round(cfg["training"]["validation_fraction"] * cfg["synthetic"]["units"])
-    assert n_val * per_unit <= N.BLOCK_BYTES // model_cfg.conv_map_bytes
+    assert n_val * per_unit <= 512  # predict's default chunk
     rng = np.random.default_rng(8)
     n = 20 + n_val * per_unit
     uids = np.array(["t"] * 20 + [f"v{i // per_unit}" for i in range(n - 20)])

@@ -129,6 +129,18 @@ def test_gradient_accumulates_per_use():
     np.testing.assert_allclose(x.grad, 0.0)
 
 
+def test_repeated_backward_adds_the_same_gradient_again():
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = T.mul(2.0, x)
+    loss = T.reduce_sum(T.mul(3.0, h))
+    backward(loss)
+    np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+    backward(loss)
+    # the leaf sums both calls; the intermediate holds the last call's
+    np.testing.assert_array_equal(x.grad, np.full(3, 12.0))
+    np.testing.assert_array_equal(h.grad, np.full(3, 3.0))
+
+
 def test_diamond_reuse_single_contribution(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
 

@@ -1,5 +1,7 @@
 """Fitting loop, hyper-parameter derivation rules, sensitivity search."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ def test_train_report_json_dict():
         parameter_count=10, train_sequences=5, val_sequences=2,
         label_scale=1.0,
     )
-    doc = rep.to_json_dict()
+    doc = asdict(rep)
     assert "wall_seconds" not in doc
     assert doc["best_epoch"] == 1
 
@@ -273,7 +275,7 @@ def test_sensitivity_grid_full_tiny_run():
     assert res.best in res.cells
     assert all(np.isfinite(c.rmse) and np.isfinite(c.score) for c in res.cells)
     assert res.best.rmse == min(c.rmse for c in res.cells)
-    rows = res.to_rows()
+    rows = [asdict(c) for c in res.cells]
     assert rows[0].keys() == {
         "conv_filters", "lstm_units", "rmse", "score", "seed", "best_epoch"
     }
