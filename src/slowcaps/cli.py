@@ -110,11 +110,6 @@ def _runtime() -> dict:
     }
 
 
-def _write_timing(out: Path, command: str, seconds: float) -> None:
-    _write_json(out / "timing.json",
-                {"command": command, "wall_seconds": float(seconds)})
-
-
 def _setup(args) -> tuple[dict, Path]:
     cfg = C.load_config(args.config)
     if args.set:
@@ -172,12 +167,18 @@ def _model_config(cfg: dict, pipe: F.FeaturePipeline, variant: str) -> network.M
         use_lstm=use_lstm,
     )
     need = 4 * 8 * sum(math.prod(s) for s in network.parameter_shapes(model_cfg).values())
+    _check_host_memory(need, "the model's parameters, gradients and Adam moments")
+    return model_cfg
+
+
+def _check_host_memory(need: int, what: str, where: Path | None = None) -> None:
+    """Raise a ``MemoryError`` if ``need`` bytes for ``what`` exceed the
+    host's physical memory; ``where`` names the file that asked for them."""
     host = _host_memory_bytes()
     if host is not None and need > host:
-        raise MemoryError(f"Unable to allocate {need / 2**30:.1f} GiB for the model's "
-                          f"parameters, gradients and Adam moments: the host has "
-                          f"{host / 2**30:.1f} GiB of memory")
-    return model_cfg
+        prefix = "" if where is None else f"{where}: "
+        raise MemoryError(f"{prefix}Unable to allocate {need / 2**30:.1f} GiB for {what}: "
+                          f"the host has {host / 2**30:.1f} GiB of memory")
 
 
 def _host_memory_bytes() -> int | None:
@@ -223,7 +224,6 @@ def _training_frames(cfg: dict, data_dir: Path, pipe: F.FeaturePipeline,
 
 def cmd_synth(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     spec, n_train = C.synthetic_spec_from(cfg)
     generated = D.generate_synthetic(spec, args.seed)
     series = generated["series"]
@@ -245,13 +245,11 @@ def cmd_synth(args) -> int:
     _write_manifest(out, "synth", cfg, args.seed, artifacts,
                     train_units=len(train), test_units=len(test),
                     channels=spec.channels)
-    _write_timing(out, "synth", time.perf_counter() - t0)
     return 0
 
 
 def cmd_fit_features(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     settings = C.feature_settings_from(cfg)
     if cfg["dataset"] == "milling" and settings.per_condition:
         raise C.ConfigError(
@@ -292,13 +290,11 @@ def cmd_fit_features(args) -> int:
 
     _write_manifest(out, "fit-features", cfg, args.seed, artifacts,
                     num_slow=diag.num_slow, window=diag.window)
-    _write_timing(out, "fit-features", time.perf_counter() - t0)
     return 0
 
 
 def cmd_train(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     pipe = _load_features(args.features)
     include_slow, _ = P.variant_flags(args.variant)
     pipe_v = pipe if include_slow else pipe.without_slow()
@@ -327,13 +323,11 @@ def cmd_train(args) -> int:
         variant=args.variant, parameters=report.parameter_count,
         best_epoch=report.best_epoch,
     )
-    _write_timing(out, "train", time.perf_counter() - t0)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     model_dir = Path(args.model)
     path = model_dir / "model_config.json"
     try:
@@ -368,6 +362,10 @@ def cmd_evaluate(args) -> int:
     truths = [s.true_rul for s in series]
     if any(t is None for t in truths):
         raise ValueError("evaluation units lack true residual life")
+    steps = model_cfg.sequence_length
+    _check_host_memory(8 * len(series) * steps * model_cfg.window_length * model_cfg.in_channels,
+                       f"the last-point sequences of {len(series)} units, {steps} frames each",
+                       path)
     ids, preds = E.last_point_predictions(params, model_cfg, pipe_v, series, label_scale)
     clip = not args.no_clip
     report = E.build_report(
@@ -379,13 +377,11 @@ def cmd_evaluate(args) -> int:
                     ["report.json", "report_predictions.csv"],
                     variant=variant, units=len(ids),
                     rmse=report.rmse, score=report.score)
-    _write_timing(out, "evaluate", time.perf_counter() - t0)
     return 0
 
 
 def cmd_tune(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     pipe = _load_features(args.features)
     batch = _training_frames(cfg, Path(args.data_dir), pipe, args.features)
 
@@ -408,13 +404,11 @@ def cmd_tune(args) -> int:
     _write_manifest(out, "tune", cfg, args.seed, ["grid.csv", "best.json"],
                     cells=len(grid.cells),
                     best_filters=best.conv_filters, best_lstm=best.lstm_units)
-    _write_timing(out, "tune", time.perf_counter() - t0)
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg, out = _setup(args)
-    t0 = time.perf_counter()
     if cfg["dataset"] == "milling":
         raise C.ConfigError(
             ["ablate runs on run-to-failure series datasets, not milling"]
@@ -449,7 +443,6 @@ def cmd_ablate(args) -> int:
     )
     _write_manifest(out, "ablate", cfg, args.seed, artifacts,
                     variants=list(variants), eval_mode="last_point")
-    _write_timing(out, "ablate", time.perf_counter() - t0)
     return 0
 
 
@@ -524,7 +517,12 @@ def main(argv=None) -> int:
         # every stage checks its results and raises on a non-finite value;
         # numpy's warnings would only print lines beside the JSON error
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            t0 = time.perf_counter()
+            code = args.func(args)
+        if code == 0:
+            _write_json(Path(args.out) / "timing.json",
+                        {"command": args.command, "wall_seconds": time.perf_counter() - t0})
+        return code
     except C.ConfigError as exc:
         print(json.dumps({"error": "config", "problems": exc.problems}),
               file=sys.stderr)

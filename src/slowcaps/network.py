@@ -28,8 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, _accumulate_new, _check_finite, _grad_on, accumulate_grad,
-                     make_op)
+from .tensor import Tensor, _accumulate_new, _check_finite, accumulate_grad, make_op, row_product
 
 __all__ = [
     "ModelConfig",
@@ -49,19 +48,6 @@ __all__ = [
 ]
 
 SQUASH_EPS = 1e-12
-# OpenBLAS 0.3.31 rounds a weight gradient, a reduction over the batch's
-# patches, frames or sequence steps, the same on 1 and 2 threads when
-# their count is a multiple of 32 (checked at FD001 geometry); padding
-# with zero rows leaves the bits of a reduction of up to 384 unchanged
-PATCH_MULTIPLE = 32
-# the regression head's products run in blocks of this many rows:
-# OpenBLAS 0.3.31 rounds its (M x 200) @ (200 x 100) differently on 1 and
-# 2 threads at M = 51-100, and a 32-row block the same on both.  A layer's
-# weight gradient, a reduction over the M rows, differs from M = 385 on
-# unless zero rows pad M to a multiple of this count; a one-column
-# gradient is a matrix-vector product, which OpenBLAS does not split
-# across threads and which padding would round differently
-MATMUL_ROWS = 32
 
 
 def _is_int(x) -> bool:
@@ -349,28 +335,27 @@ def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int, x: np.
     logit; the last round only takes the softmax, because
     :func:`dynamic_routing` records its weighted sum and squash on the
     tape.  The first round's coupling is uniform, so its sums are one
-    GEMM of uf times 1/J.  ``x`` is a (J, >= N, I, D) work buffer: rows
-    :N of each slab hold c_j * uf, then the agreement product.  Returns
-    (coupling, logits), both (J, N, I), where ``coupling`` is the
-    softmax of ``logits`` over the advanced capsules.
+    GEMM of uf times 1/J.  ``x`` is a (J, N, I, D) work buffer: it holds
+    c_j * uf, then the agreement product.  Returns (coupling, logits),
+    both (J, N, I), where ``coupling`` is the softmax of ``logits`` over
+    the advanced capsules.
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
     n, i, d = uf.shape
     j = wj.shape[0]
-    xs = x[:, :n]
-    xf = x.reshape(j, -1, i * d)[:, :n]
+    xf = x.reshape(j, n, i * d)
     b = np.zeros((j, n, i))
     for r in range(iterations - 1):
         if r == 0:
             s = np.matmul(uf.reshape(1, n, i * d), wj) * (1.0 / j)
         else:
-            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0), uf, out=xs)
+            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0), uf, out=x)
             s = np.matmul(xf, wj)
         v = _squash_np(s)
         _check_finite(v, "routed capsules")
         np.matmul(v, wj.transpose(0, 2, 1), out=xf)
-        b += np.einsum("jnid,nid->jni", xs, uf)
+        b += np.einsum("jnid,nid->jni", x, uf)
     return _softmax_np(b, axis=0), b
 
 
@@ -386,11 +371,8 @@ def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.nda
     share (sliding windows) are scored once.  One int64 key per patch
     (:func:`_row_keys`) finds the distinct ones; if a check of each
     patch's bits against its representative's finds two distinct
-    patches sharing a key, their raw bytes are compared instead.  The
-    distinct patches, (P, k, channels), are padded to a
-    multiple of :data:`PATCH_MULTIPLE` by repeating the last one; no
-    frame names a pad patch, so its gradient rows are exact zeros and
-    only fix the reduction length.
+    patches sharing a key, their raw bytes are compared instead.  Returns
+    exactly the distinct patches, (P, k, channels).
     """
     x = np.asarray(frames, dtype=np.float64)
     f, _, channels = x.shape
@@ -404,7 +386,6 @@ def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.nda
     if not np.array_equal(bits[first[inverse]], bits):
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first = np.pad(first, (0, -first.size % PATCH_MULTIPLE), mode="edge")
     return rows[first].reshape(-1, k, channels), inverse.reshape(f, hc)
 
 
@@ -454,9 +435,7 @@ def dynamic_routing(
     With x_j = c_j * uf, the final sums are s_j = x_j @ W_j, and the
     backward is the squash's closed form followed by dW_j = x_j^T ds_j
     and du = sum_j c_j * (ds_j W_j^T), summed into the patch rows with
-    one bincount.  x is kept from the forward and only read there; when
-    a weight gradient will be taken, its frame axis, dW's reduction, is
-    padded with zero rows to a multiple of :data:`PATCH_MULTIPLE`.
+    one bincount.  x is kept from the forward and only read there.
     Returns v and the coupling (N, I, J) it was built from.
     """
     if index is None:
@@ -464,10 +443,8 @@ def dynamic_routing(
     w = params["route.transform"]
     uf, wj = capsule_transform(u, w, index)
     n, i, d = uf.shape
-    j, _, a = wj.shape
-    padded = n + -n % PATCH_MULTIPLE if w.requires_grad and _grad_on() else n
-    x = np.empty((j, padded, i, d))
-    x[:, n:] = 0.0
+    j = wj.shape[0]
+    x = np.empty((j, n, i, d))
     if coupling_override is None:
         c, _ = routing_coefficients(uf, wj, config.routing_iterations, x)
     else:
@@ -475,17 +452,15 @@ def dynamic_routing(
         if c.shape != (j, n, i):
             raise ValueError(f"coupling override shape {coupling_override.shape} "
                              f"does not match ({n}, {i}, {j})")
-    np.einsum("jni,nid->jnid", c, uf, out=x[:, :n])
-    xf = x.reshape(j, padded, i * d)
-    s = np.matmul(xf[:, :n], wj)
+    np.einsum("jni,nid->jnid", c, uf, out=x)
+    xf = x.reshape(j, n, i * d)
+    s = np.matmul(xf, wj)
 
     def bw(g):
-        dsp = np.zeros((j, padded, a))
-        ds = dsp[:, :n]
-        ds[...] = _squash_grad(s, np.asarray(g).transpose(1, 0, 2))
+        ds = _squash_grad(s, np.asarray(g).transpose(1, 0, 2))
         if w.requires_grad:
-            gw = np.matmul(xf.transpose(0, 2, 1), dsp)
-            accumulate_grad(w, gw.reshape(j, i, d, a).transpose(1, 0, 3, 2))
+            gw = row_product(xf, ds)
+            accumulate_grad(w, gw.reshape(j, i, d, -1).transpose(1, 0, 3, 2))
         if u.requires_grad:
             gx = np.matmul(ds, wj.transpose(0, 2, 1)).reshape(j, n, i, d)
             gu = np.einsum("jni,jnid->nid", c, gx)
@@ -514,9 +489,8 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
     parameters concatenated in i, f, g, o order; c = f c + i g and
     h = o tanh(c).  The backward pass is closed-form BPTT (Greff et al.,
     "LSTM: A Search Space Odyssey", appendix) over the saved gates and
-    cell states, with each weight gradient one GEMM over all S*B rows,
-    padded to a multiple of :data:`PATCH_MULTIPLE` by rows that meet
-    zero gate gradients.
+    cell states, with each weight gradient one
+    :func:`~slowcaps.tensor.row_product` over all S*B rows.
     """
     if v_seq.ndim != 3:
         raise ValueError(f"lstm input must be rank 3, got shape {v_seq.shape}")
@@ -529,15 +503,8 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
     ps = [params[f"lstm.{kind}{gate}"] for kind in ("w_x", "w_h", "b_") for gate in "ifgo"]
     wx, wh, b = (np.concatenate([p.data for p in ps[k : k + 4]], axis=-1) for k in (0, 4, 8))
     u = config.lstm_units
-    # the weight gradients reduce over the S*B rows of x and h_0 .. h_S-1
-    # and the padded rows after them, which meet zero rows of dz
-    n = steps * batch
-    padded = n + -n % PATCH_MULTIPLE
-    xs = np.zeros((padded, width))
-    x = xs[:n].reshape(steps, batch, width)
-    x[...] = v_seq.data.transpose(1, 0, 2)
-    hrows = np.zeros((max(padded, n + batch), u))
-    hs = hrows[: n + batch].reshape(steps + 1, batch, u)  # h_0 .. h_S
+    x = np.ascontiguousarray(v_seq.data.transpose(1, 0, 2))
+    hs = np.zeros((steps + 1, batch, u))      # h_0 .. h_S
     gates = np.empty((steps, batch, 4 * u))
     cs = np.zeros((steps + 1, batch, u))      # c_0 .. c_S
     tcs = np.empty((steps, batch, u))         # tanh(c_1) .. tanh(c_S)
@@ -552,8 +519,7 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
         hs[t + 1] = o * tcs[t]
 
     def bw(grad):
-        dzs = np.zeros((padded, 4 * u))
-        dz = dzs[:n].reshape(steps, batch, 4 * u)
+        dz = np.empty((steps, batch, 4 * u))
         dh = np.asarray(grad)
         dc = np.zeros((batch, u))
         for t in reversed(range(steps)):
@@ -567,8 +533,10 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
             do[:] = dh * tc * o * (1.0 - o)
             dc = dc * f
             dh = dz[t] @ wh.T
-        rows = dzs[:n]
-        sums = (xs.T @ dzs, hrows[:padded].T @ dzs, rows.sum(axis=0))
+        # the weight gradients reduce over the S*B rows of x and h_0 .. h_S-1
+        rows = dz.reshape(-1, 4 * u)
+        sums = (row_product(x.reshape(-1, width), rows),
+                row_product(hs[:-1].reshape(-1, u), rows), rows.sum(axis=0))
         for k, full in enumerate(sums):
             for p, part in zip(ps[4 * k : 4 * k + 4], np.split(full, 4, axis=-1)):
                 if p.requires_grad:
@@ -592,12 +560,11 @@ def regression_head(
     dropout: keep with probability 1 - p, drawn from ``rng`` one layer
     at a time, and rescale by 1 / (1 - p); the final layer is affine
     with no activation.  One tape node from ``h`` and the ``fnn.*``
-    parameters.  Each product runs in blocks of :data:`MATMUL_ROWS`
-    rows, and its backward is the closed form: the dropout mask and the
-    relu gate, the bias gradient as the column sum, the weight gradient
-    x^T g over the rows zero-padded to a multiple of
-    :data:`MATMUL_ROWS` (unless it has one column), and the input
-    gradient g W^T.
+    parameters.  Each product runs in blocks of
+    :data:`~slowcaps.tensor.ROW_BLOCK` rows, and its backward is the
+    closed form: the dropout mask and the relu gate, the bias gradient
+    as the column sum, the weight gradient x^T g as one
+    :func:`~slowcaps.tensor.row_product`, and the input gradient g W^T.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -614,8 +581,8 @@ def regression_head(
     xs, masks = [h.data], []
     for li in layers:
         z = np.empty((rows, ws[li].shape[1]))
-        for lo in range(0, rows, MATMUL_ROWS):
-            np.matmul(xs[li][lo : lo + MATMUL_ROWS], ws[li].data, out=z[lo : lo + MATMUL_ROWS])
+        for lo in range(0, rows, T.ROW_BLOCK):
+            np.matmul(xs[li][lo : lo + T.ROW_BLOCK], ws[li].data, out=z[lo : lo + T.ROW_BLOCK])
         z += bs[li].data
         _check_finite(z, f"regression head layer {li}")
         if li < layers[-1]:
@@ -632,11 +599,7 @@ def regression_head(
             if b.requires_grad:
                 accumulate_grad(b, g.sum(axis=0))
             if w.requires_grad:
-                xp, gp = x, g
-                if g.shape[1] > 1 and rows % MATMUL_ROWS:
-                    pad = ((0, -rows % MATMUL_ROWS), (0, 0))
-                    xp, gp = np.pad(x, pad), np.pad(g, pad)
-                accumulate_grad(w, xp.T @ gp)
+                accumulate_grad(w, row_product(x, g))
             if li == 0:
                 break
             g = g @ w.data.T

@@ -29,7 +29,15 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "take_rows",
+    "ROW_BLOCK",
+    "row_product",
 ]
+
+# OpenBLAS 0.3.31 rounds a product the same on 1 and 2 threads when its
+# rows come in blocks of this many: a weight gradient reduced over a
+# batch's patches, frames, sequence steps or rows, and the regression
+# head's (M x 200) @ (200 x 100), which differs at M = 51-100 unblocked
+ROW_BLOCK = 32
 
 _grad_state = threading.local()
 
@@ -299,6 +307,29 @@ def take_rows(a, index) -> Tensor:
     return make_op(a.data[idx], (a,), bw)
 
 
+def row_product(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x^T g, the reduction over axis -2, with leading axes batched.
+
+    The result does not depend on the BLAS thread count: the whole
+    :data:`ROW_BLOCK`-row blocks are read in place as one product, and
+    the remaining rows are copied into a zeroed block whose product is
+    added on.  A one-column ``g`` is a plain product: a matrix-vector
+    product is not split across threads.
+    """
+    n = x.shape[-2]
+    whole = n - n % ROW_BLOCK
+    if whole == n or g.shape[-1] == 1:
+        return np.swapaxes(x, -1, -2) @ g
+    xr = np.zeros(x.shape[:-2] + (ROW_BLOCK, x.shape[-1]))
+    gr = np.zeros(g.shape[:-2] + (ROW_BLOCK, g.shape[-1]))
+    xr[..., : n - whole, :] = x[..., whole:, :]
+    gr[..., : n - whole, :] = g[..., whole:, :]
+    out = np.swapaxes(xr, -1, -2) @ gr
+    if whole:
+        out += np.swapaxes(x[..., :whole, :], -1, -2) @ g[..., :whole, :]
+    return out
+
+
 def conv2d(a, kernels, bias, stride=(1, 1)) -> Tensor:
     """Valid 2-D correlation.
 
@@ -363,7 +394,7 @@ def _conv(a, kernels, bias, stride, activate: bool) -> Tensor:
         if b.requires_grad:
             accumulate_grad(b, gm.sum(axis=0))
         if k.requires_grad:
-            accumulate_grad(k, (pm.T @ gm).reshape(kh, kw, cin, m))
+            accumulate_grad(k, row_product(pm, gm).reshape(kh, kw, cin, m))
         if a.requires_grad:
             g6 = (gm @ km.T).reshape(n, ho, wo, kh, kw, cin)
             if tiles:

@@ -495,6 +495,10 @@ ARTIFACT_CORRUPTIONS = [
      "use_lstm must be a boolean, got 'no'"),
     ("zero_label_scale", "evaluate", "model_config.json", _set_model("label_scale", 0),
      "label_scale must be a positive number, got 0.0"),
+    # a billion-frame sequence per unit is refused before any frame is built
+    ("huge_sequence_length", "evaluate", "model_config.json",
+     _set_model("sequence_length", 10**9),
+     "GiB for the last-point sequences of 3 units, 1000000000 frames each"),
 ]
 
 
@@ -518,7 +522,7 @@ def test_corrupt_artifact_exits_1(workspace, tmp_path, capsys, case, command, ar
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
     err = json.loads(lines[0])
-    assert err["error"] == "ValueError"
+    assert err["error"] == ("MemoryError" if case == "huge_sequence_length" else "ValueError")
     assert err["message"].startswith(f"{path}: ")
     assert reason in err["message"]
     for name in ("checkpoint.json", "report.json"):

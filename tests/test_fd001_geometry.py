@@ -40,10 +40,9 @@ def spot_check_inputs(rng, kind: str):
     ``"materialized"``: two sequences of random frames, each naming its
     own 5.  ``"indexed"``: four sequences of one 10-frame unit, one
     repeated and all sharing frames, as in a training step; the 280 rows
-    of its random frames are 280 distinct patches, padded to 288.
+    of its random frames are 280 distinct patches.
     ``"sliding"``: the same sequences over the 10 sliding windows of one
-    37-row series, whose frames share rows: 37 distinct patches, padded
-    to 64.
+    37-row series, whose frames share rows: 37 distinct patches.
     """
     if kind == "sliding":
         pool = sliding_frames(rng.normal(0.0, 0.8, size=(1, 37, 16)), 28)
@@ -54,7 +53,7 @@ def spot_check_inputs(rng, kind: str):
     index = TR.sequence_index(np.zeros(10), 5)[[0, 2, 5, 0]]
     assert np.unique(index).size == 10
     patches, _ = N.capsule_row_patches(pool, fd001_config())
-    assert patches.shape[0] == (64 if kind == "sliding" else 288)
+    assert patches.shape[0] == (37 if kind == "sliding" else 280)
     return pool, index
 
 
@@ -65,7 +64,7 @@ def test_fd001_geometry_gradient_spot_check():
 
 def test_fd001_geometry_gradient_spot_check_indexed():
     """The same check through the distinct-frames-plus-index path of a
-    training step, with repeated frames and pad patches."""
+    training step, with repeated frames."""
     spot_check("indexed")
 
 
@@ -257,7 +256,7 @@ for frames, local in batches:
     if local is not None:
         images, patch_index = N.capsule_row_patches(frames, config)
         distinct.append(np.unique(patch_index).size)
-        assert images.shape[0] % N.PATCH_MULTIPLE == 0
+        assert images.shape[0] == distinct[-1]
     u = N.build_basic_capsules(N.conv_features(T.Tensor(images[..., None]), params, config),
                                params, config)
     v, _ = N.dynamic_routing(u, params, config, index=patch_index)
@@ -282,7 +281,7 @@ for frames, local in batches:
 for name in sorted(front):
     digest.update(front[name].data.tobytes())
 # shared rows are scored once; the random frames share none, and their
-# patch count is above 384 and no multiple of 32 before padding
+# patch count is above 384 and no multiple of 32
 assert distinct[0] < 28 * 64 and distinct[1] < 28 * 26 and distinct[2] == 3640
 assert distinct[3] == 347
 print(digest.hexdigest())
@@ -293,8 +292,8 @@ def test_fd001_capsule_stages_ignore_blas_thread_count():
     """Conv, capsule, routing and LSTM stages give byte-identical
     outputs, gradients (the capsules' included) and parameters on 1 and
     2 BLAS threads over seven Adam steps: three on materialized 64 x 5
-    batches of whole frames, then through the padded distinct patches
-    of model_forward, one on a deduplicated 64 x 5 training batch of
+    batches of whole frames, then through the distinct patches of
+    model_forward, one on a deduplicated 64 x 5 training batch of
     sliding-window frames, one on a 26-sequence tail batch, one on 130
     random frames and one on 320 distinct frames.  The head is covered
     by the full training steps below.
@@ -396,9 +395,9 @@ print(digest.hexdigest())
 def test_fd001_wide_training_steps_ignore_blas_thread_count():
     """Four training steps at batch size 128, three naming more than 384
     distinct frames and a 56-sequence tail, give byte-identical
-    parameters on 1 and 2 BLAS threads: the weight gradients' reductions
-    over frames and sequence steps are zero-padded to a multiple of
-    ``PATCH_MULTIPLE``, and the head's over rows to ``MATMUL_ROWS``."""
+    parameters on 1 and 2 BLAS threads: every weight gradient's
+    reduction over patches, frames, sequence steps or rows is a
+    ``T.row_product``."""
     assert_same_output_on_1_and_2_threads(WIDE_STEPS)
 
 
@@ -435,15 +434,23 @@ for rows in (100, 385, 419, 700, 1281):
     T.backward(T.reduce_sum(N.lstm_forward(leaf(rows // 2, 5, 32), params, config)))
     for name in sorted(params):
         digest.update(params[name].grad.tobytes())
+for rows in (423, 455, 487, 1000):
+    # the capsule conv's kernel gradient over `rows` (1, 8, 64) maps
+    params["caps.kernel"].grad[...] = 0.0
+    z = T.conv2d(T.Tensor(rng.normal(size=(rows, 1, 8, 64))), params["caps.kernel"],
+                 params["caps.bias"])
+    T.backward(T.reduce_sum(z))
+    digest.update(params["caps.kernel"].grad.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_fd001_weight_gradients_ignore_blas_thread_count_at_any_batch_size():
-    """The routed sum's, the head's and the LSTM's weight gradients
-    are byte-identical on 1 and 2 BLAS threads at batch sizes where the
-    unpadded products round differently: 385 to 1,281 frames or rows,
-    and 50 to 640 sequences of 5 steps."""
+    """The routed sum's, the head's, the LSTM's and the capsule conv's
+    weight gradients are byte-identical on 1 and 2 BLAS threads at batch
+    sizes where the unpadded products round differently: 385 to 1,281
+    frames or rows, 50 to 640 sequences of 5 steps, and 423 to 1,000
+    capsule-conv maps."""
     assert_same_output_on_1_and_2_threads(REDUCTIONS)
 
 

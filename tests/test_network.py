@@ -653,7 +653,8 @@ def test_regression_head_gradients_match_fd(rng, mode):
     """Every input and fnn.* gradient against central differences, on the
     LSTM's and on the no-lstm head input width; in train mode the
     backward reuses the forward's dropout masks.  37 rows: the weight
-    gradients of the wide layers reduce over zero-padded rows."""
+    gradients of the wide layers reduce over a whole row block and a
+    zero-padded remainder."""
     for use_lstm in (True, False):
         cfg = tiny_config(fnn_widths=(9, 6, 1), dropout=0.3, use_lstm=use_lstm,
                           sequence_length=3 if use_lstm else 1)
@@ -879,18 +880,16 @@ def test_capsule_row_patches_are_distinct_frame_row_runs(geometry):
         for r in range(hc):
             np.testing.assert_array_equal(patches[index[f, r]],
                                           frames[f, r * s : r * s + k])
-    # each distinct run once, then pad copies of the last that no frame names
+    # each distinct run once
     n = np.unique(index).size
     runs = {frames[f, r * s : r * s + k].tobytes() for f in range(20) for r in range(hc)}
     assert n == len(runs) < index.size and index.max() == n - 1
-    assert patches.shape[0] == -(-n // N.PATCH_MULTIPLE) * N.PATCH_MULTIPLE
-    np.testing.assert_array_equal(patches[n:], np.broadcast_to(patches[n - 1],
-                                                               patches[n:].shape))
+    assert patches.shape[0] == n
 
 
 def byte_path_patches(frames):
     """Distinct patches of stride-1 one-row capsule rows by raw bytes:
-    the (patches, index) of capsule_row_patches before padding."""
+    the (patches, index) of capsule_row_patches."""
     rows = np.ascontiguousarray(frames).reshape(-1, frames.shape[2])
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -909,7 +908,7 @@ def test_capsule_row_patches_key_collision_falls_back_to_bytes(monkeypatch):
     patches, index = N.capsule_row_patches(frames, cfg)
     np.testing.assert_array_equal(index, ref_index)
     np.testing.assert_array_equal(patches[:42], ref_patches)
-    assert patches.shape[0] == 64
+    assert patches.shape[0] == 42
 
 
 def test_capsule_row_patches_tell_negative_zero_apart():

@@ -338,3 +338,22 @@ def test_conv2d_geometry_errors(rng):
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(rng.normal(size=(2, 2, 2, 1))), Tensor(np.zeros(1)),
                  (0, 1))
+
+
+@pytest.mark.parametrize("rows", [0, 5, 32, 45, 96, 100, 417])
+def test_row_product_is_x_transpose_g(rng, rows):
+    """Bit-equal to x^T g over whole row blocks and for a one-column g,
+    batched over a leading axis too; within 1e-15 of it, relative to
+    sum |x| |g|, once a remainder block is added on."""
+    for lead in ((), (3,)):
+        x = rng.normal(size=lead + (rows, 7))
+        for cols in (1, 4):
+            g = rng.normal(size=lead + (rows, cols))
+            ref = np.swapaxes(x, -1, -2) @ g
+            got = T.row_product(x, g)
+            assert got.shape == ref.shape
+            if rows % T.ROW_BLOCK == 0 or cols == 1:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                scale = np.swapaxes(np.abs(x), -1, -2) @ np.abs(g)
+                assert np.all(np.abs(got - ref) <= 1e-15 * scale)
