@@ -67,6 +67,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` quotes a cell of a row of
+    several."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8")
@@ -78,6 +86,22 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_features_dump(path: Path, header: list[str],
+                         units: list[tuple[str, int, np.ndarray]]) -> None:
+    """The rows ``_write_csv`` would write for each (unit id, change
+    point, values) unit: id, cycle, stage, then the row's values, built
+    a row at a time."""
+    lines = []
+    for unit_id, change_point, values in units:
+        uid = _csv_cell(unit_id)
+        for k, vals in enumerate(values.tolist(), start=1):
+            stage = "normal" if k <= change_point else "degradation"
+            lines.append(",".join((uid, str(k), stage, *map(repr, vals))) + "\r\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(lines))
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int | None,
@@ -279,13 +303,10 @@ def cmd_fit_features(args) -> int:
     header = (["unit", "cycle", "stage"]
               + [f"z{c:02d}" for c in diag.retained_channels]
               + [f"slow{i + 1}" for i in range(diag.num_slow)])
-    rows = []
-    for s in series:
-        z, slow = pipe.transform(s.sensors, s.settings)
-        for k in range(z.shape[0]):
-            stage = "normal" if k < s.change_point else "degradation"
-            rows.append([s.unit_id, k + 1, stage] + list(z[k]) + list(slow[k]))
-    _write_csv(out / "features_dump.csv", header, rows)
+    _write_features_dump(out / "features_dump.csv", header,
+                         [(s.unit_id, s.change_point,
+                           np.hstack(pipe.transform(s.sensors, s.settings)))
+                          for s in series])
     artifacts.append("features_dump.csv")
 
     _write_manifest(out, "fit-features", cfg, args.seed, artifacts,

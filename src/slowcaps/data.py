@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,36 +88,59 @@ def _check_values(values: list[float], path, ln: int) -> None:
         raise ValueError(f"{path}:{ln}: value of magnitude above {_MAX_ABS:g}")
 
 
-def _read_space_table(path) -> list[list[float]]:
-    rows = []
+def _read_space_table(path) -> np.ndarray:
+    """The whitespace-separated numbers of ``path`` as a float64 (rows,
+    columns) array; blank lines are skipped.
+
+    numpy's C parser reads the file in one pass.  If it refuses the file
+    or a value fails ``_check_values``' tests, ``_walk_space_table``
+    reads it again line by line: the walk accepts what ``float()``
+    accepts and names the offending line, so it is the source of every
+    error message.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                row = [float(tok) for tok in stripped.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed row at line {ln}") from exc
-            _check_values(row, path, ln)
-            rows.append(row)
+        try:
+            with warnings.catch_warnings():
+                # an empty file is the walk's error, not numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        # the max of a table holding a nan is nan, which fails the test too
+        if table is not None and table.size and np.abs(table).max() <= _MAX_ABS:
+            return table
+        fh.seek(0)
+        return _walk_space_table(fh, path)
+
+
+def _walk_space_table(fh, path) -> np.ndarray:
+    rows = []
+    for ln, line in enumerate(fh, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            row = [float(tok) for tok in stripped.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row at line {ln}") from exc
+        _check_values(row, path, ln)
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    return rows
+    return np.asarray(rows, dtype=np.float64)
 
 
-def _group_cmapss_units(rows: list[list[float]], path, n_sensors: int):
-    width = len(rows[0])
+def _group_cmapss_units(arr: np.ndarray, path, n_sensors: int):
+    width = arr.shape[1]
     expected = 2 + CMAPSS_SETTINGS + n_sensors
     if width != expected:
         raise ValueError(
             f"{path}: expected {expected} columns "
             f"(unit, cycle, {CMAPSS_SETTINGS} settings, {n_sensors} sensors), got {width}"
         )
-    arr = np.asarray(rows)
     keys = arr[:, :2]
     whole = ((keys == np.floor(keys)) & (np.abs(keys) < 2**31)).all(axis=1)
     if not whole.all():
@@ -174,7 +198,11 @@ def load_cmapss(
         if rul_path is None:
             raise ValueError("test data requires the residual-life file")
         test_units = _group_cmapss_units(_read_space_table(test_path), test_path, n_sensors)
-        ruls = [r[0] for r in _read_space_table(rul_path)]
+        table = _read_space_table(rul_path)
+        if table.shape[1] != 1:
+            raise ValueError(f"{rul_path}: expected one residual life per row, "
+                             f"got {table.shape[1]} values")
+        ruls = table[:, 0].tolist()
         for i, rul in enumerate(ruls):
             if rul < 0 or rul != math.floor(rul):
                 raise ValueError(f"{rul_path}: entry {i + 1}: residual life must be "
@@ -465,11 +493,9 @@ def export_cmapss_format(
         else:
             end = k
         settings = s.settings if s.settings is not None else np.zeros((k, CMAPSS_SETTINGS))
-        for row in range(end):
-            vals = [f"{idx:d}", f"{row + 1:d}"]
-            vals += [f"{v:.6f}" for v in settings[row]]
-            vals += [f"{v:.6f}" for v in s.sensors[row]]
-            lines.append(" ".join(vals))
+        values = np.hstack([settings[:end], s.sensors[:end]])
+        fmt = "%d %d " + " ".join(["%.6f"] * values.shape[1])
+        lines += [fmt % (idx, row, *vals) for row, vals in enumerate(values.tolist(), start=1)]
     data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     paths = {"data": data_path}
     if rul_path is not None:

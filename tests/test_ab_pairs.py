@@ -1,0 +1,75 @@
+"""tools/ab_pairs.py: alternation, statistics and the claim's verdict."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
+spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
+ab_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_pairs)
+
+SPEC = {"name": "chain_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def test_summary_uses_numpy_percentiles():
+    xs = [0.47, 0.44, 0.52, 0.45, 0.43, 0.61, 0.46]
+    got = ab_pairs.summary(xs)
+    assert [got["q1"], got["median"], got["q3"]] == \
+        np.percentile(xs, [25, 50, 75]).tolist()
+
+
+def test_judge_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    faster = [p - 0.1 for p in parent]
+    m = ab_pairs.judge(SPEC, parent, faster)
+    assert m["wins"] == 10 and m["gain_holds"] and m["within_bound"]
+    assert abs(m["relative_worsening"] + 0.1) < 1e-12
+    # eight wins of ten is not a gain, however large the gap
+    m = ab_pairs.judge(SPEC, parent, faster[:8] + [2.0, 2.0])
+    assert m["wins"] == 8 and not m["gain_holds"]
+    # ten wins inside the parent's own spread are not a gain either
+    m = ab_pairs.judge(SPEC, parent, [p - 0.001 for p in parent])
+    assert m["wins"] == 10 and not m["gain_holds"]
+    # higher-is-better metrics count the other way; 40% worse breaks the bound
+    m = ab_pairs.judge(dict(SPEC, better="higher"), parent, [0.6 * p for p in parent])
+    assert m["wins"] == 0 and not m["within_bound"]
+
+
+FAKE_RUN = """
+import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+with open("runs.log", "a") as fh:
+    fh.write(f"{seed}\\n")
+value = SCALE * (1.0 + 0.01 * seed)
+print(json.dumps({"environment": {"numpy": "x"}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"chain_s": {"value": value, "unit": "s"}}}))
+"""
+
+
+def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
+    for side, scale in (("parent", 1.0), ("change", 0.9)):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "fake_run.py").write_text(FAKE_RUN.replace("SCALE", str(scale)))
+        (root / "BENCHMARK.json").write_text(json.dumps(
+            {"command": [sys.executable, "fake_run.py"], "end_to_end": [SPEC]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    assert ab_pairs.main(["--parent", str(tmp_path / "parent"),
+                          "--change", str(tmp_path / "change"), "--workload", "w",
+                          "--pairs", "3", "--seconds", "1", "--seeds", "5"]) == 0
+    doc = json.loads((out / "BENCH_w.json").read_text())
+    assert doc["order"] == ["parent,change", "change,parent", "parent,change"]
+    assert doc["seeds"] == [5, 6, 7]
+    assert doc["environment"] == {"numpy": "x"}
+    m = doc["metrics"]["chain_s"]
+    assert m["parent"]["samples"] == [1.05, 1.06, 1.07]
+    assert m["wins"] == 3 and m["gain_holds"]
+    for side in ("parent", "change"):
+        assert (tmp_path / side / "runs.log").read_text().split() == ["5", "6", "7"]

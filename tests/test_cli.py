@@ -1,5 +1,6 @@
 """Command-line workflow: artifact layout, exit codes, determinism."""
 
+import csv
 import json
 import logging
 import math
@@ -97,6 +98,36 @@ def test_fit_features_artifacts(workspace):
     dump_header = (feat / "features_dump.csv").read_text().splitlines()[0]
     assert dump_header.startswith("unit,cycle,stage,")
     assert dump_header.endswith("slow1,slow2")
+
+
+def test_features_dump_writes_the_per_value_text(tmp_path):
+    """``features_dump.csv`` holds what ``csv.writer`` writes when each
+    value goes through the repr of a float, one cell at a time: signed
+    zeros, subnormals, 17-digit reprs and ids that need quotes."""
+    awkward = np.array([-0.0, 5e-324, 1e308, 0.1 + 0.2, 4e-7, -4e-7, 0.12345678901234568,
+                        -2.2250738585072014e-308, 1e16, 1e-5, 123456789.12345679, 0.0])
+    rng = np.random.default_rng(8)
+    units = [(uid, cp, awkward[rng.integers(0, len(awkward), size=(n, 5))])
+             for uid, cp, n in (("7", 2, 4), ("c01r01", 0, 2), ("a,b", 3, 3),
+                                ('q"t', 1, 2), ("l\nf", 1, 1), ("c\rr", 0, 1))]
+    header = ["unit", "cycle", "stage", "z00", "z03", "z04", "slow1", "slow2"]
+    cli._write_features_dump(tmp_path / "dump.csv", header, units)
+
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for uid, cp, values in units:
+            for k in range(values.shape[0]):
+                stage = "normal" if k < cp else "degradation"
+                w.writerow([fmt(v) for v in [uid, k + 1, stage] + list(values[k])])
+    assert (tmp_path / "dump.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_train_artifacts(workspace):
@@ -595,6 +626,9 @@ CORRUPTIONS = [
      "entry 2: residual life must be a whole number >= 0, got 12.5"),
     ("score_overflow", "evaluate", "RUL", _set_field(0, 0, "99999999999999999999"), [], 1,
      "the score overflows"),
+    # a second value per row used to be dropped without a word
+    ("rul_two_values_per_row", "evaluate", "RUL", lambda rows: [r + ["999"] for r in rows],
+     [], 1, "RUL_synthetic.txt: expected one residual life per row, got 2 values"),
 ]
 
 

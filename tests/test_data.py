@@ -1,6 +1,7 @@
 """Dataset loaders, synthetic generator, exports, unit splits."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,39 @@ def test_export_truncation_stays_inside_degradation(tmp_path):
         assert s.length - r > s.change_point  # keeps degradation samples
 
 
+AWKWARD = [-0.0, 5e-324, 1e308, 0.1 + 0.2, 4e-7, -4e-7, 0.12345678901234568,
+           -2.2250738585072014e-308, 123456.7890123456, 0.0000005, -1e-300]
+
+
+def test_export_writes_the_per_value_text(tmp_path):
+    """Each row is ``f"{v:.6f}"`` of every setting and sensor value
+    after the unit and cycle, as written one value at a time: signed
+    zeros, ``-0.000000`` from -4e-7, 309 digits of 1e308."""
+    rng = np.random.default_rng(4)
+    sensors = np.asarray(AWKWARD)[rng.permutation(len(AWKWARD) * 6) % len(AWKWARD)]
+    series = [
+        D.RunToFailureSeries("a", sensors.reshape(11, 6), 3,
+                             settings=sensors[::-1].reshape(11, 6)[:, :3]),
+        D.RunToFailureSeries("b", sensors[:30].reshape(5, 6)[::-1], 1),
+    ]
+    train = D.export_cmapss_format(series, tmp_path, tag="w")["data"]
+    test = D.export_cmapss_format(series, tmp_path, tag="w", truncate_for_test=True,
+                                  rng=np.random.default_rng(2), rul_max=10.0)
+    residuals = [int(v) for v in test["rul"].read_text().split()]
+    assert residuals != [0, 0]
+    for path, cut in ((train, [0, 0]), (test["data"], residuals)):
+        lines = []
+        for idx, (s, r) in enumerate(zip(series, cut), start=1):
+            settings = s.settings if s.settings is not None else np.zeros((s.length, 3))
+            for row in range(s.length - r):
+                vals = [f"{idx:d}", f"{row + 1:d}"]
+                vals += [f"{v:.6f}" for v in settings[row]]
+                vals += [f"{v:.6f}" for v in s.sensors[row]]
+                lines.append(" ".join(vals))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b" -0.000000 " in train.read_bytes()
+
+
 def test_load_cmapss_change_point_clamp_warns(tmp_path, caplog):
     p = tmp_path / "train.txt"
     write_cmapss(p, simple_unit_rows(1, 5))
@@ -133,6 +167,107 @@ def test_load_cmapss_validation(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError, match="no data"):
         D.load_cmapss(empty, n_sensors=4)
+
+
+# ------------------------------------------------ text table differential
+
+
+def line_walk(path):
+    """Reference: the loader's line-by-line parse, as it read every
+    table before the one-pass parse existed."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                row = [float(tok) for tok in stripped.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed row at line {ln}") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{ln}: non-finite value")
+            if row and max(map(abs, row)) > 1e150:
+                raise ValueError(f"{path}:{ln}: value of magnitude above {1e150:g}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
+    return np.asarray(rows, dtype=np.float64)
+
+
+_RNG = np.random.default_rng(19)
+_REPRS = " ".join(map(repr, (_RNG.normal(size=8) * 10.0 ** _RNG.integers(-300, 140, 8)).tolist()))
+_FIXED = " ".join(f"{v:.6f}" for v in (_RNG.normal(size=8) * 1e3).tolist())
+
+# name -> file bytes: what the C parser reads alike, what only float()
+# reads, and what neither reads
+TABLES = {
+    "crlf": b"1 2\r\n3 4\r\n",
+    "lone_cr": b"1 2\r3 4\r",
+    "hash_in_row": b"1 2\n3 # 4\n",
+    "hash_at_end": b"1 2\n3 4 # 5\n",
+    "underscore_digits": b"1_0 2\n3 4\n",
+    "vt": b"1\x0b2\n3 4\n",
+    "nbsp": "1\u00a02\n3 4\n".encode(),
+    "ff": b"1\x0c2\n\x0c\n3 4\n",
+    "line_separator": "1 2\u20283 4\n5 6\u00857 8\n".encode(),
+    "signs": b"+1 -0.0\n-1 +0\n",
+    "arabic_digits": "\u0661 2\n3 \u0664\n".encode(),
+    "empty": b"",
+    "blank_only": b"\n  \n\t\n",
+    "blank_lines": b"\n1 2\n\n   \n3 4\n\n",
+    "ragged": b"1 2 3\n4 5\n",
+    "nan": b"1 2\n3 nan\n",
+    "above_1e150": b"1 2\n3 1e151\n",
+    "no_final_newline": b"1 2\n3 4",
+    "bom": "\ufeff1 2\n3 4\n".encode(),
+    "inf": b"1 2\ninf 4\n",
+    "overflow": b"1 2\n1e999 4\n",
+    "hex": b"0x10 2\n3 4\n",
+    "tabs": b"1\t2\t3\n4\t5\t6\n",
+    "one_column": b"75\n40\n84\n",
+    "underflow": b"1e-400 5e-324\n2 3\n",
+    "not_utf8": b"1 2\n3 \xff\n",
+    "reprs": (_REPRS + "\n" + _REPRS + "\n").encode(),
+    "fixed": (_FIXED + "\n" + _FIXED + "\n").encode(),
+}
+
+
+def _outcome(read, path):
+    try:
+        table = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return table.shape, table.dtype, table.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_space_table_parse_matches_the_line_walk(tmp_path, name):
+    """Each file gives the line walk's array, to the bit, or its error
+    message."""
+    path = tmp_path / f"{name}.txt"
+    path.write_bytes(TABLES[name])
+    assert _outcome(D._read_space_table, path) == _outcome(line_walk, path)
+
+
+def test_space_table_cases_reach_both_paths(tmp_path, monkeypatch):
+    """The one-pass parse reads the plain files; the walk runs for what
+    only ``float()`` reads and for every error, so the table compares
+    both paths."""
+    walked = []
+    walk = D._walk_space_table
+    monkeypatch.setattr(D, "_walk_space_table",
+                        lambda fh, path: walked.append(path.stem) or walk(fh, path))
+    for name, raw in TABLES.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(raw)
+        _outcome(D._read_space_table, path)
+    assert {"crlf", "lone_cr", "nbsp", "tabs", "reprs", "fixed"}.isdisjoint(walked)
+    assert {"underscore_digits", "arabic_digits", "hash_at_end", "nan", "empty",
+            "ragged", "not_utf8"} <= set(walked)
 
 
 # ------------------------------------------------------ synthetic builder
