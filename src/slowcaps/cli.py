@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import logging
 import math
@@ -57,51 +56,27 @@ def _setup_logging() -> None:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` quoted as ``csv.writer`` quotes a cell of a row of
-    several."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    path.write_text("".join(map(D.csv_line, [header, *rows])), encoding="utf-8", newline="")
 
 
 def _write_features_dump(path: Path, header: list[str],
                          units: list[tuple[str, int, np.ndarray]]) -> None:
     """The rows ``_write_csv`` would write for each (unit id, change
-    point, values) unit: id, cycle, stage, then the row's values, built
-    a row at a time."""
-    lines = []
+    point, values) unit: id, cycle, stage, then the row's values, floats
+    from ``.tolist()`` written by ``repr`` as ``csv_cell`` writes them."""
+    lines = [D.csv_line(header)]
     for unit_id, change_point, values in units:
-        uid = _csv_cell(unit_id)
+        uid = D.csv_cell(unit_id)
         for k, vals in enumerate(values.tolist(), start=1):
             stage = "normal" if k <= change_point else "degradation"
             lines.append(",".join((uid, str(k), stage, *map(repr, vals))) + "\r\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write("".join(lines))
+    path.write_text("".join(lines), encoding="utf-8", newline="")
 
 
 def _write_manifest(out: Path, command: str, cfg: dict, seed: int | None,

@@ -26,6 +26,8 @@ __all__ = [
     "milling_protocol_split",
     "generate_synthetic",
     "export_cmapss_format",
+    "csv_cell",
+    "csv_line",
 ]
 
 log = logging.getLogger("slowcaps.data")
@@ -147,11 +149,11 @@ def _group_cmapss_units(arr: np.ndarray, path, n_sensors: int):
         r = int(np.argmin(whole))
         raise ValueError(f"{path}: row {r + 1}: unit id and cycle must be whole numbers, "
                          f"got {float(keys[r, 0])!r} and {float(keys[r, 1])!r}")
+    # one stable sort by (unit, cycle), cut where the unit id changes
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    starts = np.flatnonzero(np.diff(arr[:, 0])) + 1
     units = []
-    for uid in np.unique(arr[:, 0]).astype(int):
-        block = arr[arr[:, 0] == uid]
-        order = np.argsort(block[:, 1], kind="stable")
-        block = block[order]
+    for uid, block in zip(arr[np.r_[0, starts], 0].astype(int), np.split(arr, starts)):
         cycles = block[:, 1].astype(int)
         if not np.array_equal(cycles, np.arange(1, len(cycles) + 1)):
             raise ValueError(
@@ -242,6 +244,28 @@ class MillingRun:
     @property
     def unit_id(self) -> str:
         return f"c{self.case_id:02d}r{self.run_id:02d}"
+
+
+def csv_cell(value, end: str = "\r\n") -> str:
+    """One cell of a CSV row of several, as the csv module writes it with
+    line ending ``end``: booleans as true/false, integers by ``str``,
+    other numbers by the ``repr`` of a float, and other values as text,
+    quoted when it holds a comma, a quote or a character of ``end``."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if any(c in text for c in ',"' + end):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(cells, end: str = "\r\n") -> str:
+    """One CSV row of several cells, each written by :func:`csv_cell`."""
+    return ",".join([csv_cell(c, end) for c in cells]) + end
 
 
 def load_milling(csv_path) -> dict:

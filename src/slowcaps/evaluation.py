@@ -15,8 +15,6 @@ recorded in the report.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
@@ -26,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import network
-from .features import FeaturePipeline
+from .data import csv_line
+from .features import FeaturePipeline, sliding_frames
 from .tensor import Tensor
 
 __all__ = [
@@ -171,11 +170,8 @@ def final_sequence(raw_matrix, pipe: FeaturePipeline, seq_len: int,
         raise ValueError("sequence length must be >= 1")
     hybrid = pipe.hybrid(raw_matrix, settings)
     need = pipe.window + seq_len - 1
-    if hybrid.shape[0] < need:
-        pad = np.repeat(hybrid[:1], need - hybrid.shape[0], axis=0)
-        hybrid = np.vstack([pad, hybrid])
-    tail = hybrid[-need:]
-    return np.stack([tail[s : s + pipe.window] for s in range(seq_len)])
+    hybrid = np.pad(hybrid, ((max(need - hybrid.shape[0], 0), 0), (0, 0)), mode="edge")
+    return sliding_frames(hybrid[-need:], pipe.window)
 
 
 def last_point_predictions(
@@ -221,16 +217,6 @@ def sequence_predictions(
     return preds, np.asarray(labels)[ends], np.asarray(unit_ids)[ends]
 
 
-def _report_csv_text(report: EvaluationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["unit", "true_rul", "predicted_rul", "error"])
-    for row in report.rows:
-        writer.writerow([row["unit"], repr(row["true_rul"]),
-                         repr(row["predicted_rul"]), repr(row["error"])])
-    return buf.getvalue()
-
-
 def emit_report(report: EvaluationReport, out_dir, stem: str = "report") -> dict[str, Path]:
     """Write <stem>.json and <stem>_predictions.csv; deterministic bytes."""
     out = Path(out_dir)
@@ -241,6 +227,8 @@ def emit_report(report: EvaluationReport, out_dir, stem: str = "report") -> dict
         json.dumps(asdict(report), sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
     )
-    csv_path.write_text(_report_csv_text(report), encoding="utf-8")
+    rows = [["unit", "true_rul", "predicted_rul", "error"]]
+    rows += [[r["unit"], r["true_rul"], r["predicted_rul"], r["error"]] for r in report.rows]
+    csv_path.write_text("".join(csv_line(r, "\n") for r in rows), encoding="utf-8")
     return {"json": json_path, "csv": csv_path}
 

@@ -42,6 +42,7 @@ __all__ = [
     "sample_acf",
     "select_window_from_acf",
     "piecewise_rul_labels",
+    "sliding_frames",
     "fuse_and_slice",
     "concat_batches",
     "pipeline_to_arrays",
@@ -380,6 +381,14 @@ class FrameBatch:
         return out
 
 
+def sliding_frames(matrix: np.ndarray, window: int) -> np.ndarray:
+    """Each run of ``window`` consecutive rows (stride 1) of a (K, C)
+    matrix as one frame: a C-contiguous (K - window + 1, window, C)
+    array."""
+    views = np.lib.stride_tricks.sliding_window_view(matrix, window, axis=0)
+    return np.ascontiguousarray(views.transpose(0, 2, 1))
+
+
 def fuse_and_slice(
     x_d,
     s_d,
@@ -417,12 +426,10 @@ def fuse_and_slice(
         )
         return None
     hybrid = np.hstack([xd, sd]) if sd.shape[1] else xd
-    views = np.lib.stride_tricks.sliding_window_view(hybrid, window, axis=0)
-    frames = np.ascontiguousarray(views.transpose(0, 2, 1))
     return FrameBatch(
-        frames=frames,
+        frames=sliding_frames(hybrid, window),
         labels=y[window - 1 :].copy(),
-        unit_ids=np.full(frames.shape[0], unit_id, dtype=object),
+        unit_ids=np.full(k - window + 1, unit_id, dtype=object),
     )
 
 

@@ -434,8 +434,8 @@ def dynamic_routing(
     one, used to hold the routing still while probing the loss surface.
     With x_j = c_j * uf, the final sums are s_j = x_j @ W_j, and the
     backward is the squash's closed form followed by dW_j = x_j^T ds_j
-    and du = sum_j c_j * (ds_j W_j^T), summed into the patch rows with
-    one bincount.  x is kept from the forward and only read there.
+    and du = sum_j c_j * (ds_j W_j^T), summed into the patch rows by
+    ``tensor.add_rows``.  x is kept from the forward and only read there.
     Returns v and the coupling (N, I, J) it was built from.
     """
     if index is None:
@@ -464,13 +464,8 @@ def dynamic_routing(
         if u.requires_grad:
             gx = np.matmul(ds, wj.transpose(0, 2, 1)).reshape(j, n, i, d)
             gu = np.einsum("jni,jnid->nid", c, gx)
-            # one bincount sums each row element over its read places,
-            # in a fixed order
-            rows, per_row, _ = u.shape
-            width = per_row * d
-            keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
-            _accumulate_new(u, np.bincount(keys, weights=gu.ravel(),
-                                           minlength=rows * width).reshape(u.shape))
+            _accumulate_new(u, T.add_rows(gu.reshape(index.shape + u.shape[1:]),
+                                          index, u.shape[0]))
 
     v = np.ascontiguousarray(_squash_np(s).transpose(1, 0, 2))
     return make_op(v, (u, w), bw), c.transpose(1, 2, 0)

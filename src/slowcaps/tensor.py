@@ -29,6 +29,7 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "take_rows",
+    "add_rows",
     "ROW_BLOCK",
     "row_product",
 ]
@@ -300,11 +301,20 @@ def take_rows(a, index) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            _accumulate_new(a, full)
+            _accumulate_new(a, add_rows(g, idx, a.shape[0]))
 
     return make_op(a.data[idx], (a,), bw)
+
+
+def add_rows(g: np.ndarray, index: np.ndarray, rows: int) -> np.ndarray:
+    """Sum the rows of ``g`` (``index.shape`` + a row's shape) into the
+    ``rows`` rows that ``index`` names: one bincount, adding in index
+    order from 0.0, the bits of an unbuffered scatter-add into zeros."""
+    index = np.asarray(index, dtype=np.intp)
+    tail = g.shape[index.ndim:]
+    width = int(np.prod(tail))
+    keys = (index.reshape(-1, 1) * width + np.arange(width)).ravel()
+    return np.bincount(keys, weights=np.ravel(g), minlength=rows * width).reshape((rows, *tail))
 
 
 def row_product(x: np.ndarray, g: np.ndarray) -> np.ndarray:

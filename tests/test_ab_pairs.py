@@ -45,17 +45,25 @@ seed = int(sys.argv[sys.argv.index("--seed") + 1])
 with open("runs.log", "a") as fh:
     fh.write(f"{seed}\\n")
 value = SCALE * (1.0 + 0.01 * seed)
-print(json.dumps({"environment": {"numpy": "x"}}))
+walls = [RAW * (1.0 + 0.01 * seed) + d for d in (0.02, -0.01, 0.0)]
+print(json.dumps({"environment": {"numpy": "x"},
+                  "samples": {"setup_s": [0.2, 0.3], "chain_s": walls, "seq_per_s": [9.0]},
+                  "probes_s": {"setup": [1.0], "loop": [PROBE, 2 * PROBE, 0.5 * PROBE]}}))
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                   "metrics": {"chain_s": {"value": value, "unit": "s"}}}))
 """
 
 
-def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
-    for side, scale in (("parent", 1.0), ("change", 0.9)):
+def fake_pairs(tmp_path, monkeypatch, change_raw, change_probe):
+    """Three stubbed pairs: the change's scaled ``chain_s`` is 10% below
+    the parent's; its raw walls and probe times are as given, against a
+    parent at 1.0 and a 0.06 s probe."""
+    for side, raw, probe in (("parent", 1.0, 0.06), ("change", change_raw, change_probe)):
         root = tmp_path / side
         root.mkdir()
-        (root / "fake_run.py").write_text(FAKE_RUN.replace("SCALE", str(scale)))
+        scale = 1.0 if side == "parent" else 0.9
+        (root / "fake_run.py").write_text(FAKE_RUN.replace("SCALE", str(scale))
+                                          .replace("RAW", str(raw)).replace("PROBE", str(probe)))
         (root / "BENCHMARK.json").write_text(json.dumps(
             {"command": [sys.executable, "fake_run.py"], "end_to_end": [SPEC]}))
     out = tmp_path / "out"
@@ -64,12 +72,36 @@ def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
     assert ab_pairs.main(["--parent", str(tmp_path / "parent"),
                           "--change", str(tmp_path / "change"), "--workload", "w",
                           "--pairs", "3", "--seconds", "1", "--seeds", "5"]) == 0
-    doc = json.loads((out / "BENCH_w.json").read_text())
+    return json.loads((out / "BENCH_w.json").read_text())
+
+
+def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
+    doc = fake_pairs(tmp_path, monkeypatch, change_raw=0.9, change_probe=0.06)
     assert doc["order"] == ["parent,change", "change,parent", "parent,change"]
     assert doc["seeds"] == [5, 6, 7]
     assert doc["environment"] == {"numpy": "x"}
     m = doc["metrics"]["chain_s"]
     assert m["parent"]["samples"] == [1.05, 1.06, 1.07]
     assert m["wins"] == 3 and m["gain_holds"]
+    # each run's raw wall is the median of its samples line's chain_s
+    raw = m["raw"]
+    assert [round(x, 12) for x in raw["parent"]["samples"]] == [1.05, 1.06, 1.07]
+    assert raw["wins"] == 3 and raw["gain_holds"]
+    assert doc["probe_loop_s"]["parent"]["samples"] == [0.06, 0.06, 0.06]
     for side in ("parent", "change"):
         assert (tmp_path / side / "runs.log").read_text().split() == ["5", "6", "7"]
+
+
+def test_a_scaled_gain_needs_a_raw_gain_too(tmp_path, monkeypatch, capsys):
+    """The scaled chain_s is 10% better in every pair, but the raw walls
+    did not move and the probe slowed: only the scale changed, so no
+    gain is claimed."""
+    doc = fake_pairs(tmp_path, monkeypatch, change_raw=1.0, change_probe=0.08)
+    m = doc["metrics"]["chain_s"]
+    assert m["wins"] == 3 and m["median_gain"] > m["parent_iqr"]
+    assert m["raw"]["wins"] == 0 and not m["raw"]["gain_holds"]
+    assert not m["gain_holds"]
+    probe = doc["probe_loop_s"]
+    assert probe["change"]["median"] == 0.08 and probe["parent"]["median"] == 0.06
+    out = capsys.readouterr().out
+    assert "chain_s (lower is better)" in out and "no gain" in out and "raw wall" in out

@@ -1,6 +1,7 @@
 """Command-line workflow: artifact layout, exit codes, determinism."""
 
 import csv
+import io
 import json
 import logging
 import math
@@ -128,6 +129,73 @@ def test_features_dump_writes_the_per_value_text(tmp_path):
                 stage = "normal" if k < cp else "degradation"
                 w.writerow([fmt(v) for v in [uid, k + 1, stage] + list(values[k])])
     assert (tmp_path / "dump.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+CSV_TEXTS = ["7", "c01r01", "a,b", 'q"t', "l\nf", "c\rr", "crlf\r\n", " ", ""]
+CSV_NUMBERS = [-0.0, 5e-324, 1e308, 0.1 + 0.2, np.float64(-2.5e-308), np.float32(0.1),
+               np.int64(-7), np.uint8(255), 12, True, np.bool_(False)]
+
+
+def _csv_writer_bytes(rows, end="\r\n") -> bytes:
+    """What ``csv.writer`` writes for ``rows`` whose cells were turned into
+    text by the CLI's rule: booleans as true/false, integers by ``str``,
+    other numbers by the ``repr`` of a float."""
+    def text(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=end).writerows([[text(v) for v in row] for row in rows])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name, header", [
+    ("slowness.csv", ["index", "lambda"]),
+    ("acf.csv", ["lag", "acf"]),
+    ("history.csv", ["epoch", "train_loss", "val_loss"]),
+    ("grid.csv", ["conv_filters", "lstm_units", "rmse", "score", "seed", "best_epoch"]),
+    ("ablation_summary.csv", ["variant", "rmse", "score", "parameters", "best_epoch"]),
+])
+def test_csv_tables_are_the_csv_writers_bytes(tmp_path, name, header):
+    """Every table the CLI writes through ``_write_csv`` holds the bytes
+    ``csv.writer`` writes, for awkward numbers and for text that needs
+    quotes (a unit id or a variant name), in every column."""
+    cells = CSV_NUMBERS + CSV_TEXTS
+    rows = [[cells[(r + c) % len(cells)] for c in range(len(header))]
+            for r in range(len(cells))]
+    cli._write_csv(tmp_path / name, header, rows)
+    assert (tmp_path / name).read_bytes() == _csv_writer_bytes([header, *rows])
+
+
+def test_report_predictions_are_the_csv_writers_bytes(tmp_path):
+    ids = [*CSV_TEXTS, 3, np.int64(4)]
+    truths = np.array([0.0, 5e-324, 1e308, 0.3, 1.5, 2.0, 7.0, 8.0, 9.0, 10.0, 11.0])
+    preds = np.array([-0.0, 0.0, 1e308, 0.1 + 0.2, 1e-5, 2.0, 6.5, 8.25, 9.0, 4e-7, 11.5])
+    report = E.build_report(ids, truths, preds, clip=False)
+    paths = E.emit_report(report, tmp_path)
+    want = [["unit", "true_rul", "predicted_rul", "error"]]
+    want += [[str(u), t, p, p - t] for u, t, p in zip(ids, truths, preds)]
+    assert paths["csv"].read_bytes() == _csv_writer_bytes(want, "\n")
+
+
+def test_workspace_csvs_read_back_as_they_were_written(workspace):
+    """Each CSV of a CLI run, read by ``csv.reader`` and written again by
+    ``csv.writer`` with the file's line ending, gives the same bytes."""
+    paths = sorted(workspace.rglob("*.csv"))
+    assert {p.name for p in paths} >= {"slowness.csv", "features_dump.csv", "history.csv",
+                                       "report_predictions.csv"}
+    for path in paths:
+        raw = path.read_bytes()
+        end = "\n" if path.name == "report_predictions.csv" else "\r\n"
+        assert raw.endswith(end.encode()) and raw.count(b"\n") > 1, path.name
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert _csv_writer_bytes(rows, end) == raw, path.name
 
 
 def test_train_artifacts(workspace):

@@ -169,6 +169,47 @@ def test_load_cmapss_validation(tmp_path):
         D.load_cmapss(empty, n_sensors=4)
 
 
+def mask_group(arr, path, n_sensors):
+    """Reference: the unit grouping as one full-array mask per unit and a
+    stable sort of its cycles, as the loader grouped before the one-sort
+    grouping existed."""
+    units = []
+    for uid in np.unique(arr[:, 0]).astype(int):
+        block = arr[arr[:, 0] == uid]
+        block = block[np.argsort(block[:, 1], kind="stable")]
+        if not np.array_equal(block[:, 1].astype(int), np.arange(1, len(block) + 1)):
+            raise ValueError(f"{path}: unit {uid} cycles are not contiguous from 1")
+        units.append((uid, block[:, 2:5], block[:, 5:]))
+    return units
+
+
+def test_unit_grouping_matches_the_per_unit_masks():
+    """100 units of 1-40 cycles in shuffled rows (units interleaved, ids
+    not in order, a unit id -0.0 beside 0): the same units, order, arrays
+    and id types as one mask per unit; with a cycle gap or a repeated
+    cycle, the same first bad unit in the message."""
+    rng = np.random.default_rng(20)
+    rows = [[uid, c, *rng.normal(size=7)] for uid in rng.permutation(100) + 1
+            for c in range(1, rng.integers(2, 42))]
+    rows += [[-0.0, 1, *rng.normal(size=7)], [0.0, 2, *rng.normal(size=7)]]
+    arr = np.array(rows)[rng.permutation(len(rows))]
+    got, want = D._group_cmapss_units(arr, "t.txt", 4), mask_group(arr, "t.txt", 4)
+    assert [u for u, _, _ in got] == [u for u, _, _ in want] == list(range(101))
+    for (gu, gs, gx), (wu, ws, wx) in zip(got, want):
+        assert type(gu) is type(wu)
+        assert gs.tobytes() == ws.tobytes() and gx.tobytes() == wx.tobytes()
+    for unit, bad in ((37, 5.0), (12, 1.0)):  # a gap at cycle 5; cycle 1 twice
+        cut = arr[~((arr[:, 0] == unit) & (arr[:, 1] == 5.0))] if bad == 5.0 else \
+            np.vstack([arr, [[unit, 1.0, *rng.normal(size=7)]]])
+        broken = np.vstack([cut, [[60, 3, *rng.normal(size=7)]]])  # unit 60 repeats cycle 3
+        messages = []
+        for group in (D._group_cmapss_units, mask_group):
+            with pytest.raises(ValueError, match="contiguous") as exc:
+                group(broken, "t.txt", 4)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == f"t.txt: unit {unit} cycles are not contiguous from 1"
+
+
 # ------------------------------------------------ text table differential
 
 

@@ -161,6 +161,8 @@ def test_final_sequence_pads_short_series(fitted):
     np.testing.assert_array_equal(seq[0], padded[0:5])
     np.testing.assert_array_equal(seq[2], padded[2:7])
     np.testing.assert_array_equal(seq[2][-1], hybrid[-1])  # ends at last row
+    assert seq.flags.c_contiguous
+    assert seq.tobytes() == np.stack([padded[s : s + 5] for s in range(3)]).tobytes()
 
 
 def test_last_point_predictions_alignment(fitted):

@@ -117,6 +117,31 @@ def test_take_rows_forward_and_backward(rng):
         T.take_rows(a, np.array([0.0]))
 
 
+@pytest.mark.parametrize("shape, index", [
+    ((6, 4), [5, 0, 5, 2, 5, 0, 2]),             # 1-D index; rows 1, 3 and 4 unused
+    ((6, 2, 3), [[4, 0, 4], [0, 0, 4], [2, 4, 0]]),  # 2-D index; rows 1, 3 and 5 unused
+    ((6,), [[3, 3], [1, 3]]),                    # rows of one value
+])
+def test_take_rows_backward_is_add_at_bit_for_bit(shape, index):
+    """The scatter-add sums a repeated row's gradients in index order from
+    0.0, as ``np.add.at`` does, so the bits agree even where the order of
+    a sum changes its rounding; an unused row gets exact zeros."""
+    rng = np.random.default_rng(11)
+    idx = np.array(index)
+    a = Tensor(rng.normal(size=shape), requires_grad=True)
+    g = rng.normal(size=idx.shape + shape[1:]) * 10.0 ** rng.integers(-9, 9, idx.shape + shape[1:])
+    g.flat[:2] = [-0.0, 5e-324]
+    backward(T.reduce_sum(T.mul(T.take_rows(a, idx), g)))
+    want = np.zeros(shape)
+    np.add.at(want, idx, g)
+    assert a.grad.tobytes() == (np.zeros(shape) + want).tobytes()
+    # the helper alone, on unsigned and empty indices
+    got = T.add_rows(g, idx.astype(np.uint32), shape[0])
+    assert got.tobytes() == want.tobytes()
+    empty = T.add_rows(np.zeros((0,) + shape[1:]), np.zeros(0, dtype=np.int64), shape[0])
+    assert empty.shape == shape and not empty.any()
+
+
 def test_gradient_accumulates_per_use():
     x = Tensor(3.0, requires_grad=True)
     # both operands are x: each use contributes x

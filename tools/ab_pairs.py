@@ -14,10 +14,18 @@ drift of the host's speed falls on both sides alike.
 ``BENCH_<workload>.json`` in the current directory records, per
 end-to-end metric of the change's ``BENCHMARK.json``: both sides'
 samples, medians and quartiles, the pairs the change wins, and how far
-the change's median moved against the metric's bound.  The script
-prints the verdict a speed claim needs: the change wins at least 9 of
-10 pairs, and its median beats the parent's by more than the parent's
-interquartile range.  Standard library only.
+the change's median moved against the metric's bound.  The metrics are
+scaled by perfbench's host-speed probe, so for ``setup_s``, ``chain_s``
+and ``seq_per_s`` it records the same for the raw walls as well: each
+run's median of the wall-clock samples on perfbench's samples line
+(the set-up samples leave out the import time that ``setup_s`` adds).
+It also records each run's median ``probes_s.loop``, the probe time
+itself.  The script prints the verdict a speed claim needs: the change
+wins at least 9 of 10 pairs, and its median beats the parent's by more
+than the parent's interquartile range, on the scaled metric and, where
+there is one, on its raw wall too: a change in the program's allocator
+state can slow the probe and so make a scaled metric look better.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -29,9 +37,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+# the end-to-end metrics perfbench derives from wall-clock samples
+RAW_WALLS = ("setup_s", "chain_s", "seq_per_s")
+
+
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> tuple[dict, dict]:
-    """The end-to-end metrics and the environment of one benchmark run in
+             seconds: float) -> tuple[dict, dict, dict]:
+    """The end-to-end metrics, the raw walls (with the probe's median
+    time as ``probe_s``) and the environment of one benchmark run in
     ``checkout``."""
     command = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["command"]
     argv = [*command, "--workload", workload, "--seed", str(seed),
@@ -45,7 +58,10 @@ def run_once(checkout: Path, workload: str, seed: int,
     if not result.get("correct") or result.get("failed"):
         raise SystemExit(f"ab_pairs: seed {seed} in {checkout} failed its checks: {result}")
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    return metrics, json.loads(lines[-2])["environment"]
+    record = json.loads(lines[-2])
+    raw = {name: statistics.median(record["samples"][name]) for name in RAW_WALLS}
+    raw["probe_s"] = statistics.median(record["probes_s"]["loop"])
+    return metrics, raw, record["environment"]
 
 
 def summary(samples: list[float]) -> dict:
@@ -87,26 +103,36 @@ def main(argv=None) -> int:
     specs = json.loads((change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     runs = {"parent": [], "change": []}
+    raws = {"parent": [], "change": []}
     order = []
     for i in range(args.pairs):
         seed = args.seeds + i
         sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in sides:
-            metrics, environment = run_once(parent if side == "parent" else change,
-                                            args.workload, seed, args.seconds)
+            metrics, raw, environment = run_once(parent if side == "parent" else change,
+                                                 args.workload, seed, args.seconds)
             runs[side].append(metrics)
+            raws[side].append(raw)
         order.append(",".join(sides))
         print(f"pair {i + 1}/{args.pairs} seed {seed}: "
               + "  ".join(f"{s['name']} {runs['parent'][-1][s['name']]:.4g} -> "
                           f"{runs['change'][-1][s['name']]:.4g}" for s in specs),
               file=sys.stderr, flush=True)
 
-    metrics = {s["name"]: judge(s, [r[s["name"]] for r in runs["parent"]],
-                                [r[s["name"]] for r in runs["change"]]) for s in specs}
+    metrics = {}
+    for s in specs:
+        name = s["name"]
+        m = judge(s, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
+        if name in RAW_WALLS:
+            m["raw"] = judge(s, [r[name] for r in raws["parent"]],
+                             [r[name] for r in raws["change"]])
+            m["gain_holds"] = m["gain_holds"] and m["raw"]["gain_holds"]
+        metrics[name] = m
+    probe = {side: summary([r["probe_s"] for r in raws[side]]) for side in raws}
     doc = {
         "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
         "seeds": [args.seeds + i for i in range(args.pairs)], "order": order,
-        "environment": environment, "metrics": metrics,
+        "environment": environment, "metrics": metrics, "probe_loop_s": probe,
     }
     out = Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
@@ -123,6 +149,17 @@ def main(argv=None) -> int:
               f"{m['pairs']}; median gain {m['median_gain']:.3g} against parent IQR "
               f"{m['parent_iqr']:.3g}: {verdict}; {bound} "
               f"({m['relative_worsening']:+.1%} against {m['bound']:.0%})")
+        if "raw" in m:
+            r = m["raw"]
+            print(f"    raw wall: change {r['change']['median']:.4g} [{r['change']['q1']:.4g}, "
+                  f"{r['change']['q3']:.4g}] against {r['parent']['median']:.4g} "
+                  f"[{r['parent']['q1']:.4g}, {r['parent']['q3']:.4g}]; better in "
+                  f"{r['wins']} of {r['pairs']}; median gain {r['median_gain']:.3g} against "
+                  f"parent IQR {r['parent_iqr']:.3g}")
+    print(f"  probe (probes_s.loop medians): change {probe['change']['median']:.4g} "
+          f"[{probe['change']['q1']:.4g}, {probe['change']['q3']:.4g}] against "
+          f"{probe['parent']['median']:.4g} [{probe['parent']['q1']:.4g}, "
+          f"{probe['parent']['q3']:.4g}] s")
     return 0
 
 
