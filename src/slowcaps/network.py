@@ -43,6 +43,7 @@ __all__ = [
     "dynamic_routing",
     "lstm_forward",
     "regression_head",
+    "mse_loss",
     "model_forward",
     "predict",
 ]
@@ -607,6 +608,25 @@ def regression_head(
             accumulate_grad(h, g @ ws[0].data.T)
 
     return make_op(z.reshape(rows), (h, *ws, *bs), bw)
+
+
+def mse_loss(pred: Tensor, target) -> Tensor:
+    """Mean squared error of ``pred`` against a ``target`` array of the
+    same shape, one tape node from ``pred``.  The backward (g / n) d,
+    doubled in place, has the bits of the chain rule through d, d · d
+    and the mean."""
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != pred.shape:
+        raise ValueError(f"mse_loss: target shape {target.shape} is not the prediction's "
+                         f"{pred.shape}")
+    d = pred.data - target
+
+    def bw(g):
+        gd = (g / d.size) * d
+        gd += gd
+        _accumulate_new(pred, gd)
+
+    return make_op(np.mean(d * d), (pred,), bw)
 
 
 def model_forward(

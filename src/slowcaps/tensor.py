@@ -21,12 +21,9 @@ __all__ = [
     "accumulate_grad",
     "backward",
     "zero_grads",
-    "sub",
-    "mul",
     "conv2d",
     "conv2d_tanh",
     "reduce_sum",
-    "reduce_mean",
     "reshape",
     "take_rows",
     "add_rows",
@@ -207,54 +204,6 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
             t.grad[...] = 0.0
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``g`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _check_broadcast(a: np.ndarray, b: np.ndarray, opname: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}") from None
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "sub")
-    out_data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _unbroadcast(-g, b.data.shape))
-
-    return make_op(out_data, (a, b), bw)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.data, b.data, "mul")
-    out_data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return make_op(out_data, (a, b), bw)
-
-
 def reduce_sum(a) -> Tensor:
     """Sum of every element, a scalar."""
     a = _as_tensor(a)
@@ -264,17 +213,6 @@ def reduce_sum(a) -> Tensor:
             accumulate_grad(a, np.broadcast_to(g, a.data.shape))
 
     return make_op(a.data.sum(), (a,), bw)
-
-
-def reduce_mean(a) -> Tensor:
-    """Mean of every element, a scalar."""
-    a = _as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            accumulate_grad(a, np.broadcast_to(g, a.data.shape) / a.data.size)
-
-    return make_op(a.data.mean(), (a,), bw)
 
 
 def reshape(a, shape) -> Tensor:

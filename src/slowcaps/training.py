@@ -20,7 +20,7 @@ import numpy as np
 from . import network
 from .features import FrameBatch
 from .optim import Adam
-from .tensor import Tensor, backward, reduce_mean, mul, sub
+from .tensor import Tensor, backward
 
 __all__ = [
     "TrainConfig",
@@ -157,8 +157,7 @@ def _forward_loss(frames, index, y_scaled, params, config, mode, rng):
     votes and routing run once per distinct frame, and the stages before
     them once per distinct patch."""
     pred, _ = network.model_forward(frames, params, config, mode=mode, rng=rng, index=index)
-    err = sub(pred, Tensor(y_scaled))
-    return reduce_mean(mul(err, err))
+    return network.mse_loss(pred, y_scaled)
 
 
 def train(

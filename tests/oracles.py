@@ -16,6 +16,29 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from slowcaps.tensor import Tensor, accumulate_grad, make_op
+
+
+# ---------------------------------------------------------------- autodiff
+
+
+def product(a, b) -> Tensor:
+    """Elementwise a * b as one tape node, for probes and tape checks
+    that need a product the library does not export.  Both operands have
+    one shape, nothing broadcasts; a plain array or number is a
+    constant."""
+    a, b = (x if isinstance(x, Tensor) else Tensor(x) for x in (a, b))
+    if a.shape != b.shape:
+        raise ValueError(f"product: shape mismatch {a.shape} vs {b.shape}")
+
+    def bw(g):
+        if a.requires_grad:
+            accumulate_grad(a, g * b.data)
+        if b.requires_grad:
+            accumulate_grad(b, g * a.data)
+
+    return make_op(a.data * b.data, (a, b), bw)
+
 
 # ---------------------------------------------------------------- features
 

@@ -113,8 +113,7 @@ def test_criterion_03_full_model_gradient_check():
     def loss_tensor():
         y, _ = materialized_forward(frames, params, config,
                                     coupling_override=coupling)
-        d = T.sub(y, Tensor(targets))
-        return T.reduce_mean(T.mul(d, d))
+        return N.mse_loss(y, targets)
 
     loss = loss_tensor()
     backward(loss)

@@ -22,6 +22,8 @@ from slowcaps import tensor as T
 from slowcaps import training as TR
 from slowcaps.tensor import Tensor, backward
 
+import oracles
+
 
 def fd001_config(**kw) -> N.ModelConfig:
     base = dict(window_length=28, in_channels=16, conv_filters=64,
@@ -94,8 +96,7 @@ def spot_check(kind: str):
     def loss_tensor():
         y, _ = N.model_forward(frames, params, config, coupling_override=coupling,
                                index=index)
-        d = T.sub(y, Tensor(targets))
-        return T.reduce_mean(T.mul(d, d))
+        return N.mse_loss(y, targets)
 
     def relu_pattern():
         """Signs of every hidden-layer input of the head."""
@@ -168,8 +169,7 @@ def test_fd001_sliding_window_training_step_matches_per_frame_chain():
             loss = TR._forward_loss(frames, index, y, params, config, "train", drop)
         else:
             pred, _ = per_frame_forward(frames[index], params, config, "train", drop)
-            d = T.sub(pred, Tensor(y))
-            loss = T.reduce_mean(T.mul(d, d))
+            loss = N.mse_loss(pred, y)
         backward(loss)
         grads.append({k: p.grad.copy() for k, p in params.items()})
     got, ref = grads
@@ -205,8 +205,7 @@ def test_fd001_indexed_training_step_matches_materialized():
         else:
             pred, _ = materialized_forward(frames[index], params, config, mode="train",
                                            rng=drop)
-            d = T.sub(pred, Tensor(y))
-            loss = T.reduce_mean(T.mul(d, d))
+            loss = N.mse_loss(pred, y)
         backward(loss)
         grads.append({k: p.grad.copy() for k, p in params.items()})
     got, ref = grads
@@ -227,6 +226,7 @@ from slowcaps import training as TR
 from slowcaps.optim import Adam
 from conftest import sliding_frames
 from test_fd001_geometry import fd001_config
+import oracles
 
 config = fd001_config()
 rng = np.random.default_rng(21)
@@ -271,7 +271,7 @@ for frames, local in batches:
     digest.update(h.data.tobytes())
     digest.update(logits.tobytes())
     adam.zero_grad()
-    T.backward(T.reduce_sum(T.mul(h, weights)))
+    T.backward(T.reduce_sum(oracles.product(h, weights)))
     # the routed sum's gradient into the capsules, then every front-end
     # parameter's, route.transform among them
     digest.update(u.grad.tobytes())
@@ -557,8 +557,9 @@ def test_fd001_cli_chain_ignores_blas_thread_count():
 
 
 def test_fd001_training_step_tape_nodes():
-    """23 parameters, 8 nodes from the patches to the LSTM's one node
-    (routing is one), the head's one node and 3 in the loss."""
+    """33 nodes: 23 parameters, 8 nodes from the patches to the LSTM's
+    one node (routing is one), the head's one node and the loss's one,
+    counted by the walk perfbench's tape count makes."""
     config = fd001_config()
     rng = np.random.default_rng(14)
     params = N.init_parameters(config, rng)
@@ -567,15 +568,17 @@ def test_fd001_training_step_tape_nodes():
     frames, _, uids = fd001_units(rng, per_unit=12)
     index = TR.sequence_index(uids, 5)[[0, 1, 2, 9]]
     loss = TR._forward_loss(frames, index, rng.normal(size=4), params, config, "train", rng)
-    seen = set()
+    seen = {}
     stack = [loss]
     while stack:
         node = stack.pop()
         if id(node) in seen or not node.requires_grad:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         stack.extend(node._parents)
-    assert len(seen) <= 35
+    assert len(seen) == 33
+    ops = [n._backward.__qualname__ for n in seen.values() if n._backward is not None]
+    assert ops.count("mse_loss.<locals>.bw") == 1
 
 
 def test_fd001_routing_node_gradients_match_fd():
@@ -605,7 +608,7 @@ def test_fd001_routing_node_gradients_match_fd():
         return float(np.sum(v.data * g))
 
     v, _ = N.dynamic_routing(u, params, config, coupling, index)
-    backward(T.reduce_sum(T.mul(v, Tensor(g))))
+    backward(T.reduce_sum(oracles.product(v, Tensor(g))))
     assert not u.grad[7].any()
     worst = 0.0
     for t, flat_picks in ((u, np.arange(3 * 64, 4 * 64)),

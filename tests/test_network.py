@@ -172,9 +172,9 @@ def test_squash_backward_matches_fd(rng):
     w = rng.normal(size=(3, 4, 5))
 
     def loss_fn():
-        return float(T.reduce_sum(T.mul(N.squash(x), Tensor(w))).data)
+        return float(T.reduce_sum(oracles.product(N.squash(x), Tensor(w))).data)
 
-    loss = T.reduce_sum(T.mul(N.squash(x), Tensor(w)))
+    loss = T.reduce_sum(oracles.product(N.squash(x), Tensor(w)))
     backward(loss)
     num = numeric_grad(loss_fn, {"x": x.data})
     assert rel_max(x.grad, num["x"]) < 1e-6
@@ -188,7 +188,7 @@ def _squash_grad_and_fd(s, w, step):
     the rounding of the other terms stays out of the quotient.
     """
     x = Tensor(s, requires_grad=True)
-    backward(T.reduce_sum(T.mul(N.squash(x), Tensor(w))))
+    backward(T.reduce_sum(oracles.product(N.squash(x), Tensor(w))))
     num = np.empty_like(s)
     for k in range(s.shape[-1]):
         e = np.zeros(s.shape[-1])
@@ -221,7 +221,7 @@ def test_squash_backward_edge_lengths(rng):
     w = rng.normal(size=(4, 8))
     # the exact zero vector has zero gradient
     x = Tensor(np.zeros((4, 8)), requires_grad=True)
-    backward(T.reduce_sum(T.mul(N.squash(x), Tensor(w))))
+    backward(T.reduce_sum(oracles.product(N.squash(x), Tensor(w))))
     np.testing.assert_array_equal(x.grad, 0.0)
     # |s| ~ 1e-8 sits inside the eps guard, |s| ~ 1e4 near saturation;
     # the steps are 1e-4 and 3e-6 of the entries' scale
@@ -278,7 +278,7 @@ def check_operands_and_their_fd(rng, shape, index):
     def loss_fn():
         return float(np.sum(routed().data * g))
 
-    backward(T.reduce_sum(T.mul(routed(), Tensor(g))))
+    backward(T.reduce_sum(oracles.product(routed(), Tensor(g))))
     # the squash makes the loss nonlinear; a 1e-4 step keeps both the
     # truncation and the rounding error of the differences near 1e-8
     num = numeric_grad(loss_fn, {"u": u.data, "w": w.data}, eps=1e-4)
@@ -325,8 +325,8 @@ def check_routing_node(rng, shape, index):
     ref = N.squash(s)
     np.testing.assert_allclose(v.data, ref.data, rtol=0, atol=1e-12)
     g = rng.normal(size=v.shape)
-    backward(T.reduce_sum(T.mul(v, Tensor(g))))
-    backward(T.reduce_sum(T.mul(ref, Tensor(g))))
+    backward(T.reduce_sum(oracles.product(v, Tensor(g))))
+    backward(T.reduce_sum(oracles.product(ref, Tensor(g))))
     # the chain rule through the votes, whose gradient is c * ds
     gv = c[..., None] * s.grad[:, None]
     du = np.einsum("nija,ijad->nid", gv, w.data)
@@ -426,7 +426,7 @@ def test_dynamic_routing_gradients_with_frozen_coupling(rng):
         return float(np.sum(v.data * g))
 
     v, _ = N.dynamic_routing(u, params, cfg, coupling_override=c_star)
-    backward(T.reduce_sum(T.mul(v, Tensor(g))))
+    backward(T.reduce_sum(oracles.product(v, Tensor(g))))
     num = numeric_grad(
         loss_fn, {"u": u.data, "w": params["route.transform"].data}
     )
@@ -523,7 +523,7 @@ def test_lstm_is_one_node_with_fd_gradients(rng, steps):
     weights = Tensor(rng.normal(size=(3, 5)))
 
     def forward():
-        return T.reduce_sum(T.mul(N.lstm_forward(x, params, cfg), weights))
+        return T.reduce_sum(oracles.product(N.lstm_forward(x, params, cfg), weights))
 
     h = N.lstm_forward(x, params, cfg)
     assert h._parents[0] is x and len(h._parents) == 13
@@ -542,11 +542,11 @@ def test_lstm_input_gradient_with_frozen_parameters(rng):
     seq = rng.normal(size=(3, 4, 12))
     weights = Tensor(rng.normal(size=(3, 5)))
     x = Tensor(seq.copy(), requires_grad=True)
-    backward(T.reduce_sum(T.mul(N.lstm_forward(x, params, cfg), weights)))
+    backward(T.reduce_sum(oracles.product(N.lstm_forward(x, params, cfg), weights)))
     assert all(p.grad is None for p in params.values())
     tracked = {k: Tensor(p.data, requires_grad=True) for k, p in params.items()}
     x_all = Tensor(seq.copy(), requires_grad=True)
-    backward(T.reduce_sum(T.mul(N.lstm_forward(x_all, tracked, cfg), weights)))
+    backward(T.reduce_sum(oracles.product(N.lstm_forward(x_all, tracked, cfg), weights)))
     np.testing.assert_array_equal(x.grad, x_all.grad)
 
 
@@ -666,7 +666,7 @@ def test_regression_head_gradients_match_fd(rng, mode):
 
         def forward():
             out = N.regression_head(h, params, cfg, mode, np.random.default_rng(5))
-            return T.reduce_sum(T.mul(out, weights))
+            return T.reduce_sum(oracles.product(out, weights))
 
         # the loss is piecewise linear in each coordinate: a step that
         # crosses no relu kink costs no truncation error, and a wide one
@@ -688,6 +688,44 @@ def test_regression_head_gradients_match_fd(rng, mode):
                      for sign in (1.0, -1.0)]
             num_h[:, k] = (terms[0] - terms[1]) / 2e-4
         assert rel_max(h.grad, num_h) < 1e-6
+
+
+# ------------------------------------------------------------------ loss
+
+
+@pytest.mark.parametrize("n", [1, 26, 64])
+def test_mse_loss_is_one_node_with_the_numpy_bits(rng, n):
+    """Value and gradient bytes of the numpy formula, on one sample, an
+    FD001 epoch's 26-sequence tail and a full batch, with magnitudes
+    from 1e-8 to 1e8; the gradient is (1 / n) d doubled, the bits of
+    the chain rule through d, d * d and the mean."""
+    for _ in range(20):
+        p = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+        t = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+        leaf = Tensor(p, requires_grad=True)
+        pred = T.reshape(leaf, (n,))
+        loss = N.mse_loss(pred, t)
+        assert loss._parents == (pred,)
+        d = p - t
+        assert loss.data.tobytes() == np.mean(d * d).tobytes()
+        backward(loss)
+        want = (1.0 / n) * d
+        assert pred.grad.tobytes() == (want + want).tobytes()
+
+
+def test_mse_loss_needs_the_prediction_shape():
+    pred = Tensor(np.zeros(4), requires_grad=True)
+    for target in (np.zeros((4, 1)), np.zeros(3), np.zeros(())):
+        with pytest.raises(ValueError, match="shape"):
+            N.mse_loss(pred, target)
+
+
+def test_mse_loss_gradient_matches_fd(rng):
+    p = Tensor(rng.normal(size=(7,)), requires_grad=True)
+    t = rng.normal(size=7)
+    backward(N.mse_loss(p, t))
+    num = numeric_grad(lambda: float(N.mse_loss(p, t).data), {"p": p.data})
+    assert rel_max(p.grad, num["p"]) < 1e-7
 
 
 # ----------------------------------------------------------- full forward
@@ -947,7 +985,7 @@ def test_patch_path_matches_per_frame_chain_at_time_mixing_geometries(geometry):
             y, _ = N.model_forward(frames, params, cfg, "train", drop, index=index)
         else:
             y, _ = per_frame_forward(frames[index], params, cfg, "train", drop)
-        backward(T.reduce_sum(T.mul(y, weights)))
+        backward(T.reduce_sum(oracles.product(y, weights)))
         outs.append(y.data)
         grads.append({k: p.grad.copy() for k, p in params.items()})
     for name, got, ref in [("y", *outs)] + [(k, grads[0][k], g) for k, g in grads[1].items()]:

@@ -33,51 +33,28 @@ def test_elementwise_backward_matches_fd(rng):
     b = Tensor(rng.normal(size=(3, 4)) + 3.0, requires_grad=True)
 
     def forward():
-        # a * b - a * a + b
-        z = T.sub(T.mul(a, b), T.sub(T.mul(a, a), b))
-        return T.reduce_sum(T.mul(z, z))
+        # a^2 b^2 through a chain of products, a and b each used twice
+        z = oracles.product(a, oracles.product(b, b))
+        return T.reduce_sum(oracles.product(z, a))
 
+    # the loss is quadratic in each coordinate, so central differences
+    # cost no truncation error and a wide step keeps rounding noise far
+    # below the bound
     loss = forward()
     backward(loss)
-    num = numeric_grad(lambda: float(forward().data), {"a": a.data, "b": b.data})
+    num = numeric_grad(lambda: float(forward().data), {"a": a.data, "b": b.data}, eps=1e-3)
     assert rel_max(a.grad, num["a"]) < 1e-7
     assert rel_max(b.grad, num["b"]) < 1e-7
 
 
-def test_broadcast_bias_backward(rng):
-    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    bias = Tensor(rng.normal(size=(3,)), requires_grad=True)
-
-    def forward():
-        s = T.mul(T.sub(x, bias), bias)
-        return T.reduce_sum(T.mul(s, s))
-
-    backward(forward())
-    num = numeric_grad(lambda: float(forward().data),
-                       {"x": x.data, "b": bias.data})
-    assert bias.grad.shape == (3,)
-    assert rel_max(x.grad, num["x"]) < 1e-7
-    assert rel_max(bias.grad, num["b"]) < 1e-7
-
-
-def test_shape_mismatch_raises():
-    for op in (T.sub, T.mul):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            op(Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            op(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
-
-
 def test_reduce_ops_axis_keepdims(rng):
-    # both reduce every axis to a scalar
+    # reduce_sum reduces every axis to a scalar
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-    assert T.reduce_sum(x).shape == T.reduce_mean(x).shape == ()
+    assert T.reduce_sum(x).shape == ()
     assert float(T.reduce_sum(x).data) == x.data.sum()
-    assert float(T.reduce_mean(x).data) == x.data.mean()
 
     def forward():
-        m = T.reduce_mean(x)
-        return T.sub(T.reduce_sum(T.mul(x, x)), T.mul(m, m))
+        return T.reduce_sum(oracles.product(x, x))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
@@ -89,7 +66,7 @@ def test_reshape_backward(rng):
 
     def forward():
         r = T.reshape(x, (2, 12))
-        return T.reduce_sum(T.mul(r, r))
+        return T.reduce_sum(oracles.product(r, r))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"x": x.data})
@@ -104,7 +81,7 @@ def test_take_rows_forward_and_backward(rng):
 
     def forward():
         g = T.take_rows(a, idx)
-        return T.reduce_sum(T.mul(T.mul(g, g), w))
+        return T.reduce_sum(oracles.product(oracles.product(g, g), w))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data), {"a": a.data})
@@ -131,7 +108,7 @@ def test_take_rows_backward_is_add_at_bit_for_bit(shape, index):
     a = Tensor(rng.normal(size=shape), requires_grad=True)
     g = rng.normal(size=idx.shape + shape[1:]) * 10.0 ** rng.integers(-9, 9, idx.shape + shape[1:])
     g.flat[:2] = [-0.0, 5e-324]
-    backward(T.reduce_sum(T.mul(T.take_rows(a, idx), g)))
+    backward(T.reduce_sum(oracles.product(T.take_rows(a, idx), g)))
     want = np.zeros(shape)
     np.add.at(want, idx, g)
     assert a.grad.tobytes() == (np.zeros(shape) + want).tobytes()
@@ -145,10 +122,10 @@ def test_take_rows_backward_is_add_at_bit_for_bit(shape, index):
 def test_gradient_accumulates_per_use():
     x = Tensor(3.0, requires_grad=True)
     # both operands are x: each use contributes x
-    backward(T.mul(x, x))
+    backward(oracles.product(x, x))
     np.testing.assert_allclose(x.grad, 6.0)
     # a second backward pass accumulates on top
-    backward(T.sub(T.mul(x, x), x))
+    backward(oracles.product(x, 5.0))
     np.testing.assert_allclose(x.grad, 6.0 + 5.0)
     zero_grads([x])
     np.testing.assert_allclose(x.grad, 0.0)
@@ -156,8 +133,8 @@ def test_gradient_accumulates_per_use():
 
 def test_repeated_backward_adds_the_same_gradient_again():
     x = Tensor(np.ones(3), requires_grad=True)
-    h = T.mul(2.0, x)
-    loss = T.reduce_sum(T.mul(3.0, h))
+    h = oracles.product(np.full(3, 2.0), x)
+    loss = T.reduce_sum(oracles.product(np.full(3, 3.0), h))
     backward(loss)
     np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
     backward(loss)
@@ -169,41 +146,47 @@ def test_repeated_backward_adds_the_same_gradient_again():
 def test_diamond_reuse_single_contribution(rng):
     x = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
-    def forward():
-        h = T.mul(x, x)
-        return T.reduce_sum(T.sub(T.mul(h, h), h))
+    w = rng.normal(size=(3,))
 
+    def forward():
+        # h feeds two nodes: the product directly and through a reshape
+        h = oracles.product(x, w)
+        return T.reduce_sum(oracles.product(h, T.reshape(h, (3,))))
+
+    # the loss is quadratic in each coordinate: a wide step costs no
+    # truncation error and keeps rounding noise far below the bound
     backward(forward())
-    num = numeric_grad(lambda: float(forward().data), {"x": x.data})
+    num = numeric_grad(lambda: float(forward().data), {"x": x.data}, eps=1e-3)
     assert rel_max(x.grad, num["x"]) < 1e-7
 
 
 def test_deep_chain_no_recursion_error():
-    x = Tensor(0.001, requires_grad=True)
+    # y = x^3001 with x = 1: each of the 3001 uses of x adds exactly 1
+    x = Tensor(1.0, requires_grad=True)
     y = x
     for _ in range(3000):
-        y = T.sub(y, x)
+        y = oracles.product(y, x)
     backward(y)
-    np.testing.assert_allclose(x.grad, -2999.0)
+    np.testing.assert_array_equal(x.grad, 3001.0)
 
 
 def test_off_path_parameter_reads_zero_grad():
     used = Tensor([1.0, 2.0], requires_grad=True)
     unused = Tensor([5.0], requires_grad=True)
-    backward(T.reduce_sum(T.mul(used, used)))
+    backward(T.reduce_sum(oracles.product(used, used)))
     np.testing.assert_array_equal(unused.grad, np.zeros(1))
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        backward(T.mul(x, x))
+        backward(oracles.product(x, x))
 
 
 def test_no_grad_drops_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with no_grad():
-        y = T.mul(x, x)
+        y = oracles.product(x, x)
     assert not y.requires_grad
     assert y._parents == ()
 
@@ -213,7 +196,7 @@ def test_no_grad_is_thread_local():
     results = {}
 
     def worker():
-        results["tracked"] = T.mul(x, x).requires_grad
+        results["tracked"] = oracles.product(x, x).requires_grad
 
     with no_grad():
         t = threading.Thread(target=worker)
@@ -226,14 +209,14 @@ def test_overflow_in_op_raises():
     x = Tensor(1e308, requires_grad=True)
     with np.errstate(over="ignore", divide="ignore"):
         with pytest.raises(FloatingPointError):
-            T.mul(x, Tensor(1e308))
+            oracles.product(x, Tensor(1e308))
 
 
 def test_finite_check_passes_an_overflowing_sum_silently():
     big = np.array([1e308, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.mul(Tensor(big, requires_grad=True), Tensor(1.0))
+        out = oracles.product(Tensor(big, requires_grad=True), np.ones(2))
     np.testing.assert_array_equal(out.data, big)
 
 
@@ -301,7 +284,7 @@ def test_conv2d_backward_matches_fd(rng):
 
     def forward():
         y = T.conv2d(x, k, b, (1, 2))
-        return T.reduce_sum(T.mul(y, y))
+        return T.reduce_sum(oracles.product(y, y))
 
     backward(forward())
     num = numeric_grad(lambda: float(forward().data),
@@ -319,7 +302,7 @@ def test_conv2d_gradients_match_fd_on_each_geometry(rng, shape, kshape, stride):
     weights = Tensor(rng.normal(size=oracles.conv2d_oracle(x.data, k.data, stride).shape))
 
     def forward():
-        return T.reduce_sum(T.mul(T.conv2d(x, k, b, stride), weights))
+        return T.reduce_sum(oracles.product(T.conv2d(x, k, b, stride), weights))
 
     # the loss is linear in each coordinate, so a wide step costs no
     # truncation error and keeps rounding noise far below the bound
@@ -343,9 +326,9 @@ def test_conv2d_tanh_is_one_node_equal_to_tanh_of_conv2d(rng, shape, kshape, str
     # one tape node: its parents are the three leaves themselves
     assert fused._parents == tuple(fused_in)
     weights = rng.normal(size=fused.shape)
-    backward(T.reduce_sum(T.mul(fused, Tensor(weights))))
+    backward(T.reduce_sum(oracles.product(fused, Tensor(weights))))
     # the reference seeds conv2d's backward with the tanh chain rule
-    backward(T.reduce_sum(T.mul(plain, Tensor(weights * (1.0 - y * y)))))
+    backward(T.reduce_sum(oracles.product(plain, Tensor(weights * (1.0 - y * y)))))
     for f, p in zip(fused_in, plain_in):
         np.testing.assert_allclose(f.grad, p.grad, rtol=1e-14, atol=1e-14 * np.abs(p.grad).max())
 
