@@ -16,8 +16,6 @@ import logging
 import math
 from typing import Any
 
-import numpy as np
-
 from .data import SyntheticSpec
 from .network import ModelConfig, _is_int
 from .pipeline import FeatureSettings
@@ -52,9 +50,6 @@ _DEFAULTS: dict[str, Any] = {
     "rul_max": 125.0,
     "features": {
         "num_slow": None,
-        "ridge_scale": 1e-8,
-        "constant_tol": 1e-10,
-        "max_lag": None,
         "per_condition": False,
     },
     "model": {
@@ -78,14 +73,8 @@ _DEFAULTS: dict[str, Any] = {
     "training": {
         "batch_size": 64,
         "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
         "patience": 10,
-        "min_delta": 1e-4,
         "validation_fraction": 0.1,
-        "scale_labels": True,
-        "shuffle": True,
     },
     "tune": {
         "filter_candidates": [16, 32, 64],
@@ -95,16 +84,10 @@ _DEFAULTS: dict[str, Any] = {
     },
     "synthetic": {
         "channels": 6,
-        "latents": 2,
-        "periods": [430.0, 170.0],
-        "drift_latent": 0,
-        "drift_slope": 0.02,
-        "noise_scale": 0.1,
         "units": 20,
         "test_units": 10,
         "length_range": [280, 320],
         "rul_max": 120.0,
-        "mixing": None,
     },
 }
 
@@ -123,7 +106,7 @@ def _deep_merge(base: dict, over: dict, path: str, problems: list[str]) -> None:
             continue
         if isinstance(base[key], dict) and isinstance(value, dict):
             _deep_merge(base[key], value, here, problems)
-        elif isinstance(base[key], dict) and value is not None:
+        elif isinstance(base[key], dict):
             problems.append(f"{here!r} must be an object")
         else:
             base[key] = value
@@ -214,12 +197,6 @@ def validate_config(cfg: dict) -> None:
     f = cfg.get("features", {})
     if f.get("num_slow") is not None and (not _is_int(f["num_slow"]) or f["num_slow"] < 1):
         p.append("features.num_slow must be null or a positive integer")
-    if not _is_num(f.get("ridge_scale")) or f["ridge_scale"] < 0:
-        p.append("features.ridge_scale must be a number >= 0")
-    if not _is_num(f.get("constant_tol")) or f["constant_tol"] < 0:
-        p.append("features.constant_tol must be a number >= 0")
-    if f.get("max_lag") is not None and (not _is_int(f["max_lag"]) or f["max_lag"] < 1):
-        p.append("features.max_lag must be null or a positive integer")
     if not isinstance(f.get("per_condition"), bool):
         p.append("features.per_condition must be a boolean")
 
@@ -259,18 +236,8 @@ def validate_config(cfg: dict) -> None:
             p.append(f"training.{key} must be a positive integer")
     if not _is_num(t.get("learning_rate")) or t["learning_rate"] <= 0:
         p.append("training.learning_rate must be a positive number")
-    for key in ("beta1", "beta2"):
-        if not _is_num(t.get(key)) or not 0 <= t[key] < 1:
-            p.append(f"training.{key} must be in [0, 1)")
-    if not _is_num(t.get("eps")) or t["eps"] <= 0:
-        p.append("training.eps must be a positive number")
-    if not _is_num(t.get("min_delta")) or t["min_delta"] < 0:
-        p.append("training.min_delta must be a number >= 0")
     if not _is_num(t.get("validation_fraction")) or not 0 < t["validation_fraction"] < 1:
         p.append("training.validation_fraction must be in (0, 1)")
-    for key in ("scale_labels", "shuffle"):
-        if not isinstance(t.get(key), bool):
-            p.append(f"training.{key} must be a boolean")
 
     tu = cfg.get("tune", {})
     for key in ("filter_candidates", "lstm_candidates"):
@@ -284,28 +251,18 @@ def validate_config(cfg: dict) -> None:
         p.append("tune.epochs must be a positive integer")
 
     s = cfg.get("synthetic", {})
-    for key in ("channels", "latents", "units", "test_units"):
+    if not _is_int(s.get("channels")) or s["channels"] < SyntheticSpec.latents:
+        p.append(f"synthetic.channels must be an integer >= {SyntheticSpec.latents}, "
+                 "the generator's latent count")
+    for key in ("units", "test_units"):
         if not _is_int(s.get(key)) or s[key] < 1:
             p.append(f"synthetic.{key} must be a positive integer")
-    periods = s.get("periods")
-    if (not isinstance(periods, (list, tuple)) or not periods
-            or not all(_is_num(x) and x > 0 for x in periods)):
-        p.append("synthetic.periods must be positive numbers")
-    if not _is_int(s.get("drift_latent")) or s["drift_latent"] < 0:
-        p.append("synthetic.drift_latent must be an integer >= 0")
-    if not _is_num(s.get("drift_slope")):
-        p.append("synthetic.drift_slope must be a number")
-    if not _is_num(s.get("noise_scale")) or s["noise_scale"] < 0:
-        p.append("synthetic.noise_scale must be a number >= 0")
     lr = s.get("length_range")
     if (not isinstance(lr, (list, tuple)) or len(lr) != 2
             or not all(_is_int(x) and x >= 2 for x in lr) or lr[0] > lr[1]):
         p.append("synthetic.length_range must be [lo, hi] integers with lo <= hi")
     if not _is_num(s.get("rul_max")) or s["rul_max"] <= 0:
         p.append("synthetic.rul_max must be a positive number")
-    if s.get("mixing") is not None and s["mixing"] != "identity" \
-            and not isinstance(s["mixing"], list):
-        p.append("synthetic.mixing must be null, 'identity', or a matrix")
 
     if p:
         raise ConfigError(p)
@@ -315,30 +272,21 @@ def feature_settings_from(cfg: dict) -> FeatureSettings:
     f = cfg["features"]
     return FeatureSettings(
         rul_max=float(cfg["rul_max"]),
-        ridge_scale=float(f["ridge_scale"]),
-        constant_tol=float(f["constant_tol"]),
         num_slow=f["num_slow"],
         window=cfg["model"]["window_length"],
-        max_lag=f["max_lag"],
         per_condition=f["per_condition"],
     )
 
 
 def train_config_from(cfg: dict, seed: int, epochs: int | None = None) -> TrainConfig:
     t = cfg["training"]
-    scale = float(cfg["rul_max"]) if t["scale_labels"] else 1.0
     return TrainConfig(
         epochs=int(epochs if epochs is not None else cfg["model"]["epoch"]),
         batch_size=int(t["batch_size"]),
         learning_rate=float(t["learning_rate"]),
-        beta1=float(t["beta1"]),
-        beta2=float(t["beta2"]),
-        eps=float(t["eps"]),
         patience=int(t["patience"]),
-        min_delta=float(t["min_delta"]),
         validation_fraction=float(t["validation_fraction"]),
-        label_scale=scale,
-        shuffle=bool(t["shuffle"]),
+        label_scale=float(cfg["rul_max"]),
         seed=int(seed),
     )
 
@@ -346,20 +294,11 @@ def train_config_from(cfg: dict, seed: int, epochs: int | None = None) -> TrainC
 def synthetic_spec_from(cfg: dict) -> tuple[SyntheticSpec, int]:
     """Spec covering train + test units, and the train-unit count."""
     s = cfg["synthetic"]
-    mixing = s["mixing"]
-    if isinstance(mixing, list):
-        mixing = np.asarray(mixing, dtype=np.float64)
     spec = SyntheticSpec(
         channels=int(s["channels"]),
-        latents=int(s["latents"]),
-        periods=tuple(float(x) for x in s["periods"]),
-        drift_latent=int(s["drift_latent"]),
-        drift_slope=float(s["drift_slope"]),
-        noise_scale=float(s["noise_scale"]),
         units=int(s["units"]) + int(s["test_units"]),
         length_range=(int(s["length_range"][0]), int(s["length_range"][1])),
         rul_max=float(s["rul_max"]),
-        mixing=mixing,
     )
     return spec, int(s["units"])
 

@@ -403,7 +403,7 @@ class SyntheticSpec:
     units: int = 20
     length_range: tuple[int, int] = (280, 320)
     rul_max: float = 120.0
-    mixing: np.ndarray | str | None = None
+    mixing: np.ndarray | None = None
 
     def __post_init__(self):
         if self.channels < 1 or self.latents < 1:
@@ -435,13 +435,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> dict:
     root = np.random.SeedSequence(seed)
     mix_ss, unit_ss = root.spawn(2)
     rng_mix = np.random.default_rng(mix_ss)
-    if isinstance(spec.mixing, str):
-        if spec.mixing != "identity":
-            raise ValueError(f"unknown mixing preset {spec.mixing!r}")
-        if spec.channels != spec.latents:
-            raise ValueError("identity mixing needs channels == latents")
-        mixing = np.eye(spec.latents)
-    elif spec.mixing is not None:
+    if spec.mixing is not None:
         mixing = np.asarray(spec.mixing, dtype=np.float64)
         if mixing.shape != (spec.latents, spec.channels):
             raise ValueError(

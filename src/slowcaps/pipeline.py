@@ -44,6 +44,8 @@ __all__ = [
 log = logging.getLogger("slowcaps.pipeline")
 
 ABLATION_VARIANTS = ("full", "no-sfa", "no-lstm", "plain-capsnet")
+# longest autocorrelation lag the window rule looks at
+ACF_MAX_LAG = 200
 
 
 @dataclass
@@ -51,11 +53,8 @@ class FeatureSettings:
     """Knobs for the feature fitting stage; None means rule-derived."""
 
     rul_max: float = 125.0
-    ridge_scale: float = 1e-8
-    constant_tol: float = 1e-10
     num_slow: int | None = None
     window: int | None = None
-    max_lag: int | None = None
     per_condition: bool = False
 
 
@@ -85,7 +84,7 @@ def fit_features(
     condition = F.fit_condition_normalizer(train_series) if st.per_condition else None
     matrices = [s.sensors if condition is None else condition.apply(s.sensors, s.settings)
                 for s in train_series]
-    mask = F.drop_constant_channels(matrices, st.constant_tol)
+    mask = F.drop_constant_channels(matrices)
     normal_segs = []
     for s, m in zip(train_series, matrices):
         seg = m[: s.change_point][:, mask]
@@ -95,7 +94,7 @@ def fit_features(
         raise ValueError("no unit has a usable normal stage")
     stats = F.fit_normalizer(normal_segs)
     normalized_normals = [F.apply_normalizer(seg, stats) for seg in normal_segs]
-    sfa = F.fit_sfa(normalized_normals, ridge_scale=st.ridge_scale)
+    sfa = F.fit_sfa(normalized_normals)
     if st.num_slow is not None:
         p = int(st.num_slow)
         if not 1 <= p <= sfa.n_channels:
@@ -118,7 +117,7 @@ def fit_features(
             if z_deg.shape[0] < 4:
                 continue
             slow1 = sfa.project(z_deg, 1).ravel()
-            max_lag = min(z_deg.shape[0] - 2, st.max_lag or 200)
+            max_lag = min(z_deg.shape[0] - 2, ACF_MAX_LAG)
             try:
                 acfs.append(F.sample_acf(slow1, max_lag))
             except ValueError:

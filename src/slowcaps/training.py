@@ -42,14 +42,10 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10
     min_delta: float = 1e-4
     validation_fraction: float = 0.1
     label_scale: float = 1.0
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -194,8 +190,7 @@ def train(
     ys_va = batch.labels[idx_va[:, -1]] / cfg.label_scale
 
     params = network.init_parameters(config, np.random.default_rng(ss_init))
-    adam = Adam(params, lr=cfg.learning_rate, beta1=cfg.beta1,
-                beta2=cfg.beta2, eps=cfg.eps)
+    adam = Adam(params, lr=cfg.learning_rate)
     shuffle_rng = np.random.default_rng(ss_shuffle)
     dropout_rng = np.random.default_rng(ss_dropout)
 
@@ -208,7 +203,7 @@ def train(
     stopped_early = False
     n_tr = ys_tr.size
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n_tr) if cfg.shuffle else np.arange(n_tr)
+        order = shuffle_rng.permutation(n_tr)
         sse = 0.0
         for lo in range(0, n_tr, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]

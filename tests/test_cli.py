@@ -381,6 +381,63 @@ def test_unknown_override_exits_2(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+# settings whose one value is fixed in the code (README, Configuration)
+REMOVED_KEYS = [
+    "features.ridge_scale", "features.constant_tol", "features.max_lag",
+    "training.beta1", "training.beta2", "training.eps", "training.min_delta",
+    "training.scale_labels", "training.shuffle",
+    "synthetic.latents", "synthetic.periods", "synthetic.drift_latent",
+    "synthetic.drift_slope", "synthetic.noise_scale", "synthetic.mixing",
+]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(tmp_path, capsys, key):
+    section, leaf = key.split(".")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {leaf: 1}}))
+    with pytest.raises(C.ConfigError) as exc:
+        C.load_config(path)
+    assert exc.value.problems == [f"unknown config key {key!r}"]
+    capsys.readouterr()
+    assert main(["synth", "--out", str(tmp_path / "o"), "--set", f"{key}=1"]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["problems"] == [f"override '{key}=1': unknown key {key!r}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc,section", [
+    ({"training": None}, "training"),
+    ({"features": None}, "features"),
+    ({"model": {"fnn": None}}, "model.fnn"),
+    ({"model": {"basic_capsule": None}}, "model.basic_capsule"),
+], ids=["training", "features", "model.fnn", "model.basic_capsule"])
+def test_null_section_exits_2(tmp_path, capsys, doc, section):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(C.ConfigError) as exc:
+        C.load_config(path)
+    assert exc.value.problems == [f"{section!r} must be an object"]
+    capsys.readouterr()
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "config",
+                                    "problems": [f"{section!r} must be an object"]}
+
+
+def test_fewer_synthetic_channels_than_latents_exits_2(tmp_path, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "o"), "--set", "synthetic.channels=1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["problems"] == [
+        f"synthetic.channels must be an integer >= {D.SyntheticSpec.latents}, "
+        "the generator's latent count"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_data_exits_1(tmp_path, capsys):
     rc = main([
         "fit-features", "--out", str(tmp_path / "o"),
@@ -676,8 +733,8 @@ CORRUPTIONS = [
      "need at least two units"),
     ("batch_size_not_int", "train", None, None, ["--set", "training.batch_size=abc"], 2,
      "training.batch_size must be a positive integer"),
-    ("shuffle_not_bool", "train", None, None, ["--set", "training.shuffle=1"], 2,
-     "training.shuffle must be a boolean"),
+    ("per_condition_not_bool", "train", None, None, ["--set", "features.per_condition=1"], 2,
+     "features.per_condition must be a boolean"),
     # ablate fits its own features: its frames used to end in "no frames
     # to concatenate" after one warning per unit
     ("huge_window_ablate", "ablate", None, None, ["--set", "model.window_length=100000"], 1,

@@ -3,10 +3,10 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from slowcaps import config as C
+from slowcaps import data as D
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,6 +55,32 @@ def test_load_config_rejects_malformed_files(tmp_path):
         C.load_config(arr)
 
 
+def _leaf_keys(doc: dict, path: str = "") -> list[str]:
+    keys = []
+    for key, value in doc.items():
+        here = f"{path}.{key}" if path else key
+        keys += _leaf_keys(value, here) if isinstance(value, dict) else [here]
+    return keys
+
+
+def test_default_config_has_33_settable_keys():
+    assert _leaf_keys(C.default_config()) == [
+        "dataset", "rul_max",
+        "features.num_slow", "features.per_condition",
+        "model.epoch", "model.window_length", "model.filters", "model.kernel_size",
+        "model.strides", "model.basic_capsule.dimensions", "model.basic_capsule.channels",
+        "model.basic_capsule.kernel_size", "model.basic_capsule.strides",
+        "model.advanced_capsule.number", "model.advanced_capsule.dimensions",
+        "model.routing_iterations", "model.lstm_units", "model.sequence_length",
+        "model.fnn.widths", "model.fnn.dropout",
+        "training.batch_size", "training.learning_rate", "training.patience",
+        "training.validation_fraction",
+        "tune.filter_candidates", "tune.lstm_candidates", "tune.explore", "tune.epochs",
+        "synthetic.channels", "synthetic.units", "synthetic.test_units",
+        "synthetic.length_range", "synthetic.rul_max",
+    ]
+
+
 def test_apply_overrides_typed_values():
     cfg = C.default_config()
     C.apply_overrides(cfg, [
@@ -99,6 +125,17 @@ def test_validate_collects_every_problem():
     assert any("validation_fraction" in q for q in probs)
 
 
+def test_validate_bounds_synthetic_channels_by_the_latent_count():
+    cfg = C.default_config()
+    cfg["synthetic"]["channels"] = D.SyntheticSpec.latents
+    C.validate_config(cfg)
+    cfg["synthetic"]["channels"] = D.SyntheticSpec.latents - 1
+    with pytest.raises(C.ConfigError) as err:
+        C.validate_config(cfg)
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("synthetic.channels must be an integer >= ")
+
+
 # ------------------------------------------------------------ extraction
 
 
@@ -113,7 +150,6 @@ def test_feature_settings_from_document():
     assert fs.num_slow == 3
     assert fs.window == 40
     assert fs.per_condition is True
-    assert fs.ridge_scale == 1e-8
 
 
 def test_train_config_from_document():
@@ -121,23 +157,17 @@ def test_train_config_from_document():
     tc = C.train_config_from(cfg, seed=7)
     assert tc.epochs == cfg["model"]["epoch"]
     assert tc.seed == 7
-    assert tc.label_scale == cfg["rul_max"]  # scale_labels on by default
+    assert tc.label_scale == cfg["rul_max"]
     tc2 = C.train_config_from(cfg, seed=7, epochs=3)
     assert tc2.epochs == 3
-    cfg["training"]["scale_labels"] = False
-    assert C.train_config_from(cfg, seed=0).label_scale == 1.0
 
 
 def test_synthetic_spec_from_document():
     cfg = C.default_config()
     cfg["synthetic"]["units"] = 5
     cfg["synthetic"]["test_units"] = 2
-    cfg["synthetic"]["mixing"] = [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                                  [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
     spec, n_train = C.synthetic_spec_from(cfg)
     assert spec.units == 7 and n_train == 5
-    assert isinstance(spec.mixing, np.ndarray)
-    assert spec.mixing.shape == (2, 6)
 
 
 # ------------------------------------------------------------- resolution

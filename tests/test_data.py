@@ -329,7 +329,7 @@ def test_generate_synthetic_truth_and_geometry():
     spec = D.SyntheticSpec(
         units=5, channels=2, latents=2, periods=(43.0, 17.0),
         length_range=(90, 110), rul_max=40.0, noise_scale=0.0,
-        mixing="identity", drift_slope=0.05,
+        mixing=np.eye(2), drift_slope=0.05,
     )
     made = D.generate_synthetic(spec, seed=3)
     np.testing.assert_array_equal(made["truth"]["mixing"], np.eye(2))
@@ -364,10 +364,6 @@ def test_synthetic_spec_validation():
         D.SyntheticSpec(length_range=(10, 5))
     with pytest.raises(ValueError):
         D.generate_synthetic(D.SyntheticSpec(mixing="hadamard"), 0)
-    with pytest.raises(ValueError, match="identity"):
-        D.generate_synthetic(
-            D.SyntheticSpec(channels=3, latents=2, mixing="identity"), 0
-        )
     with pytest.raises(ValueError, match="shape"):
         D.generate_synthetic(D.SyntheticSpec(mixing=np.zeros((3, 3))), 0)
 
