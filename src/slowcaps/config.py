@@ -263,6 +263,9 @@ def validate_config(cfg: dict) -> None:
         p.append("synthetic.length_range must be [lo, hi] integers with lo <= hi")
     if not _is_num(s.get("rul_max")) or s["rul_max"] <= 0:
         p.append("synthetic.rul_max must be a positive number")
+    elif s["rul_max"] >= 2**63:
+        # synth draws each test unit's residual life as an int64 up to 0.8 * rul_max
+        p.append("synthetic.rul_max must be below 2**63, the int64 range of a unit's cycles")
 
     if p:
         raise ConfigError(p)

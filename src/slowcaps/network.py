@@ -16,8 +16,9 @@ transforms, not through the softmax that produced the coupling.  Routing
 never builds the (N, I, J, A) votes W u: each round's weighted sums are
 one GEMM of the coupling-scaled capsules with the transforms, and its
 agreements one GEMM of the squashed outputs with the transposed
-transforms, contracted with the capsules; logits and coupling live in
-(J, N, I) order, so the softmax reduces over the outer axis.
+transforms, contracted with the capsules; logits, kept relative to the
+last advanced capsule, and coupling live in (J, N, I) order, so the
+softmax reduces over the outer axis.
 """
 
 from __future__ import annotations
@@ -329,34 +330,48 @@ def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> tuple[np.ndarr
 def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int, x: np.ndarray):
     """Routing by agreement on :func:`capsule_transform`'s operands.
 
-    Logits start at zero.  Each of the first ``iterations - 1`` rounds
-    takes the softmax over the advanced capsules, forms the weighted
-    sums s_j = (c_j * uf) @ wj[j], squashes them to v_j and adds each
-    capsule's agreement <W_ij uf_i, v_j> = <(v_j wj[j]^T)_i, uf_i> to its
-    logit; the last round only takes the softmax, because
+    The coupling is the softmax of the logits over the advanced
+    capsules, which ignores a shift shared by all of them, so the logits
+    are kept relative to the last capsule: b_j - b_J-1, whose last row
+    is 0.  They start at zero.  Each of the first ``iterations - 1``
+    rounds takes the softmax, forms x_j = c_j * uf for the J - 1 free
+    capsules and the weighted sums s_j = x_j @ wj[j], squashes them to
+    v_j and adds each free capsule's agreement relative to the last,
+    <W_ij uf_i, v_j> - <W_i,J-1 uf_i, v_J-1>, to its logit: one GEMM
+    [v_j, -v_J-1] @ [wj[j] | wj[J-1]]^T into x_j, contracted with uf over
+    D.  The same GEMM of x_j on [wj[j] | wj[J-1]] gives s_j and
+    x_j @ wj[J-1], so the last capsule's sum is
+    s_J-1 = uf @ wj[J-1] - sum_j x_j @ wj[J-1], with uf @ wj from the
+    first round, whose uniform coupling makes its sums one GEMM of uf
+    times 1/J.  The last round only takes the softmax, because
     :func:`dynamic_routing` records its weighted sum and squash on the
-    tape.  The first round's coupling is uniform, so its sums are one
-    GEMM of uf times 1/J.  ``x`` is a (J, N, I, D) work buffer: it holds
-    c_j * uf, then the agreement product.  Returns (coupling, logits),
-    both (J, N, I), where ``coupling`` is the softmax of ``logits`` over
-    the advanced capsules.
+    tape.  ``x`` is a (J, N, I, D) work buffer whose first J - 1 rows
+    hold x_j, then the agreement product.  Returns (coupling, logits),
+    both (J, N, I).
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
     n, i, d = uf.shape
-    j = wj.shape[0]
-    xf = x.reshape(j, n, i * d)
+    j, _, a = wj.shape
+    xs = x[:-1]
+    xf = xs.reshape(j - 1, n, i * d)
     b = np.zeros((j, n, i))
+    pair = np.concatenate((wj[:-1], np.broadcast_to(wj[-1:], wj[:-1].shape)), axis=2)
+    vv = np.empty((j - 1, n, 2 * a))
     for r in range(iterations - 1):
         if r == 0:
-            s = np.matmul(uf.reshape(1, n, i * d), wj) * (1.0 / j)
+            uw = np.matmul(uf.reshape(1, n, i * d), wj)
+            s = uw * (1.0 / j)
         else:
-            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0), uf, out=x)
-            s = np.matmul(xf, wj)
+            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0)[:-1], uf, out=xs)
+            sp = np.matmul(xf, pair)
+            s = np.concatenate((sp[..., :a], (uw[-1] - sp[..., a:].sum(axis=0))[None]))
         v = _squash_np(s)
         _check_finite(v, "routed capsules")
-        np.matmul(v, wj.transpose(0, 2, 1), out=xf)
-        b += np.einsum("jnid,nid->jni", x, uf)
+        vv[..., :a] = v[:-1]
+        np.negative(v[-1], out=vv[..., a:])
+        np.matmul(vv, pair.transpose(0, 2, 1), out=xf)
+        b[:-1] += np.einsum("jnid,nid->jni", xs, uf)
     return _softmax_np(b, axis=0), b
 
 

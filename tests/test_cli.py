@@ -381,6 +381,29 @@ def test_unknown_override_exits_2(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("rul_max", ["1e19", "1e300"])
+def test_synthetic_rul_max_beyond_int64_exits_2(tmp_path, capsys, rul_max):
+    """A test unit's residual life is an int64 draw up to 0.8 * rul_max;
+    a rul_max of 2**63 or more is refused before anything is written."""
+    out = tmp_path / "o"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["synth", "--out", str(out), "--seed", "3", *SET,
+                 "--set", f"synthetic.rul_max={rul_max}"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert len(err["problems"]) == 1 and err["problems"][0].startswith("synthetic.rul_max")
+    assert list(out.iterdir()) == []
+
+
+def test_synthetic_rul_max_within_int64_succeeds(tmp_path):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--seed", "3", *SET,
+                 "--set", "synthetic.rul_max=1e18"]) == 0
+    assert (tmp_path / "o" / "RUL_synthetic.txt").is_file()
+
+
 # settings whose one value is fixed in the code (README, Configuration)
 REMOVED_KEYS = [
     "features.ridge_scale", "features.constant_tol", "features.max_lag",

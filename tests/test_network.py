@@ -368,9 +368,10 @@ def test_routing_hand_example():
     c1, _ = route_votes(uh, 1)
     np.testing.assert_allclose(c1[0, 0], [0.5, 0.5], atol=1e-12)
     # uniform coupling: s1=(1,0) squashes to (0.5,0), s2=(0,0.5) to (0,0.2),
-    # so the agreement update gives logits (2*0.5, 1*0.2) = (1.0, 0.2)
+    # so the agreements are (2*0.5, 1*0.2) = (1.0, 0.2), and the logits,
+    # relative to the last capsule, (0.8, 0.0)
     c2, b1 = route_votes(uh, 2)
-    np.testing.assert_allclose(b1[0, 0], [1.0, 0.2], atol=1e-9)
+    np.testing.assert_allclose(b1[0, 0], [0.8, 0.0], atol=1e-9)
     np.testing.assert_allclose(c2[0, 0], [0.6900, 0.3100], atol=5e-5)
     e = np.exp([1.0, 0.2])
     np.testing.assert_allclose(c2[0, 0], e / e.sum(), atol=1e-9)
@@ -382,11 +383,37 @@ def test_routing_matches_oracle(rng):
         c, b = route_votes(uh, r)
         oc, _, _ = oracles.routing_oracle(uh, r)
         # the logits the returned coupling is the softmax of: r - 1
-        # agreement updates (zeros at r = 1)
+        # agreement updates (zeros at r = 1), relative to the last capsule
         _, ob, _ = oracles.routing_oracle(uh, r - 1)
         np.testing.assert_allclose(c, oc, atol=1e-10)
-        np.testing.assert_allclose(b, ob, atol=1e-10)
+        np.testing.assert_allclose(b, ob - ob[..., -1:], atol=1e-10)
         np.testing.assert_allclose(c.sum(axis=2), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("frames, caps, dim, advanced, adim", [
+    (3, 224, 8, 2, 16),  # FD001
+    (2, 448, 4, 3, 17),  # FD003
+    (4, 56, 3, 5, 6),  # milling
+])
+def test_routing_matches_oracle_at_config_geometry(rng, frames, caps, dim, advanced, adim):
+    u = rng.normal(size=(frames, caps, dim))
+    w = rng.normal(0.0, 0.2, size=(caps, advanced, adim, dim))
+    uh = np.einsum("ijad,nid->nija", w, u)  # the votes W_ij u_i, built explicitly
+    index = np.arange(frames)[:, None]
+    uf, wj = N.capsule_transform(Tensor(u), Tensor(w), index)
+    uf1, wj1 = N.capsule_transform(Tensor(u), Tensor(w[:, :1]), index)
+    for r in range(1, 5):
+        c, b = N.routing_coefficients(uf, wj, r, np.empty((advanced,) + uf.shape))
+        oc, _, _ = oracles.routing_oracle(uh, r)
+        _, ob, _ = oracles.routing_oracle(uh, r - 1)
+        np.testing.assert_allclose(c.transpose(1, 2, 0), oc, rtol=0, atol=1e-12)
+        # logits relative to the last capsule, whose own row is exactly 0
+        np.testing.assert_allclose(b.transpose(1, 2, 0), ob - ob[..., -1:], rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(b[-1], 0.0)
+        np.testing.assert_array_equal(c, N._softmax_np(b, axis=0))
+        # one advanced capsule takes the whole coupling
+        c1, _ = N.routing_coefficients(uf1, wj1, r, np.empty((1,) + uf1.shape))
+        np.testing.assert_array_equal(c1, 1.0)
 
 
 def test_routing_validation(rng):
