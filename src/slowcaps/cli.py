@@ -143,7 +143,9 @@ def _units(cfg: dict, data_dir: Path, split: str) -> list[D.RunToFailureSeries]:
     if not path.exists():
         raise FileNotFoundError(f"missing test data {path}")
     rul_path = data_dir / f"RUL_{ds}.txt"
-    return D.load_cmapss(None, path, rul_path if rul_path.exists() else None,
+    if not rul_path.exists():
+        raise FileNotFoundError(f"missing residual-life data {rul_path}")
+    return D.load_cmapss(None, path, rul_path,
                          rul_max=float(cfg["rul_max"]), n_sensors=n_sensors)["test"]
 
 
@@ -258,17 +260,19 @@ def cmd_fit_features(args) -> int:
     pipe, diag, _ = P.fit_features(series, settings)
     ckpt.save_arrays(out / "features.json", F.pipeline_to_arrays(pipe))
 
+    retained = np.flatnonzero(pipe.channel_mask).tolist()
+    lambdas = pipe.sfa.lambdas.tolist()
     _write_json(out / "features_meta.json", {
-        "num_slow": diag.num_slow,
-        "window": diag.window,
-        "ridge": diag.ridge,
-        "lambdas": [float(x) for x in diag.lambdas],
-        "retained_channels": diag.retained_channels,
+        "num_slow": pipe.num_slow,
+        "window": pipe.window,
+        "ridge": pipe.sfa.ridge,
+        "lambdas": lambdas,
+        "retained_channels": retained,
         "acf_band": diag.acf_band,
         "per_condition": pipe.condition is not None,
     })
     _write_csv(out / "slowness.csv", ["index", "lambda"],
-               [[i + 1, float(x)] for i, x in enumerate(diag.lambdas)])
+               [[i + 1, x] for i, x in enumerate(lambdas)])
     artifacts = ["features.json", "features_meta.json", "slowness.csv"]
     if diag.acf is not None:
         _write_csv(out / "acf.csv", ["lag", "acf"],
@@ -276,16 +280,15 @@ def cmd_fit_features(args) -> int:
         artifacts.append("acf.csv")
 
     header = (["unit", "cycle", "stage"]
-              + [f"z{c:02d}" for c in diag.retained_channels]
-              + [f"slow{i + 1}" for i in range(diag.num_slow)])
+              + [f"z{c:02d}" for c in retained]
+              + [f"slow{i + 1}" for i in range(pipe.num_slow)])
     _write_features_dump(out / "features_dump.csv", header,
-                         [(s.unit_id, s.change_point,
-                           np.hstack(pipe.transform(s.sensors, s.settings)))
+                         [(s.unit_id, s.change_point, pipe.transform(s.sensors, s.settings))
                           for s in series])
     artifacts.append("features_dump.csv")
 
     _write_manifest(out, "fit-features", cfg, args.seed, artifacts,
-                    num_slow=diag.num_slow, window=diag.window)
+                    num_slow=pipe.num_slow, window=pipe.window)
     return 0
 
 
@@ -308,11 +311,9 @@ def cmd_train(args) -> int:
         "dataset": cfg["dataset"],
     })
     _write_json(out / "train_report.json", asdict(report))
-    rows = []
-    for i, tr in enumerate(report.train_loss):
-        va = report.val_loss[i] if i < len(report.val_loss) else ""
-        rows.append([i + 1, tr, va])
-    _write_csv(out / "history.csv", ["epoch", "train_loss", "val_loss"], rows)
+    _write_csv(out / "history.csv", ["epoch", "train_loss", "val_loss"],
+               [[i, tr, va] for i, (tr, va) in
+                enumerate(zip(report.train_loss, report.val_loss), start=1)])
     _write_manifest(
         out, "train", cfg, args.seed,
         ["checkpoint.json", "model_config.json", "train_report.json", "history.csv"],

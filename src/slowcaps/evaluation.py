@@ -168,7 +168,7 @@ def final_sequence(raw_matrix, pipe: FeaturePipeline, seq_len: int,
     """
     if seq_len < 1:
         raise ValueError("sequence length must be >= 1")
-    hybrid = pipe.hybrid(raw_matrix, settings)
+    hybrid = pipe.transform(raw_matrix, settings)
     need = pipe.window + seq_len - 1
     hybrid = np.pad(hybrid, ((max(need - hybrid.shape[0], 0), 0), (0, 0)), mode="edge")
     return sliding_frames(hybrid[-need:], pipe.window)

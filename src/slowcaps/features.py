@@ -15,8 +15,9 @@ by a degradation stage, split at a per-unit change point.  Steps:
    first slow feature enters the two-sigma noise band;
 4. piece-wise linear remaining-useful-life labels, constant at rul_max
    before the change point and decaying linearly after it;
-5. hybrid frames: normalized channels concatenated with slow features,
-   cut into sliding windows labeled at their last sample.
+5. hybrid frames: normalized channels followed by slow features, one
+   frame-column matrix cut into sliding windows labeled at their last
+   sample.
 """
 
 from __future__ import annotations
@@ -390,44 +391,34 @@ def sliding_frames(matrix: np.ndarray, window: int) -> np.ndarray:
 
 
 def fuse_and_slice(
-    x_d,
-    s_d,
+    matrix,
     window: int,
     labels,
     unit_id="u0",
 ) -> FrameBatch | None:
-    """Concatenate channels with slow features and cut sliding windows.
+    """Cut a frame-column matrix into labelled sliding windows.
 
-    ``x_d`` (K x J) and ``s_d`` (K x P, may have zero columns) share the
-    sample axis; each run of ``window`` consecutive rows (stride 1, as
-    ``training.sequence_index`` assumes) becomes one frame whose
-    label is the entry of ``labels`` aligned with the frame's last row.
-    Returns None (with a warning) when the segment is shorter than the
-    window.
+    Each run of ``window`` consecutive rows of the (K, C) ``matrix``
+    (stride 1, as ``training.sequence_index`` assumes) becomes one frame
+    whose label is the entry of ``labels`` aligned with the frame's last
+    row.  Returns None (with a warning) when the segment is shorter than
+    the window.
     """
-    xd = _as_matrix(x_d)
-    sd = np.asarray(s_d, dtype=np.float64)
-    if sd.ndim != 2:
-        raise ValueError(f"slow feature block must be 2-D, got shape {sd.shape}")
-    if sd.shape[0] != xd.shape[0]:
-        raise ValueError(
-            f"sample counts differ: {xd.shape[0]} channels rows vs {sd.shape[0]} slow rows"
-        )
+    m = _as_matrix(matrix)
     y = np.asarray(labels, dtype=np.float64).ravel()
-    if y.size != xd.shape[0]:
-        raise ValueError(f"labels length {y.size} does not match {xd.shape[0]} samples")
+    if y.size != m.shape[0]:
+        raise ValueError(f"labels length {y.size} does not match {m.shape[0]} samples")
     if window < 1:
         raise ValueError("window must be >= 1")
-    k = xd.shape[0]
+    k = m.shape[0]
     if k < window:
         log.warning(
             "unit %s: segment of %d samples is shorter than window %d; skipped",
             unit_id, k, window,
         )
         return None
-    hybrid = np.hstack([xd, sd]) if sd.shape[1] else xd
     return FrameBatch(
-        frames=sliding_frames(hybrid, window),
+        frames=sliding_frames(m, window),
         labels=y[window - 1 :].copy(),
         unit_ids=np.full(k - window + 1, unit_id, dtype=object),
     )
@@ -448,10 +439,10 @@ def concat_batches(batches: Sequence[FrameBatch]) -> FrameBatch:
 class FeaturePipeline:
     """Fitted feature chain: condition z-score, channel mask, stats, slow basis.
 
-    ``transform`` maps a raw series matrix to its normalized channels and
-    slow features; ``hybrid`` concatenates the two, matching the frame
-    channel layout (retained channels first, slow features after).  With
-    a ``condition`` normalizer both need the series' operating settings.
+    ``transform`` maps a raw series matrix to its frame columns: the
+    retained normalized channels, followed by the slow features when
+    ``include_slow`` is set.  With a ``condition`` normalizer it needs
+    the series' operating settings.
     """
 
     channel_mask: np.ndarray
@@ -478,7 +469,7 @@ class FeaturePipeline:
     def frame_channels(self) -> int:
         return int(self.channel_mask.sum()) + (self.num_slow if self.include_slow else 0)
 
-    def transform(self, raw_matrix, settings=None) -> tuple[np.ndarray, np.ndarray]:
+    def transform(self, raw_matrix, settings=None) -> np.ndarray:
         m = _as_matrix(raw_matrix)
         if m.shape[1] != self.channel_mask.size:
             raise ValueError(
@@ -488,15 +479,9 @@ class FeaturePipeline:
         if self.condition is not None:
             m = self.condition.apply(m, settings)
         z = apply_normalizer(m[:, self.channel_mask], self.stats)
-        if self.include_slow:
-            slow = self.sfa.project(z, self.num_slow)
-        else:
-            slow = np.empty((z.shape[0], 0))
-        return z, slow
-
-    def hybrid(self, raw_matrix, settings=None) -> np.ndarray:
-        z, slow = self.transform(raw_matrix, settings)
-        return np.hstack([z, slow]) if slow.shape[1] else z
+        if not self.include_slow:
+            return z
+        return np.hstack([z, self.sfa.project(z, self.num_slow)])
 
     def without_slow(self) -> "FeaturePipeline":
         return replace(self, include_slow=False)

@@ -60,13 +60,12 @@ class FeatureSettings:
 
 @dataclass
 class FeatureDiagnostics:
-    lambdas: np.ndarray
-    num_slow: int
-    window: int
+    """What the window rule saw: the averaged autocorrelation of the
+    first slow feature and its noise band, both None for a pinned
+    window.  Every other fitted value lives on the pipeline."""
+
     acf: np.ndarray | None
     acf_band: float | None
-    retained_channels: list[int]
-    ridge: float
 
 
 def fit_features(
@@ -136,16 +135,7 @@ def fit_features(
         channel_mask=mask, stats=stats, sfa=sfa, window=window, include_slow=True,
         condition=condition,
     )
-    diag = FeatureDiagnostics(
-        lambdas=sfa.lambdas.copy(),
-        num_slow=p,
-        window=window,
-        acf=acf_mean,
-        acf_band=band,
-        retained_channels=np.flatnonzero(mask).tolist(),
-        ridge=sfa.ridge,
-    )
-    return pipe, diag, pipe.condition
+    return pipe, FeatureDiagnostics(acf=acf_mean, acf_band=band), pipe.condition
 
 
 def build_frames(
@@ -159,11 +149,10 @@ def build_frames(
                   "degradation stage")
     parts = []
     for s in series_list:
-        z, slow = pipe.transform(s.sensors, s.settings)
         cp = s.change_point
         labels = F.piecewise_rul_labels(s.length, cp, rul_max)
-        part = F.fuse_and_slice(z[cp:], slow[cp:], pipe.window, labels[cp:],
-                                unit_id=s.unit_id)
+        part = F.fuse_and_slice(pipe.transform(s.sensors, s.settings)[cp:], pipe.window,
+                                labels[cp:], unit_id=s.unit_id)
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)
@@ -177,9 +166,9 @@ def build_frames_milling(
     _check_window(pipe.window, [s.length for s in series_list], "cut")
     parts = []
     for s in series_list:
-        z, slow = pipe.transform(s.sensors, s.settings)
-        labels = np.full(z.shape[0], s.true_rul)
-        part = F.fuse_and_slice(z, slow, pipe.window, labels, unit_id=s.unit_id)
+        labels = np.full(s.length, s.true_rul)
+        part = F.fuse_and_slice(pipe.transform(s.sensors, s.settings), pipe.window, labels,
+                                unit_id=s.unit_id)
         if part is not None:
             parts.append(part)
     return F.concat_batches(parts)

@@ -101,6 +101,34 @@ def test_fit_features_artifacts(workspace):
     assert dump_header.endswith("slow1,slow2")
 
 
+def test_features_meta_records_the_saved_chain(workspace, tmp_path):
+    """features_meta.json and slowness.csv hold the values of the chain
+    saved in features.json; sensor 2 is flat, so one channel is dropped."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "train_synthetic.txt").write_bytes(
+        (workspace / "data" / "train_synthetic.txt").read_bytes())
+    _edit_rows(data / "train_synthetic.txt", _set_column(7, "1.5"))
+    feat = tmp_path / "feat"
+    assert main(["fit-features", "--out", str(feat), "--data-dir", str(data),
+                 "--seed", "3", *SET]) == 0
+    pipe = F.pipeline_from_arrays(ckpt.load_arrays(feat / "features.json"))
+    meta = json.loads((feat / "features_meta.json").read_text())
+    retained = np.flatnonzero(pipe.channel_mask).tolist()
+    assert retained == [0, 1, 3, 4, 5]
+    assert meta["num_slow"] == pipe.num_slow == pipe.sfa.num_slow
+    assert meta["window"] == pipe.window
+    assert meta["ridge"] == pipe.sfa.ridge
+    assert meta["lambdas"] == pipe.sfa.lambdas.tolist()
+    assert meta["retained_channels"] == retained
+    rows = list(csv.reader(io.StringIO((feat / "slowness.csv").read_text())))
+    assert rows[0] == ["index", "lambda"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, len(retained) + 1))
+    assert [float(r[1]) for r in rows[1:]] == pipe.sfa.lambdas.tolist()
+    dump_header = (feat / "features_dump.csv").read_text().splitlines()[0]
+    assert dump_header == "unit,cycle,stage,z00,z01,z03,z04,z05,slow1,slow2"
+
+
 def test_features_dump_writes_the_per_value_text(tmp_path):
     """``features_dump.csv`` holds what ``csv.writer`` writes when each
     value goes through the repr of a float, one cell at a time: signed
@@ -472,6 +500,31 @@ def test_missing_data_exits_1(tmp_path, capsys):
     assert "train_synthetic.txt" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_missing_rul_file_exits_1_naming_it(workspace, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train", "test"):
+        src = workspace / "data" / f"{name}_synthetic.txt"
+        (data / src.name).write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--data-dir", str(data), "--seed", "3", *SET]
+    if command == "evaluate":
+        argv += ["--features", str(workspace / "feat"), "--model", str(workspace / "model")]
+    else:
+        argv += ["--epochs", "1"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {
+        "error": "FileNotFoundError",
+        "message": f"missing residual-life data {data / 'RUL_synthetic.txt'}",
+    }
+    assert not (out / "report.json").exists()
+    assert not (out / "ablation_summary.csv").exists()
+
+
 def test_non_finite_training_data_exits_1(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -727,6 +780,14 @@ def _constant_channels(rows):
     for r in rows:
         r[5:] = ["1.5"] * len(r[5:])
     return rows
+
+
+def _set_column(col, value):
+    def edit(rows):
+        for r in rows:
+            r[col] = value
+        return rows
+    return edit
 
 
 def _first_unit_only(rows):

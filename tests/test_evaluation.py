@@ -144,7 +144,7 @@ def test_final_sequence_tail_alignment(fitted):
     series, pipe, cfg, _ = fitted
     raw = series[0].sensors
     seq = E.final_sequence(raw, pipe, 3)
-    hybrid = pipe.hybrid(raw)
+    hybrid = pipe.transform(raw)
     assert seq.shape == (3, 5, pipe.frame_channels)
     np.testing.assert_array_equal(seq[-1], hybrid[-5:])
     np.testing.assert_array_equal(seq[-2], hybrid[-6:-1])
@@ -155,7 +155,7 @@ def test_final_sequence_tail_alignment(fitted):
 def test_final_sequence_pads_short_series(fitted):
     series, pipe, cfg, _ = fitted
     raw = series[0].sensors[:4]  # needs window + seq - 1 = 7 rows
-    hybrid = pipe.hybrid(raw)
+    hybrid = pipe.transform(raw)
     seq = E.final_sequence(raw, pipe, 3)
     padded = np.vstack([np.repeat(hybrid[:1], 3, axis=0), hybrid])
     np.testing.assert_array_equal(seq[0], padded[0:5])

@@ -287,9 +287,9 @@ def test_fuse_and_slice_layout():
     x = np.arange(k * 2, dtype=np.float64).reshape(k, 2)
     s = np.arange(k, dtype=np.float64).reshape(k, 1) * 10
     labels = np.arange(k, dtype=np.float64) + 100
-    batch = F.fuse_and_slice(x, s, window=3, labels=labels, unit_id="u7")
-    assert batch.frames.shape == (4, 3, 3)
     hybrid = np.hstack([x, s])
+    batch = F.fuse_and_slice(hybrid, window=3, labels=labels, unit_id="u7")
+    assert batch.frames.shape == (4, 3, 3)
     np.testing.assert_array_equal(batch.frames[0], hybrid[0:3])
     np.testing.assert_array_equal(batch.frames[3], hybrid[3:6])
     # the label follows each frame's last row
@@ -299,27 +299,27 @@ def test_fuse_and_slice_layout():
 
 def test_fuse_and_slice_short_segment_returns_none(caplog):
     with caplog.at_level(logging.WARNING, logger="slowcaps.features"):
-        out = F.fuse_and_slice(np.zeros((2, 3)), np.zeros((2, 1)), window=5,
+        out = F.fuse_and_slice(np.hstack([np.zeros((2, 3)), np.zeros((2, 1))]), window=5,
                                labels=np.zeros(2), unit_id="tiny")
     assert out is None
     assert any("tiny" in r.message for r in caplog.records)
 
 
 def test_fuse_and_slice_validation():
+    with pytest.raises(ValueError, match="2-D"):
+        F.fuse_and_slice(np.zeros((5, 2, 1)), 3, np.zeros(5))
     with pytest.raises(ValueError):
-        F.fuse_and_slice(np.zeros((5, 2)), np.zeros((4, 1)), 3, np.zeros(5))
+        F.fuse_and_slice(np.hstack([np.zeros((5, 2)), np.zeros((5, 1))]), 3, np.zeros(4))
     with pytest.raises(ValueError):
-        F.fuse_and_slice(np.zeros((5, 2)), np.zeros((5, 1)), 3, np.zeros(4))
-    with pytest.raises(ValueError):
-        F.fuse_and_slice(np.zeros((5, 2)), np.zeros((5, 1)), 0, np.zeros(5))
+        F.fuse_and_slice(np.hstack([np.zeros((5, 2)), np.zeros((5, 1))]), 0, np.zeros(5))
 
 
 def test_concat_batches(rng):
     x = rng.normal(size=(6, 2))
     s = rng.normal(size=(6, 1))
     y = np.arange(6.0)
-    b1 = F.fuse_and_slice(x, s, 3, y, unit_id="a")
-    b2 = F.fuse_and_slice(x + 1, s, 3, y, unit_id="b")
+    b1 = F.fuse_and_slice(np.hstack([x, s]), 3, y, unit_id="a")
+    b2 = F.fuse_and_slice(np.hstack([x + 1, s]), 3, y, unit_id="b")
     merged = F.concat_batches([b1, None, b2])
     assert len(merged) == 8
     assert merged.units() == ["a", "b"]
@@ -345,22 +345,23 @@ def fitted_pipeline(rng):
 def test_pipeline_transform_and_hybrid_width(rng):
     pipe = fitted_pipeline(rng)
     raw = np.column_stack([rng.normal(size=(20, 4)), np.full(20, 7.0)])
-    z, slow = pipe.transform(raw)
+    z = F.apply_normalizer(raw[:, pipe.channel_mask], pipe.stats)
+    slow = pipe.sfa.project(z, pipe.num_slow)
     assert z.shape == (20, 4) and slow.shape == (20, 2)
     assert pipe.frame_channels == 6
-    np.testing.assert_array_equal(pipe.hybrid(raw), np.hstack([z, slow]))
+    np.testing.assert_array_equal(pipe.transform(raw), np.hstack([z, slow]))
     thin = pipe.without_slow()
     assert thin.frame_channels == 4
-    z2, slow2 = thin.transform(raw)
-    np.testing.assert_array_equal(z2, z)
-    assert slow2.shape == (20, 0)
+    cols = thin.transform(raw)
+    np.testing.assert_array_equal(cols, z)
+    assert cols.shape == (20, thin.frame_channels)
 
 
 def test_pipeline_array_round_trip(rng):
     pipe = fitted_pipeline(rng)
     back = F.pipeline_from_arrays(F.pipeline_to_arrays(pipe))
     raw = np.column_stack([rng.normal(size=(15, 4)), np.full(15, 7.0)])
-    np.testing.assert_array_equal(pipe.hybrid(raw), back.hybrid(raw))
+    np.testing.assert_array_equal(pipe.transform(raw), back.transform(raw))
     assert back.window == pipe.window
     assert back.num_slow == pipe.num_slow
     assert back.include_slow == pipe.include_slow

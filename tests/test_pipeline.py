@@ -33,17 +33,16 @@ def test_fit_features_recovers_planted_structure():
     )
     assert condition is None
     # two slow sinusoidal latents against three fast noise directions
-    assert diag.num_slow == 2
-    assert np.all(diag.lambdas[:2] < 0.1)
-    assert np.all(diag.lambdas[2:] > 1.5)
-    assert diag.window == 24
+    assert pipe.num_slow == 2
+    assert np.all(pipe.sfa.lambdas[:2] < 0.1)
+    assert np.all(pipe.sfa.lambdas[2:] > 1.5)
+    assert pipe.window == 24
     assert diag.acf is not None
     # ~100 degradation rows per unit: band 2 / sqrt(100)
     assert diag.acf_band == pytest.approx(0.2, abs=0.02)
-    assert diag.retained_channels == [0, 1, 2, 3, 4]
-    assert diag.ridge > 0.0
+    assert np.flatnonzero(pipe.channel_mask).tolist() == [0, 1, 2, 3, 4]
+    assert pipe.sfa.ridge > 0.0
     assert pipe.frame_channels == 7  # five channels + two slow features
-    assert pipe.window == 24
 
 
 def test_fit_features_noise_band_uses_mean_degradation_length():
@@ -62,8 +61,8 @@ def test_fit_features_pinned_settings():
     pipe, diag, _ = P.fit_features(
         series, P.FeatureSettings(rul_max=100.0, num_slow=1, window=9)
     )
-    assert diag.num_slow == 1 and pipe.num_slow == 1
-    assert diag.window == 9 and pipe.window == 9
+    assert pipe.sfa.num_slow == 1 and pipe.num_slow == 1
+    assert pipe.window == 9
     assert diag.acf is None and diag.acf_band is None
     with pytest.raises(ValueError, match="num_slow"):
         P.fit_features(series, P.FeatureSettings(num_slow=99))
@@ -85,12 +84,12 @@ def test_fit_features_drops_constant_channels():
         )
         for s in series
     ]
-    pipe, diag, _ = P.fit_features(
+    pipe, _, _ = P.fit_features(
         widened, P.FeatureSettings(rul_max=100.0, num_slow=2, window=6)
     )
-    assert diag.retained_channels == [0, 1, 2, 4, 5]
+    assert np.flatnonzero(pipe.channel_mask).tolist() == [0, 1, 2, 4, 5]
     assert pipe.frame_channels == 5 + 2
-    hybrid = pipe.hybrid(widened[0].sensors)
+    hybrid = pipe.transform(widened[0].sensors)
     assert hybrid.shape == (widened[0].length, 7)
 
 
@@ -105,7 +104,7 @@ def test_build_frames_layout(caplog):
     n0 = (k - cp) - 4 + 1
     np.testing.assert_array_equal(sel, np.arange(n0))
     # frame content matches the hybrid rows ending at rows cp + 4 .. k
-    hybrid = pipe.hybrid(s0.sensors)
+    hybrid = pipe.transform(s0.sensors)
     for end, frame in zip(range(cp + 4, k + 1), batch.frames[sel]):
         np.testing.assert_allclose(frame, hybrid[end - 4 : end], atol=1e-12)
     # labels follow the capped countdown from the change point; the first
@@ -209,7 +208,7 @@ def test_condition_normalizer_validation():
 
 def test_fit_features_per_condition():
     series = condition_series()
-    pipe, diag, condition = P.fit_features(
+    pipe, _, condition = P.fit_features(
         series, P.FeatureSettings(rul_max=10.0, num_slow=1, window=3,
                                   per_condition=True)
     )
@@ -217,14 +216,15 @@ def test_fit_features_per_condition():
     assert condition.centers.shape == (2, 3)
     # the fitted chain standardizes by condition before the shared z-score
     s = series[0]
-    z, slow = pipe.transform(s.sensors, s.settings)
+    z = F.apply_normalizer(condition.apply(s.sensors, s.settings)[:, pipe.channel_mask],
+                           pipe.stats)
+    slow = pipe.sfa.project(z, pipe.num_slow)
     assert z.shape == (40, 2) and slow.shape == (40, 1)
     bare = F.FeaturePipeline(channel_mask=pipe.channel_mask, stats=pipe.stats,
                              sfa=pipe.sfa, window=pipe.window)
-    z0, slow0 = bare.transform(condition.apply(s.sensors, s.settings))
-    np.testing.assert_array_equal(z, z0)
-    np.testing.assert_array_equal(slow, slow0)
-    np.testing.assert_array_equal(pipe.hybrid(s.sensors, s.settings),
+    np.testing.assert_array_equal(bare.transform(condition.apply(s.sensors, s.settings)),
+                                  np.hstack([z, slow]))
+    np.testing.assert_array_equal(pipe.transform(s.sensors, s.settings),
                                   np.hstack([z, slow]))
     with pytest.raises(ValueError, match="settings"):
         pipe.transform(s.sensors)
@@ -239,18 +239,21 @@ def test_per_condition_pipeline_round_trip_and_variant():
                                   per_condition=True)
     )
     s = series[1]
-    z, slow = pipe.transform(s.sensors, s.settings)
+    z = F.apply_normalizer(
+        pipe.condition.apply(s.sensors, s.settings)[:, pipe.channel_mask], pipe.stats)
+    slow = pipe.sfa.project(z, pipe.num_slow)
+    np.testing.assert_array_equal(pipe.transform(s.sensors, s.settings),
+                                  np.hstack([z, slow]))
     text = ckpt.dumps_arrays(F.pipeline_to_arrays(pipe))
     back = F.pipeline_from_arrays(ckpt.loads_arrays(text))
     np.testing.assert_array_equal(back.condition.centers, pipe.condition.centers)
-    z2, slow2 = back.transform(s.sensors, s.settings)
-    np.testing.assert_array_equal(z2, z)
-    np.testing.assert_array_equal(slow2, slow)
+    np.testing.assert_array_equal(back.transform(s.sensors, s.settings),
+                                  np.hstack([z, slow]))
     plain = pipe.without_slow()
     assert plain.condition is pipe.condition
-    z3, slow3 = plain.transform(s.sensors, s.settings)
-    np.testing.assert_array_equal(z3, z)
-    assert slow3.shape == (40, 0)
+    cols = plain.transform(s.sensors, s.settings)
+    np.testing.assert_array_equal(cols, z)
+    assert cols.shape == (40, plain.frame_channels) == (40, 2)
     # a pipeline fitted without conditions stores none
     flat, _, _ = P.fit_features(series, P.FeatureSettings(num_slow=1, window=3))
     assert not any(k.startswith("condition_") for k in F.pipeline_to_arrays(flat))
@@ -282,8 +285,8 @@ def milling_runs(cases=3, runs_per_case=3, samples=60):
 def test_fit_features_milling_and_frames():
     runs = milling_runs()
     series = [P.milling_run_series(r) for r in runs]
-    pipe, diag, _ = P.fit_features(series, P.FeatureSettings(num_slow=2, window=10))
-    assert diag.num_slow == 2 and diag.window == 10
+    pipe, _, _ = P.fit_features(series, P.FeatureSettings(num_slow=2, window=10))
+    assert pipe.num_slow == 2 and pipe.window == 10
     assert pipe.frame_channels == 4 + 2
     # only the first cut of each case feeds the normal-stage statistics
     stats = F.fit_normalizer([r.sensors for r in runs if r.is_normal])
@@ -296,13 +299,13 @@ def test_fit_features_milling_and_frames():
         sel = np.flatnonzero(batch.unit_ids == r.unit_id)
         assert sel.size == 60 - 10 + 1
         np.testing.assert_array_equal(batch.labels[sel], r.rul)
-        hybrid = pipe.hybrid(r.sensors)
+        hybrid = pipe.transform(r.sensors)
         for end, frame in zip(range(10, 61), batch.frames[sel]):
             np.testing.assert_allclose(frame, hybrid[end - 10 : end], rtol=0, atol=1e-12)
     # automatic window selection from the degraded cuts stays sane and
     # reports its noise band like any series fit
-    _, diag_auto, _ = P.fit_features(series, P.FeatureSettings(num_slow=2))
-    assert 1 <= diag_auto.window <= 60
+    pipe_auto, diag_auto, _ = P.fit_features(series, P.FeatureSettings(num_slow=2))
+    assert 1 <= pipe_auto.window <= 60
     assert diag_auto.acf is not None
     assert diag_auto.acf_band == 2.0 / np.sqrt(60)
 
