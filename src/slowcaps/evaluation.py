@@ -122,7 +122,6 @@ def build_report(
     seed: int | None = None,
     clip: bool = True,
     rul_max: float | None = None,
-    extra: dict | None = None,
 ) -> EvaluationReport:
     """Clip, score and bundle predictions into a report."""
     truths = np.asarray(true_rul, dtype=np.float64).ravel()
@@ -153,7 +152,6 @@ def build_report(
         seed=seed,
         clipped=bool(clip),
         rul_max=None if rul_max is None else float(rul_max),
-        extra=extra or {},
     )
 
 

@@ -167,7 +167,7 @@ def fit_condition_normalizer(series_list) -> ConditionNormalizer:
         if s.settings is None:
             raise ValueError(f"unit {s.unit_id} has no settings columns")
         cp = s.change_point
-        for x, c in zip(s.sensors[:cp], np.round(s.settings[:cp], 1)):
+        for x, c in zip(s.sensors[:cp], np.round(s.settings[:cp], 1).tolist()):
             groups.setdefault(tuple(c), []).append(x)
     centers, means, stds = [], [], []
     for key in sorted(groups):

@@ -1,5 +1,6 @@
 """Command-line workflow: artifact layout, exit codes, determinism."""
 
+import base64
 import csv
 import io
 import json
@@ -586,9 +587,9 @@ def test_checkpoint_not_matching_model_config_exits_1(workspace, tmp_path, capsy
         (workspace / "model" / "model_config.json").read_bytes())
     doc = json.loads((workspace / "model" / "checkpoint.json").read_text())
     if case == "short_bias":
-        doc["fnn.0.bias"] = {"shape": [1], "data": [0.5]}
+        doc["fnn.0.bias"] = _entry(np.array([0.5]))
     elif case == "extra_array":
-        doc["extra.weight"] = {"shape": [2], "data": [1.0, 2.0]}
+        doc["extra.weight"] = _entry(np.array([1.0, 2.0]))
     else:
         del doc["lstm.w_ho"]
     (model / "checkpoint.json").write_text(json.dumps(doc))
@@ -606,39 +607,51 @@ def test_checkpoint_not_matching_model_config_exits_1(workspace, tmp_path, capsy
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
-def _decimal_form(src: Path, dst: Path) -> None:
-    """Rewrite a saved array file in the earlier form, "data" as a list of
-    float literals."""
-    arrays = ckpt.load_arrays(src)
-    dst.write_text(json.dumps(
-        {k: {"shape": list(a.shape), "data": a.ravel().tolist()} for k, a in arrays.items()},
-        sort_keys=True, separators=(",", ":")) + "\n")
+def _entry(a) -> dict:
+    """One array entry as the checkpoint format writes it: base64 of the
+    raw <f8 bits, so unlike ``ckpt.dumps_arrays`` it also writes NaN."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def test_decimal_artifacts_evaluate_to_the_same_report(workspace, tmp_path):
+def test_decimal_artifacts_are_refused(workspace, tmp_path, capsys):
+    """Array files with "data" as a list of float literals, a form no
+    command writes, exit 1 naming the file."""
     model, feat = tmp_path / "model", tmp_path / "feat"
-    model.mkdir()
-    feat.mkdir()
-    (model / "model_config.json").write_bytes(
-        (workspace / "model" / "model_config.json").read_bytes())
-    _decimal_form(workspace / "model" / "checkpoint.json", model / "checkpoint.json")
-    _decimal_form(workspace / "feat" / "features.json", feat / "features.json")
-    for path in (model / "checkpoint.json", feat / "features.json"):
-        assert all(isinstance(e["data"], list) for e in json.loads(path.read_text()).values())
-    assert main(["evaluate", "--out", str(tmp_path / "eval"),
-                 "--data-dir", str(workspace / "data"), "--model", str(model),
-                 "--features", str(feat), "--seed", "3", *SET]) == 0
-    assert (tmp_path / "eval" / "report.json").read_bytes() == \
-        (workspace / "eval" / "report.json").read_bytes()
+    for rel in ("model/checkpoint.json", "model/model_config.json", "feat/features.json"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_bytes((workspace / rel).read_bytes())
+    for command, path in (("evaluate", model / "checkpoint.json"),
+                          ("train", feat / "features.json")):
+        saved = path.read_bytes()
+        arrays = ckpt.load_arrays(path)
+        path.write_text(json.dumps(
+            {k: {"shape": list(a.shape), "data": a.ravel().tolist()} for k, a in arrays.items()},
+            sort_keys=True, separators=(",", ":")) + "\n")
+        out = tmp_path / command
+        argv = [command, "--out", str(out), "--data-dir", str(workspace / "data"),
+                "--features", str(feat), "--seed", "3", *SET]
+        if command == "evaluate":
+            argv += ["--model", str(model)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{path}: array ")
+        assert "data must be a base64 string, not list" in err["message"]
+        for name in ("checkpoint.json", "report.json"):
+            assert not (out / name).exists(), name
+        path.write_bytes(saved)
 
 
 def _nan_in_cov_diff(text: str) -> str:
     doc = json.loads(text)
-    entry = doc["sfa_cov_diff"]
-    values = ckpt.loads_arrays(json.dumps({"x": entry}))["x"].ravel().tolist()
-    values[1] = float("nan")
-    entry["data"] = values
-    return json.dumps(doc)  # writes the literal NaN
+    a = ckpt.loads_arrays(json.dumps({"x": doc["sfa_cov_diff"]}))["x"]
+    a.flat[1] = np.nan
+    doc["sfa_cov_diff"] = _entry(a)
+    return json.dumps(doc)
 
 
 def _truncated(text: str) -> str:
@@ -648,7 +661,7 @@ def _truncated(text: str) -> str:
 def _set_scalar(name: str, value: float):
     def edit(text: str) -> str:
         doc = json.loads(text)
-        doc[name] = {"shape": [], "data": [value]}
+        doc[name] = _entry(value)
         return json.dumps(doc)
     return edit
 
@@ -657,9 +670,17 @@ def _set_array(name: str, edit):
     def apply(text: str) -> str:
         doc = json.loads(text)
         a = edit(ckpt.loads_arrays(json.dumps({"x": doc[name]}))["x"])
-        doc[name] = {"shape": list(a.shape), "data": a.ravel().tolist()}
+        doc[name] = _entry(a)
         return json.dumps(doc)
     return apply
+
+
+def _repeat(name: str):
+    """Name ``name`` a second time, last, with zeros of the same shape."""
+    def edit(text: str) -> str:
+        second = json.dumps(_entry(np.zeros_like(ckpt.loads_arrays(text)[name])))
+        return text.rstrip().removesuffix("}") + f',"{name}":{second}}}\n'
+    return edit
 
 
 def _drop(name: str):
@@ -717,6 +738,9 @@ ARTIFACT_CORRUPTIONS = [
      "channel_mask must be 1-D, got shape (1, 6)"),
     ("missing_ridge", "evaluate", "features.json", _drop("sfa_ridge"),
      "missing array sfa_ridge"),
+    # json.loads alone keeps the last entry, and evaluate exited 0
+    ("duplicate_bias", "evaluate", "checkpoint.json", _repeat("fnn.0.bias"),
+     "duplicate key fnn.0.bias"),
     # whole-number floats used to end in a TypeError traceback at
     # initialization; a string use_lstm and a zero label_scale exited 0
     ("float_window_length", "evaluate", "model_config.json", _set_model("window_length", 8.0),

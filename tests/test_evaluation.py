@@ -101,10 +101,10 @@ def test_build_report_clips_predictions():
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
-    rep = E.build_report(
+    rep = replace(E.build_report(
         ["u1", "u2"], [30.0, 60.0], [28.0, 66.0],
-        variant="full", seed=3, rul_max=125.0, extra={"note": 1},
-    )
+        variant="full", seed=3, rul_max=125.0,
+    ), extra={"note": 1})
     paths = E.emit_report(rep, tmp_path / "a", stem="eval")
     again = E.emit_report(rep, tmp_path / "b", stem="eval")
     assert paths["json"].read_bytes() == again["json"].read_bytes()

@@ -206,6 +206,23 @@ def test_condition_normalizer_validation():
         F.fit_condition_normalizer([lone])
 
 
+def test_condition_normalizer_error_prints_plain_settings():
+    # two units whose normal rows all sit at (0, 0, 0) except one row at
+    # (10, 0.3, 100): that condition has one sample
+    rng = np.random.default_rng(1)
+    units = []
+    for u in range(2):
+        settings = np.zeros((6, 3))
+        if u == 1:
+            settings[2] = (10.0, 0.3, 100.0)
+        units.append(D.RunToFailureSeries(f"u{u}", rng.normal(size=(6, 2)),
+                                          change_point=6, settings=settings))
+    with pytest.raises(ValueError) as info:
+        F.fit_condition_normalizer(units)
+    assert str(info.value) == \
+        "operating condition (10.0, 0.3, 100.0) has fewer than two normal samples"
+
+
 def test_fit_features_per_condition():
     series = condition_series()
     pipe, _, condition = P.fit_features(
