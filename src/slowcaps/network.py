@@ -13,12 +13,13 @@ Routing coefficients are recomputed from zero logits on every forward
 pass and are treated as constants by the backward pass: gradients flow
 from the final weighted sum into the basic capsules and the routing
 transforms, not through the softmax that produced the coupling.  Routing
-never builds the (N, I, J, A) votes W u: each round's weighted sums are
-one GEMM of the coupling-scaled capsules with the transforms, and its
-agreements one GEMM of the squashed outputs with the transposed
-transforms, contracted with the capsules; logits, kept relative to the
-last advanced capsule, and coupling live in (J, N, I) order, so the
-softmax reduces over the outer axis.
+never builds the (N, I, J, A) votes W u.  Logits, kept relative to the
+last advanced capsule, and coupling are (J, N, I), so the softmax
+reduces over the outer axis.  Every round, the recorded last one too,
+scales the capsules by the coupling of the free capsules only: one GEMM
+gives their sums and, as the coupling sums to 1, the last capsule's,
+which the backward's weight gradient takes the same way; the agreements
+are one GEMM with the transposed transforms.
 """
 
 from __future__ import annotations
@@ -299,9 +300,9 @@ def _squash_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
-    z = b - b.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(b - b.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,67 +313,71 @@ def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> tuple[np.ndarr
     array: capsule h * I/H + c of item n is row ``index[n, h]``, capsule
     c, of ``u``.  Item n's vote sum for advanced capsule j under a
     coupling x_j (N, I*D) of its capsules is the GEMM x_j @ wj[j], so no
-    (N, I, J, A) vote tensor is ever built.
+    (N, I, J, A) vote tensor is ever built.  wj is a view of one
+    contiguous (I*D, J*A) matrix, so uf times every transform is one GEMM.
     """
     if u.ndim != 3 or w.ndim != 4:
         raise ValueError(f"bad ranks for capsule transform: {u.shape}, {w.shape}")
     index = np.asarray(index)
     if index.ndim != 2:
         raise ValueError(f"capsule transform index must be rank 2, got {index.shape}")
-    uf = u.data[index].reshape(index.shape[0], -1, u.shape[2])
+    uf = np.take(u.data, index, axis=0).reshape(index.shape[0], -1, u.shape[2])
     n, i, d = uf.shape
     if i != w.shape[0] or d != w.shape[3]:
         raise ValueError(f"capsule transform mismatch: u {u.shape} vs w {w.shape}")
-    j, a = w.shape[1:3]
-    return uf, np.ascontiguousarray(w.data.transpose(1, 0, 3, 2)).reshape(j, i * d, a)
+    wt = np.ascontiguousarray(w.data.transpose(0, 3, 1, 2)).reshape(i * d, *w.shape[1:3])
+    return uf, wt.transpose(1, 0, 2)
 
 
-def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int, x: np.ndarray):
+def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int,
+                         coupling: np.ndarray | None = None):
     """Routing by agreement on :func:`capsule_transform`'s operands.
 
     The coupling is the softmax of the logits over the advanced
     capsules, which ignores a shift shared by all of them, so the logits
     are kept relative to the last capsule: b_j - b_J-1, whose last row
-    is 0.  They start at zero.  Each of the first ``iterations - 1``
-    rounds takes the softmax, forms x_j = c_j * uf for the J - 1 free
-    capsules and the weighted sums s_j = x_j @ wj[j], squashes them to
-    v_j and adds each free capsule's agreement relative to the last,
+    is 0.  They start at zero.  A round forms x_j = c_j * uf only for
+    the J - 1 free capsules; one GEMM of x_j on [wj[j] | wj[J-1]] gives
+    s_j and x_j @ wj[J-1], and since the coupling sums to 1 the last
+    capsule's sum is s_J-1 = uf @ wj[J-1] - sum_j x_j @ wj[J-1].  uf @ wj
+    is one GEMM on the (I*D, J*A) layout; divided by J it is the sums of
+    the uniform first round.  Every round but the last squashes its sums
+    to v and adds each free capsule's agreement relative to the last,
     <W_ij uf_i, v_j> - <W_i,J-1 uf_i, v_J-1>, to its logit: one GEMM
-    [v_j, -v_J-1] @ [wj[j] | wj[J-1]]^T into x_j, contracted with uf over
-    D.  The same GEMM of x_j on [wj[j] | wj[J-1]] gives s_j and
-    x_j @ wj[J-1], so the last capsule's sum is
-    s_J-1 = uf @ wj[J-1] - sum_j x_j @ wj[J-1], with uf @ wj from the
-    first round, whose uniform coupling makes its sums one GEMM of uf
-    times 1/J.  The last round only takes the softmax, because
-    :func:`dynamic_routing` records its weighted sum and squash on the
-    tape.  ``x`` is a (J, N, I, D) work buffer whose first J - 1 rows
-    hold x_j, then the agreement product.  Returns (coupling, logits),
-    both (J, N, I).
+    [v_j, -v_J-1] @ [wj[j] | wj[J-1]]^T into x_j's buffer, contracted with
+    uf over D.  The last round is the one :func:`dynamic_routing`
+    records; a given ``coupling`` (J, N, I) is recorded with no
+    agreement round.  Returns the coupling and the logits (J, N, I), the
+    logits None for a given coupling, the free capsules' x_j
+    (J - 1, N, I, D) and the recorded sums s (J, N, A).
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
     n, i, d = uf.shape
     j, _, a = wj.shape
-    xs = x[:-1]
-    xf = xs.reshape(j - 1, n, i * d)
-    b = np.zeros((j, n, i))
+    x = np.empty((j - 1, n, i, d))
+    xf = x.reshape(j - 1, n, i * d)
+    uw = uf.reshape(n, i * d) @ wj.transpose(1, 0, 2).reshape(i * d, j * a)
     pair = np.concatenate((wj[:-1], np.broadcast_to(wj[-1:], wj[:-1].shape)), axis=2)
+
+    def sums(c):
+        np.einsum("jni,nid->jnid", c[:-1], uf, out=x)
+        sp = np.matmul(xf, pair)
+        return np.concatenate((sp[..., :a], (uw[:, -a:] - sp[..., a:].sum(axis=0))[None]))
+
+    b, c = (np.zeros((j, n, i)) if coupling is None else None), coupling
     vv = np.empty((j - 1, n, 2 * a))
-    for r in range(iterations - 1):
-        if r == 0:
-            uw = np.matmul(uf.reshape(1, n, i * d), wj)
-            s = uw * (1.0 / j)
-        else:
-            np.einsum("jni,nid->jnid", _softmax_np(b, axis=0)[:-1], uf, out=xs)
-            sp = np.matmul(xf, pair)
-            s = np.concatenate((sp[..., :a], (uw[-1] - sp[..., a:].sum(axis=0))[None]))
+    for r in range(iterations - 1 if c is None else 0):
+        s = uw.reshape(n, j, a).transpose(1, 0, 2) * (1.0 / j) if r == 0 else sums(c)
         v = _squash_np(s)
         _check_finite(v, "routed capsules")
         vv[..., :a] = v[:-1]
         np.negative(v[-1], out=vv[..., a:])
         np.matmul(vv, pair.transpose(0, 2, 1), out=xf)
-        b[:-1] += np.einsum("jnid,nid->jni", xs, uf)
-    return _softmax_np(b, axis=0), b
+        b[:-1] += np.einsum("jnid,nid->jni", x, uf)
+        c = _softmax_np(b, axis=0)
+    c = _softmax_np(b, axis=0) if c is None else c
+    return c, b, x, sums(c)
 
 
 def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -448,35 +453,41 @@ def dynamic_routing(
     coupling c, a constant to the backward (no gradient flows into the
     routing softmax); ``coupling_override`` (N, I, J) substitutes a fixed
     one, used to hold the routing still while probing the loss surface.
-    With x_j = c_j * uf, the final sums are s_j = x_j @ W_j, and the
-    backward is the squash's closed form followed by dW_j = x_j^T ds_j
+    It must be finite and non-negative with rows summing to 1 within
+    1e-12, as the last capsule's terms come from that sum.  The node
+    records the last round's sums s and keeps x_j = c_j * uf of the
+    J - 1 free capsules; the backward only reads them.  It is the
+    squash's closed form, then dW_j = x_j^T ds_j and, in the same GEMMs
+    of x_j on [ds_j | ds_J-1], dW_J-1 = uf^T ds_J-1 - sum_j x_j^T ds_J-1,
     and du = sum_j c_j * (ds_j W_j^T), summed into the patch rows by
-    ``tensor.add_rows``.  x is kept from the forward and only read there.
-    Returns v and the coupling (N, I, J) it was built from.
+    ``tensor.add_rows``.  Returns v and the coupling (N, I, J).
     """
     if index is None:
         index = np.arange(u.shape[0])[:, None]
     w = params["route.transform"]
     uf, wj = capsule_transform(u, w, index)
     n, i, d = uf.shape
-    j = wj.shape[0]
-    x = np.empty((j, n, i, d))
-    if coupling_override is None:
-        c, _ = routing_coefficients(uf, wj, config.routing_iterations, x)
-    else:
-        c = np.asarray(coupling_override, dtype=np.float64).transpose(2, 0, 1)
+    j, _, a = wj.shape
+    c = coupling_override
+    if c is not None:
+        c = np.asarray(c, dtype=np.float64).transpose(2, 0, 1)
         if c.shape != (j, n, i):
             raise ValueError(f"coupling override shape {coupling_override.shape} "
                              f"does not match ({n}, {i}, {j})")
-    np.einsum("jni,nid->jnid", c, uf, out=x)
-    xf = x.reshape(j, n, i * d)
-    s = np.matmul(xf, wj)
+        if not ((c >= 0.0).all() and (abs(c.sum(axis=0) - 1.0) <= 1e-12).all()):
+            raise ValueError("coupling override must be finite and non-negative "
+                             "with rows summing to 1 within 1e-12")
+    c, _, x, s = routing_coefficients(uf, wj, config.routing_iterations, c)
+    xf = x.reshape(j - 1, n, i * d)
 
     def bw(g):
         ds = _squash_grad(s, np.asarray(g).transpose(1, 0, 2))
         if w.requires_grad:
-            gw = row_product(xf, ds)
-            accumulate_grad(w, gw.reshape(j, i, d, -1).transpose(1, 0, 3, 2))
+            pair = np.concatenate((ds[:-1], np.broadcast_to(ds[-1:], ds[:-1].shape)), axis=2)
+            gp = row_product(xf, pair)
+            gw = np.concatenate((gp[..., :a], (row_product(uf.reshape(n, i * d), ds[-1])
+                                               - gp[..., a:].sum(axis=0))[None]))
+            accumulate_grad(w, gw.reshape(j, i, d, a).transpose(1, 0, 3, 2))
         if u.requires_grad:
             gx = np.matmul(ds, wj.transpose(0, 2, 1)).reshape(j, n, i, d)
             gu = np.einsum("jni,jnid->nid", c, gx)
@@ -487,21 +498,16 @@ def dynamic_routing(
     return make_op(v, (u, w), bw), c.transpose(1, 2, 0)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # sign-split: exp only sees -|x|, so it never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfig) -> Tensor:
     """Many-to-one LSTM over (B, S, F); returns the final hidden state (B, U).
 
     One tape node.  Per step, z = x_t Wx + h Wh + b with the per-gate
-    parameters concatenated in i, f, g, o order; c = f c + i g and
-    h = o tanh(c).  The backward pass is closed-form BPTT (Greff et al.,
-    "LSTM: A Search Space Odyssey", appendix) over the saved gates and
-    cell states, with each weight gradient one
-    :func:`~slowcaps.tensor.row_product` over all S*B rows.
+    parameters concatenated in i, f, g, o order; the i, f and o gates
+    1 / (1 + exp(-z)) are computed in place in the saved gates, g is
+    tanh(z), c = f c + i g and h = o tanh(c).  The backward pass is
+    closed-form BPTT (Greff et al., "LSTM: A Search Space Odyssey",
+    appendix) over the saved gates and cell states, with each weight
+    gradient one :func:`~slowcaps.tensor.row_product` over all S*B rows.
     """
     if v_seq.ndim != 3:
         raise ValueError(f"lstm input must be rank 3, got shape {v_seq.shape}")
@@ -519,15 +525,18 @@ def lstm_forward(v_seq: Tensor, params: Mapping[str, Tensor], config: ModelConfi
     gates = np.empty((steps, batch, 4 * u))
     cs = np.zeros((steps + 1, batch, u))      # c_0 .. c_S
     tcs = np.empty((steps, batch, u))         # tanh(c_1) .. tanh(c_S)
-    for t in range(steps):
-        z = x[t] @ wx + hs[t] @ wh + b
-        a = gates[t]
-        a[:] = _sigmoid_np(z)
-        a[:, 2 * u : 3 * u] = np.tanh(z[:, 2 * u : 3 * u])
-        i, f, g, o = np.split(a, 4, axis=1)
-        cs[t + 1] = f * cs[t] + i * g
-        np.tanh(cs[t + 1], out=tcs[t])
-        hs[t + 1] = o * tcs[t]
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the gate's exact 0
+        for t in range(steps):
+            z = x[t] @ wx + hs[t] @ wh + b
+            a = gates[t]
+            np.exp(np.negative(z, out=a), out=a)
+            a += 1.0
+            np.reciprocal(a, out=a)
+            np.tanh(z[:, 2 * u : 3 * u], out=a[:, 2 * u : 3 * u])
+            i, f, g, o = np.split(a, 4, axis=1)
+            cs[t + 1] = f * cs[t] + i * g
+            np.tanh(cs[t + 1], out=tcs[t])
+            hs[t + 1] = o * tcs[t]
 
     def bw(grad):
         dz = np.empty((steps, batch, 4 * u))

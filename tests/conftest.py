@@ -78,7 +78,7 @@ def route_votes(uh: np.ndarray, iterations: int):
     u[np.arange(n), :, np.arange(n)] = 1.0
     w = np.ascontiguousarray(uh.transpose(1, 2, 3, 0))
     uf, wj = N.capsule_transform(T.Tensor(u), T.Tensor(w), np.arange(n)[:, None])
-    c, b = N.routing_coefficients(uf, wj, iterations, np.empty((wj.shape[0],) + uf.shape))
+    c, b, _, _ = N.routing_coefficients(uf, wj, iterations)
     return c.transpose(1, 2, 0), b.transpose(1, 2, 0)
 
 

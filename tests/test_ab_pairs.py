@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_pairs.py"
 spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
@@ -105,3 +106,20 @@ def test_a_scaled_gain_needs_a_raw_gain_too(tmp_path, monkeypatch, capsys):
     assert probe["change"]["median"] == 0.08 and probe["parent"]["median"] == 0.06
     out = capsys.readouterr().out
     assert "chain_s (lower is better)" in out and "no gain" in out and "raw wall" in out
+
+
+def test_no_pairs_and_no_seconds_are_refused_before_any_run(tmp_path, capsys):
+    """``--pairs`` below 1 or ``--seconds`` not above 0 exits 2 with the
+    argument named, before any checkout is run."""
+    base = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--seeds", "5"]
+    for bad, named in ((["--pairs", "0", "--seconds", "1"], "--pairs"),
+                       (["--pairs", "-3", "--seconds", "1"], "--pairs"),
+                       (["--seconds", "0"], "--seconds"),
+                       (["--seconds", "-1"], "--seconds"),
+                       (["--seconds", "nan"], "--seconds")):
+        with pytest.raises(SystemExit) as exc:
+            ab_pairs.main(base + bad)
+        assert exc.value.code == 2
+        assert f"argument {named}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -265,8 +265,7 @@ for frames, local in batches:
     h = N.lstm_forward(seq, params, config)
     weights = T.Tensor(rng.normal(size=h.shape))
     uf, wj = N.capsule_transform(u, params["route.transform"], patch_index)
-    logits = N.routing_coefficients(uf, wj, config.routing_iterations,
-                                    np.empty((2,) + uf.shape))[1]
+    logits = N.routing_coefficients(uf, wj, config.routing_iterations)[1]
     digest.update(v.data.tobytes())
     digest.update(h.data.tobytes())
     digest.update(logits.tobytes())

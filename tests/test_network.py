@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from conftest import (materialized_forward, numeric_grad, per_frame_forward, rel_max,
                       route_votes, sliding_frames)
 
@@ -359,6 +360,79 @@ def test_dynamic_routing_backward_only_reads_the_forward(rng):
     np.testing.assert_array_equal(coupling2, coupling)
 
 
+def test_coupling_override_must_be_a_coupling(rng):
+    """The last capsule's sum and weight gradient are taken from the
+    coupling summing to 1, so an override that is non-finite, negative
+    or off that sum by more than 1e-12 is refused; a recorded coupling
+    replays v."""
+    cfg = tiny_config(routing_iterations=3)
+    params = N.init_parameters(cfg, rng)
+    u = Tensor(rng.normal(size=(2, 24, 4)))
+    v, coupling = N.dynamic_routing(u, params, cfg)
+    replay, _ = N.dynamic_routing(u, params, cfg, coupling)
+    np.testing.assert_allclose(replay.data, v.data, rtol=0, atol=1e-14)
+    near = coupling.copy()
+    near[0, 3, 0] += 5e-13
+    N.dynamic_routing(u, params, cfg, near)
+    for row in ([0.5 + 1e-11, 0.5], [1.5, -0.5], [np.nan, 0.5], [np.inf, -np.inf]):
+        bad = coupling.copy()
+        bad[1, 7] = row
+        with pytest.raises(ValueError, match="coupling override must be finite"):
+            N.dynamic_routing(u, params, cfg, bad)
+
+
+@pytest.mark.parametrize("caps, dim, advanced, adim, iterations", [
+    (24, 4, 1, 6, 3),  # J = 1: no free capsule
+    (448, 4, 3, 17, 3),  # FD003
+    (56, 3, 5, 6, 3),  # milling
+    (224, 8, 2, 16, 1),  # FD001 with one round: the recorded round is the uniform one
+])
+def test_routing_node_fd_at_edge_geometries(rng, caps, dim, advanced, adim, iterations):
+    """Central differences on the routing node's u and W with the
+    recorded coupling held still, where the last capsule's terms come
+    from the coupling's sum: entries of a patch row the frames read
+    three times, random entries elsewhere and of W; a row no frame reads gets
+    exact zeros.  A second backward adds exactly the first's gradients
+    again, and the forward gives the same bits without a tape."""
+    cfg = tiny_config(num_advanced=advanced, advanced_dim=adim, routing_iterations=iterations)
+    index = np.array([[0, 2, 1, 4], [2, 3, 0, 1], [4, 1, 3, 0]])  # row 5 never read
+    u = Tensor(N._squash_np(rng.normal(size=(6, caps // 4, dim))), requires_grad=True)
+    w = Tensor(rng.normal(0.0, 0.2, size=(caps, advanced, adim, dim)), requires_grad=True)
+    params = {"route.transform": w}
+    _, coupling = N.dynamic_routing(u, params, cfg, index=index)
+    g = rng.normal(size=(3, advanced, adim))
+
+    def loss():
+        return float(np.sum(N.dynamic_routing(u, params, cfg, coupling, index)[0].data * g))
+
+    v, _ = N.dynamic_routing(u, params, cfg, coupling, index)
+    v._backward(g)
+    once = u.grad.copy(), w.grad.copy()
+    assert not once[0][5].any()
+    worst = 0.0
+    for t, grad, picks in ((u, once[0], rng.choice(np.arange(u.size // 6), 16, replace=False)),
+                           (u, once[0], rng.choice(u.size, 16, replace=False)),
+                           (w, once[1], rng.choice(w.size, 24, replace=False))):
+        flat, grad = t.data.reshape(-1), grad.reshape(-1)
+        for i in picks:
+            keep = flat[i]
+            flat[i] = keep + 1e-4
+            lp = loss()
+            flat[i] = keep - 1e-4
+            lm = loss()
+            flat[i] = keep
+            num = (lp - lm) / 2e-4
+            worst = max(worst, abs(grad[i] - num) / max(abs(grad[i]), abs(num), 1e-6))
+    assert worst < 1e-6
+    v._backward(g)
+    np.testing.assert_array_equal(u.grad, 2.0 * once[0])
+    np.testing.assert_array_equal(w.grad, 2.0 * once[1])
+    with T.no_grad():
+        for c in (None, coupling):
+            np.testing.assert_array_equal(N.dynamic_routing(u, params, cfg, c, index)[0].data,
+                                          v.data)
+
+
 # ---------------------------------------------------------------- routing
 
 
@@ -403,7 +477,7 @@ def test_routing_matches_oracle_at_config_geometry(rng, frames, caps, dim, advan
     uf, wj = N.capsule_transform(Tensor(u), Tensor(w), index)
     uf1, wj1 = N.capsule_transform(Tensor(u), Tensor(w[:, :1]), index)
     for r in range(1, 5):
-        c, b = N.routing_coefficients(uf, wj, r, np.empty((advanced,) + uf.shape))
+        c, b, _, _ = N.routing_coefficients(uf, wj, r)
         oc, _, _ = oracles.routing_oracle(uh, r)
         _, ob, _ = oracles.routing_oracle(uh, r - 1)
         np.testing.assert_allclose(c.transpose(1, 2, 0), oc, rtol=0, atol=1e-12)
@@ -412,7 +486,7 @@ def test_routing_matches_oracle_at_config_geometry(rng, frames, caps, dim, advan
         np.testing.assert_array_equal(b[-1], 0.0)
         np.testing.assert_array_equal(c, N._softmax_np(b, axis=0))
         # one advanced capsule takes the whole coupling
-        c1, _ = N.routing_coefficients(uf1, wj1, r, np.empty((1,) + uf1.shape))
+        c1 = N.routing_coefficients(uf1, wj1, r)[0]
         np.testing.assert_array_equal(c1, 1.0)
 
 
@@ -420,7 +494,7 @@ def test_routing_validation(rng):
     uf, wj = N.capsule_transform(Tensor(rng.normal(size=(1, 4, 3))),
                                  Tensor(rng.normal(size=(4, 2, 5, 3))), np.zeros((1, 1), int))
     with pytest.raises(ValueError):
-        N.routing_coefficients(uf, wj, 0, np.empty((2, 1, 4, 3)))
+        N.routing_coefficients(uf, wj, 0)
 
 
 def test_dynamic_routing_forward_and_override(rng):
@@ -594,6 +668,47 @@ def test_lstm_saturated_gates_match_oracle_without_warnings(rng):
         ho, co = oracles.lstm_step_oracle(seq[:, t], ho, co, wx, wh, b)
     np.testing.assert_allclose(h.data, ho, atol=1e-12)
     assert all(np.isfinite(p.grad).all() for p in params.values())
+
+
+def output_gate(z: np.ndarray) -> np.ndarray:
+    """The LSTM's output gate at the pre-activations ``z``, read off h.
+
+    Every weight is zero but input 0's into the output gate, which is 1,
+    and the i, f and g biases of 800 hold those gates at exactly 1, so
+    after 20 steps c = 20 exactly, tanh(c) = 1 and h = o.  The last
+    step's input 0 is ``z``, one batch row per value."""
+    cfg = tiny_config()
+    params = {k: Tensor(np.zeros(shape)) for k, shape in N.parameter_shapes(cfg).items()
+              if k.startswith("lstm.")}
+    params["lstm.w_xo"].data[0] = 1.0
+    for gate in "ifg":
+        params[f"lstm.b_{gate}"].data[:] = 800.0
+    x = np.zeros((len(z), 20, cfg.advanced_flat_size))
+    x[:, -1, 0] = z
+    h = N.lstm_forward(Tensor(x), params, cfg).data
+    assert (h == h[:, :1]).all()
+    return h[:, 0]
+
+
+def test_lstm_gates_saturate_exactly_without_warnings():
+    # an overflowing exp(-z) gives the exact 0; pytest turns any
+    # floating-point warning into an error
+    np.testing.assert_array_equal(output_gate(np.array([-800.0, 0.0, 800.0])), [0.0, 0.5, 1.0])
+
+
+def test_lstm_gates_match_the_sign_split_logistic():
+    """1 / (1 + exp(-z)) against the sign-split form, whose exp only sees
+    -|z|: the same bits for z >= 0, and within 1 ulp of 1.0 below 0,
+    where both forms round differently but stay within 2 ulp of the
+    exact logistic (scipy's ``expit``)."""
+    z = np.linspace(-40.0, 40.0, 8001)
+    got = output_gate(z)
+    e = np.exp(-np.abs(z))
+    split = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.testing.assert_array_equal(got[z >= 0.0], split[z >= 0.0])
+    assert np.max(np.abs(got - split)) <= np.spacing(1.0)
+    exact = scipy.special.expit(z)
+    assert np.max(np.abs(got - exact) / np.spacing(exact)) <= 2.0
 
 
 def test_lstm_validation(rng):

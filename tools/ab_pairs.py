@@ -90,13 +90,24 @@ def judge(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def _positive(kind):
+    """An argparse type: finite ``kind`` values above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not (0 < value < float("inf")):
+            raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+        return value
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, required=True, help="length of each run")
+    parser.add_argument("--pairs", type=_positive(int), default=10)
+    parser.add_argument("--seconds", type=_positive(float), required=True,
+                        help="length of each run")
     parser.add_argument("--seeds", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
