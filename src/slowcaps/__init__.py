@@ -13,7 +13,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .data import (
-    MillingRun,
     RunToFailureSeries,
     SyntheticSpec,
     generate_synthetic,
@@ -53,7 +52,6 @@ from .training import (
 
 __all__ = [
     "__version__",
-    "MillingRun",
     "RunToFailureSeries",
     "SyntheticSpec",
     "generate_synthetic",

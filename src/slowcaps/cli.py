@@ -120,18 +120,15 @@ def _setup(args) -> tuple[dict, Path]:
 
 
 def _units(cfg: dict, data_dir: Path, split: str) -> list[D.RunToFailureSeries]:
-    """The ``"train"`` or ``"test"`` units of the configured dataset.
-
-    Milling cuts are split by case (``milling_protocol_split``) and
-    wrapped as series by ``milling_run_series``.
-    """
+    """The ``"train"`` or ``"test"`` units of the configured dataset:
+    run-to-failure units, or milling cuts split by case as
+    ``data.load_milling`` splits them."""
     ds = cfg["dataset"]
     if ds == "milling":
         path = data_dir / "milling.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing milling data {path}")
-        train, test = D.milling_protocol_split(D.load_milling(path)["runs"])
-        return [P.milling_run_series(r) for r in (train if split == "train" else test)]
+        return D.load_milling(path)[split]
     n_sensors = int(cfg["synthetic"]["channels"]) if ds == "synthetic" else D.CMAPSS_SENSORS
     if split == "train":
         path = data_dir / f"train_{ds}.txt"

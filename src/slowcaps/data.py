@@ -1,9 +1,11 @@
 """Dataset access: turbofan text files, milling CSV, synthetic generator.
 
 All loaders are pure: they read files (or an RNG) and return in-memory
-structures, never writing anything.  Units come back sorted by id with
-cycle-ordered samples, and every series records its change point, the
-sample index where the degradation stage begins.
+structures, never writing anything.  Both file loaders return the
+"train" and "test" lists of :class:`RunToFailureSeries`: turbofan units
+and milling cuts alike come back sorted by id with cycle-ordered
+samples, and every series records its change point, the sample index
+where the degradation stage begins.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ import numpy as np
 
 __all__ = [
     "RunToFailureSeries",
-    "MillingRun",
     "SyntheticSpec",
     "load_cmapss",
     "load_milling",
-    "milling_protocol_split",
     "generate_synthetic",
     "export_cmapss_format",
     "csv_cell",
@@ -222,30 +222,6 @@ def load_cmapss(
     return {"train": train, "test": test}
 
 
-@dataclass
-class MillingRun:
-    """One milling cut: fixed-length sensor block plus wear bookkeeping.
-
-    ``rul`` counts remaining cuts until flank wear first exceeds the
-    threshold within the same case; the first cut of each case is
-    flagged normal.
-    """
-
-    case_id: int
-    run_id: int
-    material: int
-    params: np.ndarray
-    sensors: np.ndarray
-    wear: float | None
-    wear_filled: float = np.nan
-    rul: float = np.nan
-    is_normal: bool = False
-
-    @property
-    def unit_id(self) -> str:
-        return f"c{self.case_id:02d}r{self.run_id:02d}"
-
-
 def csv_cell(value, end: str = "\r\n") -> str:
     """One cell of a CSV row of several, as the csv module writes it with
     line ending ``end``: booleans as true/false, integers by ``str``,
@@ -270,15 +246,20 @@ def csv_line(cells, end: str = "\r\n") -> str:
 
 def load_milling(csv_path) -> dict:
     """Load the milling CSV (one row per sample, ``MILLING_SAMPLES_PER_RUN``
-    per run).
+    per cut) as one series per cut.
 
     Columns: case, run, material, three cutting parameters, six sensor
     channels, and the measured flank wear (may be empty on unmeasured
-    runs).  Missing wear values are filled by linear interpolation over
-    run order within each case, clamped at the ends.  Per-run labels
-    count the cuts remaining until wear first exceeds
-    ``MILLING_WEAR_THRESHOLD``.
-    Returns a dict with the "runs" list.
+    cuts).  Every row of a case must name the same material.  Missing
+    wear values are filled by linear interpolation over cut order within
+    each case, clamped at the ends; a cut's ``true_rul`` counts the cuts
+    remaining until wear first exceeds ``MILLING_WEAR_THRESHOLD``.  A
+    cut's unit id is ``cCCrRR``; the first cut of each case is all normal
+    stage (change point at its end), every later cut all degradation
+    (change point 0).  Materials are taken in ascending id: the first 9
+    cases of the first material and the first 2 of the second train, the
+    rest test.  Returns a dict with the "train" and "test" series lists,
+    in case and cut order.
     """
     path = Path(csv_path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -290,7 +271,8 @@ def load_milling(csv_path) -> dict:
             raise ValueError(
                 f"{path}: unexpected header; want {','.join(MILLING_COLUMNS)}"
             )
-        raw: dict[tuple[int, int], dict] = {}
+        # case -> (material, its first line, run -> [sensor rows, wear])
+        cases: dict[int, tuple[int, int, dict]] = {}
         for ln, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -305,83 +287,60 @@ def load_milling(csv_path) -> dict:
                 wear = float(row[12]) if row[12].strip() else None
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row at line {ln}") from exc
-            values = params + sensors + ([] if wear is None else [wear])
-            _check_values(values, path, ln)
-            entry = raw.setdefault(
-                (case, run),
-                {"material": material, "params": params, "sensors": [], "wear": wear},
-            )
-            entry["sensors"].append(sensors)
+            _check_values(params + sensors + ([] if wear is None else [wear]), path, ln)
+            first, first_ln, runs = cases.setdefault(case, (material, ln, {}))
+            if material != first:
+                raise ValueError(f"{path}:{ln}: case {case} is material {material} here, "
+                                 f"material {first} at line {first_ln}")
+            cut = runs.setdefault(run, [[], None])
+            cut[0].append(sensors)
             if wear is not None:
-                entry["wear"] = wear
-    runs: list[MillingRun] = []
-    for (case, run), entry in sorted(raw.items()):
-        block = np.asarray(entry["sensors"], dtype=np.float64)
-        if block.shape[0] != MILLING_SAMPLES_PER_RUN:
-            raise ValueError(
-                f"{path}: case {case} run {run} has {block.shape[0]} samples, "
-                f"expected {MILLING_SAMPLES_PER_RUN}"
-            )
-        runs.append(MillingRun(
-            case_id=case, run_id=run, material=int(entry["material"]),
-            params=np.asarray(entry["params"]), sensors=block, wear=entry["wear"],
-        ))
-    if not runs:
+                cut[1] = wear
+    if not cases:
         raise ValueError(f"{path}: no runs found")
-    _fill_wear_and_label(runs)
-    return {"runs": runs}
-
-
-def _fill_wear_and_label(runs: list[MillingRun]) -> None:
-    by_case: dict[int, list[MillingRun]] = {}
-    for r in runs:
-        by_case.setdefault(r.case_id, []).append(r)
-    for case, case_runs in by_case.items():
-        case_runs.sort(key=lambda r: r.run_id)
-        order = np.arange(len(case_runs), dtype=np.float64)
-        measured = [(i, r.wear) for i, r in enumerate(case_runs) if r.wear is not None]
+    by_material: dict[int, list[int]] = {}
+    for case in sorted(cases):
+        by_material.setdefault(cases[case][0], []).append(case)
+    materials = sorted(by_material)
+    if len(materials) != 2:
+        raise ValueError(f"{path}: protocol split expects two materials, got {materials}")
+    train_cases = set()
+    for m, quota in zip(materials, (9, 2)):
+        if len(by_material[m]) < quota:
+            raise ValueError(f"{path}: material {m} has {len(by_material[m])} cases, fewer "
+                             f"than the {quota} requested for training")
+        train_cases.update(by_material[m][:quota])
+    split = {"train": [], "test": []}
+    for case in sorted(cases):
+        cuts = sorted(cases[case][2].items())
+        for run, (rows, _) in cuts:
+            if len(rows) != MILLING_SAMPLES_PER_RUN:
+                raise ValueError(f"{path}: case {case} run {run} has {len(rows)} samples, "
+                                 f"expected {MILLING_SAMPLES_PER_RUN}")
+        measured = [(i, wear) for i, (_, (_, wear)) in enumerate(cuts) if wear is not None]
         if not measured:
             raise ValueError(f"case {case}: no wear measurements at all")
-        xi = np.asarray([m[0] for m in measured], dtype=np.float64)
-        yi = np.asarray([m[1] for m in measured], dtype=np.float64)
-        filled = np.interp(order, xi, yi)
+        filled = np.interp(np.arange(len(cuts), dtype=np.float64),
+                           np.asarray([m[0] for m in measured], dtype=np.float64),
+                           np.asarray([m[1] for m in measured], dtype=np.float64))
         exceed = np.flatnonzero(filled > MILLING_WEAR_THRESHOLD)
         if exceed.size:
             fail_at = int(exceed[0])
         else:
-            fail_at = len(case_runs)
+            fail_at = len(cuts)
             log.warning(
                 "case %s never exceeds wear threshold %.2f; labeling from end of record",
                 case, MILLING_WEAR_THRESHOLD,
             )
-        for i, r in enumerate(case_runs):
-            r.wear_filled = float(filled[i])
-            r.rul = float(max(fail_at - i, 0))
-            r.is_normal = i == 0
-
-
-def milling_protocol_split(runs: list[MillingRun]) -> tuple[list[MillingRun], list[MillingRun]]:
-    """Case-level split: first cases of each material train, rest test.
-
-    Materials are taken in ascending id; the first 9 cases of the first
-    material and the first 2 of the second go to training.
-    """
-    materials = sorted({r.material for r in runs})
-    if len(materials) != 2:
-        raise ValueError(f"protocol split expects two materials, got {materials}")
-    quota = {materials[0]: 9, materials[1]: 2}
-    train_cases = set()
-    for m in materials:
-        cases = sorted({r.case_id for r in runs if r.material == m})
-        if len(cases) < quota[m]:
-            raise ValueError(
-                f"material {m} has {len(cases)} cases, fewer than the "
-                f"{quota[m]} requested for training"
-            )
-        train_cases.update(cases[: quota[m]])
-    train = [r for r in runs if r.case_id in train_cases]
-    test = [r for r in runs if r.case_id not in train_cases]
-    return train, test
+        side = split["train" if case in train_cases else "test"]
+        for i, (run, (rows, _)) in enumerate(cuts):
+            side.append(RunToFailureSeries(
+                unit_id=f"c{case:02d}r{run:02d}",
+                sensors=np.asarray(rows, dtype=np.float64),
+                change_point=MILLING_SAMPLES_PER_RUN if i == 0 else 0,
+                true_rul=float(max(fail_at - i, 0)),
+            ))
+    return split
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import network
 from .data import csv_line
-from .features import FeaturePipeline, sliding_frames
+from .features import FeaturePipeline, sequence_index, sliding_frames
 from .tensor import Tensor
 
 __all__ = [
@@ -207,8 +207,6 @@ def sequence_predictions(
     the sequence end frames.  Each frame is scored once, however many
     sequences share it; ``chunk`` caps the sequences per forward pass.
     """
-    from .training import sequence_index  # local import, avoids a cycle
-
     idx = sequence_index(unit_ids, seq_len)
     ends = idx[:, -1]
     preds = network.predict(frames, params, config, label_scale, chunk, index=idx)

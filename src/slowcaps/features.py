@@ -16,15 +16,16 @@ by a degradation stage, split at a per-unit change point.  Steps:
 4. piece-wise linear remaining-useful-life labels, constant at rul_max
    before the change point and decaying linearly after it;
 5. hybrid frames: normalized channels followed by slow features, one
-   frame-column matrix cut into sliding windows labeled at their last
-   sample.
+   frame-column matrix cut into stride-1 sliding windows
+   (``pipeline.build_frames`` labels each at its last sample), and the
+   runs of consecutive frames the network reads as one sequence.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,8 +45,7 @@ __all__ = [
     "select_window_from_acf",
     "piecewise_rul_labels",
     "sliding_frames",
-    "fuse_and_slice",
-    "concat_batches",
+    "sequence_index",
     "pipeline_to_arrays",
     "pipeline_from_arrays",
 ]
@@ -390,49 +390,33 @@ def sliding_frames(matrix: np.ndarray, window: int) -> np.ndarray:
     return np.ascontiguousarray(views.transpose(0, 2, 1))
 
 
-def fuse_and_slice(
-    matrix,
-    window: int,
-    labels,
-    unit_id="u0",
-) -> FrameBatch | None:
-    """Cut a frame-column matrix into labelled sliding windows.
+def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
+    """Frame indices of every run of ``length`` consecutive frames
+    within a unit, shape (sequences, length).
 
-    Each run of ``window`` consecutive rows of the (K, C) ``matrix``
-    (stride 1, as ``training.sequence_index`` assumes) becomes one frame
-    whose label is the entry of ``labels`` aligned with the frame's last
-    row.  Returns None (with a warning) when the segment is shorter than
-    the window.
+    Frames must be grouped by unit and time ordered, one frame per row
+    as :func:`sliding_frames` cuts them.  Units holding fewer than
+    ``length`` frames contribute nothing (logged at debug level).
     """
-    m = _as_matrix(matrix)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if y.size != m.shape[0]:
-        raise ValueError(f"labels length {y.size} does not match {m.shape[0]} samples")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    k = m.shape[0]
-    if k < window:
-        log.warning(
-            "unit %s: segment of %d samples is shorter than window %d; skipped",
-            unit_id, k, window,
-        )
-        return None
-    return FrameBatch(
-        frames=sliding_frames(m, window),
-        labels=y[window - 1 :].copy(),
-        unit_ids=np.full(k - window + 1, unit_id, dtype=object),
-    )
-
-
-def concat_batches(batches: Sequence[FrameBatch]) -> FrameBatch:
-    parts = [b for b in batches if b is not None and len(b)]
-    if not parts:
-        raise ValueError("no frames to concatenate")
-    return FrameBatch(
-        frames=np.concatenate([b.frames for b in parts]),
-        labels=np.concatenate([b.labels for b in parts]),
-        unit_ids=np.concatenate([b.unit_ids for b in parts]),
-    )
+    if length < 1:
+        raise ValueError("sequence length must be >= 1")
+    unit_ids = np.asarray(unit_ids)
+    starts = []
+    i = 0
+    n = unit_ids.shape[0]
+    while i < n:
+        j = i
+        while j < n and unit_ids[j] == unit_ids[i]:
+            j += 1
+        if j - i >= length:
+            starts.extend(range(i, j - length + 1))
+        else:
+            log.debug("unit %s has %d frames, fewer than sequence length %d",
+                      unit_ids[i], j - i, length)
+        i = j
+    if not starts:
+        raise ValueError(f"no unit has {length} consecutive frames")
+    return np.asarray(starts, dtype=np.int64)[:, None] + np.arange(length)
 
 
 @dataclass
@@ -519,9 +503,9 @@ def _whole_number(arrays: dict[str, np.ndarray], name: str, lo: int, hi: float) 
 
 def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
     """Rebuild a pipeline from :func:`pipeline_to_arrays` output; a missing
-    array, an array whose shape does not fit the 1-D channel mask, a
-    window below 1 or a slow-feature count outside 1 .. retained channels,
-    or either not a whole number, raises ``ValueError``."""
+    or unexpected array, an array whose shape does not fit the 1-D channel
+    mask, a window below 1 or a slow-feature count outside 1 .. retained
+    channels, or either not a whole number, raises ``ValueError``."""
     def shape(name: str) -> tuple:
         if name not in arrays:
             raise ValueError(f"missing array {name}")
@@ -541,6 +525,9 @@ def pipeline_from_arrays(arrays: dict[str, np.ndarray]) -> FeaturePipeline:
     for name, expected in want.items():
         if shape(name) != expected:
             raise ValueError(f"{name} has shape {shape(name)}, expected {expected}")
+    extra = sorted(arrays.keys() - want.keys() - {"channel_mask", "condition_centers"})
+    if extra:
+        raise ValueError(f"unexpected array {extra[0]}")
     sfa = SlowFeatureModel(
         weights=arrays["sfa_weights"],
         lambdas=arrays["sfa_lambdas"],

@@ -7,10 +7,11 @@ count from the slowness spectrum, pick the window length from the
 averaged degradation-stage autocorrelation of the first slow feature,
 then slice hybrid frames labeled with the piece-wise RUL target.
 
-Milling cuts go through the same fit once wrapped as series by
-``milling_run_series``: the first cut of each case is the normal stage,
-the other cuts are degradation.  For training every cut becomes a short
-unit whose frames all carry the run-level label.
+Milling cuts come from ``data.load_milling`` as series and go through
+the same fit: the first cut of each case is the normal stage, the other
+cuts are degradation.  For training every cut becomes a short unit whose
+frames all carry the cut's label.  Both frame builders hand their units
+to one cutter, which applies one window rule to both.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import features as F
 from . import network
-from .data import MillingRun, RunToFailureSeries
+from .data import RunToFailureSeries
 from .evaluation import EvaluationReport, build_report, last_point_predictions, \
     sequence_predictions
 from .features import FeaturePipeline, FrameBatch
@@ -35,7 +36,6 @@ __all__ = [
     "fit_features",
     "build_frames",
     "build_frames_milling",
-    "milling_run_series",
     "ABLATION_VARIANTS",
     "variant_flags",
     "ablation_run",
@@ -143,57 +143,50 @@ def build_frames(
     pipe: FeaturePipeline,
     rul_max: float,
 ) -> FrameBatch:
-    """Degradation-stage frames for every unit, labeled by remaining life;
-    a window longer than every unit's stage raises ``ValueError``."""
-    _check_window(pipe.window, [s.length - s.change_point for s in series_list],
-                  "degradation stage")
-    parts = []
-    for s in series_list:
-        cp = s.change_point
-        labels = F.piecewise_rul_labels(s.length, cp, rul_max)
-        part = F.fuse_and_slice(pipe.transform(s.sensors, s.settings)[cp:], pipe.window,
-                                labels[cp:], unit_id=s.unit_id)
-        if part is not None:
-            parts.append(part)
-    return F.concat_batches(parts)
+    """Degradation-stage frames for every unit, labeled by remaining life
+    under the :func:`_cut_frames` rule."""
+    return _cut_frames(
+        [(s, s.change_point, F.piecewise_rul_labels(s.length, s.change_point, rul_max))
+         for s in series_list], pipe, "degradation stage")
 
 
 def build_frames_milling(
     series_list: Sequence[RunToFailureSeries], pipe: FeaturePipeline
 ) -> FrameBatch:
-    """Frames over every row of each cut wrapped by ``milling_run_series``,
-    all labeled with the cut's residual life, under the same window rule."""
-    _check_window(pipe.window, [s.length for s in series_list], "cut")
-    parts = []
-    for s in series_list:
-        labels = np.full(s.length, s.true_rul)
-        part = F.fuse_and_slice(pipe.transform(s.sensors, s.settings), pipe.window, labels,
-                                unit_id=s.unit_id)
-        if part is not None:
-            parts.append(part)
-    return F.concat_batches(parts)
+    """Frames over every row of each cut from ``data.load_milling``, all
+    labeled with the cut's residual life, under the :func:`_cut_frames`
+    rule."""
+    return _cut_frames([(s, 0, np.full(s.length, s.true_rul)) for s in series_list],
+                       pipe, "cut")
 
 
-def _check_window(window: int, rows: list[int], stage: str) -> None:
-    longest = max(rows, default=0)
-    if longest < window:
-        raise ValueError(f"window {window} is longer than every unit's {stage} "
-                         f"(at most {longest} rows)")
+def _cut_frames(parts, pipe: FeaturePipeline, stage: str) -> FrameBatch:
+    """Frames of each (series, first row, labels) part, in part order.
 
-
-def milling_run_series(run: MillingRun) -> RunToFailureSeries:
-    """Wrap a cut as a series for feature fitting and last-point scoring.
-
-    A normal cut is all normal stage (change point at its end), every
-    other cut all degradation (change point 0); the residual life is
-    the cut's label.
+    The frame-column rows of a series from its first row on are cut by
+    ``features.sliding_frames`` (stride 1, as ``features.sequence_index``
+    assumes), each frame labeled by the entry of ``labels`` at its last
+    row.  A part shorter than the window is skipped with a warning; a
+    window longer than every part raises ``ValueError`` before any unit
+    is transformed.
     """
-    return RunToFailureSeries(
-        unit_id=run.unit_id,
-        sensors=run.sensors,
-        change_point=run.sensors.shape[0] if run.is_normal else 0,
-        true_rul=run.rul,
-    )
+    w = pipe.window
+    longest = max((s.length - first for s, first, _ in parts), default=0)
+    if longest < w:
+        raise ValueError(f"window {w} is longer than every unit's {stage} "
+                         f"(at most {longest} rows)")
+    frames, labels, unit_ids = [], [], []
+    for s, first, y in parts:
+        k = s.length - first
+        if k < w:
+            log.warning("unit %s: segment of %d samples is shorter than window %d; skipped",
+                        s.unit_id, k, w)
+            continue
+        frames.append(F.sliding_frames(pipe.transform(s.sensors, s.settings)[first:], w))
+        labels.append(y[first + w - 1 :])
+        unit_ids.append(np.full(k - w + 1, s.unit_id, dtype=object))
+    return FrameBatch(frames=np.concatenate(frames), labels=np.concatenate(labels),
+                      unit_ids=np.concatenate(unit_ids))
 
 
 def variant_flags(variant: str) -> tuple[bool, bool]:

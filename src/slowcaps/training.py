@@ -18,14 +18,14 @@ from typing import Callable
 import numpy as np
 
 from . import network
-from .features import FrameBatch
+from .evaluation import rmse, scoring_function
+from .features import FrameBatch, sequence_index
 from .optim import Adam
 from .tensor import Tensor, backward
 
 __all__ = [
     "TrainConfig",
     "TrainReport",
-    "sequence_index",
     "build_sequences",
     "split_unit_ids",
     "train",
@@ -82,43 +82,14 @@ class TrainReport:
     label_scale: float
 
 
-def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
-    """Frame indices of every run of ``length`` consecutive frames
-    within a unit, shape (sequences, length).
-
-    Frames must be grouped by unit and time ordered.  Units holding
-    fewer than ``length`` frames contribute nothing (logged at debug
-    level).
-    """
-    if length < 1:
-        raise ValueError("sequence length must be >= 1")
-    unit_ids = np.asarray(unit_ids)
-    starts = []
-    i = 0
-    n = unit_ids.shape[0]
-    while i < n:
-        j = i
-        while j < n and unit_ids[j] == unit_ids[i]:
-            j += 1
-        if j - i >= length:
-            starts.extend(range(i, j - length + 1))
-        else:
-            log.debug("unit %s has %d frames, fewer than sequence length %d",
-                      unit_ids[i], j - i, length)
-        i = j
-    if not starts:
-        raise ValueError(f"no unit has {length} consecutive frames")
-    return np.asarray(starts, dtype=np.int64)[:, None] + np.arange(length)
-
-
 def build_sequences(
     frames: np.ndarray,
     labels: np.ndarray,
     unit_ids: np.ndarray,
     length: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the :func:`sequence_index` runs of frames; each sample is
-    labeled by its final frame."""
+    """Stack the ``features.sequence_index`` runs of frames; each sample
+    is labeled by its final frame."""
     idx = sequence_index(unit_ids, length)
     ends = idx[:, -1]
     return np.asarray(frames)[idx], np.asarray(labels)[ends], np.asarray(unit_ids)[ends]
@@ -141,8 +112,8 @@ def split_unit_ids(
 
 
 def _split_sequences(unit_ids, length: int, val_set) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sequence_index` split into (training, validation) rows by
-    the unit of each sequence's final frame."""
+    """``features.sequence_index`` split into (training, validation) rows
+    by the unit of each sequence's final frame."""
     idx = sequence_index(unit_ids, length)
     in_val = np.asarray([u in val_set for u in np.asarray(unit_ids)[idx[:, -1]]])
     return idx[~in_val], idx[in_val]
@@ -300,8 +271,6 @@ def sensitivity_grid(
     _, val_units = split_unit_ids(batch.units(), cfg.validation_fraction, split_rng)
     val_set = set(val_units)
 
-    from .evaluation import rmse as _rmse, scoring_function as _sf
-
     def run_cell(f: int, u: int) -> GridCell:
         config = config_for(f, u)
         _, idx_va = _split_sequences(batch.unit_ids, config.sequence_length, val_set)
@@ -313,8 +282,8 @@ def sensitivity_grid(
                                 index=idx_va)
         return GridCell(
             conv_filters=f, lstm_units=u,
-            rmse=_rmse(preds, y_va),
-            score=_sf(preds, y_va),
+            rmse=rmse(preds, y_va),
+            score=scoring_function(preds, y_va),
             seed=seed, best_epoch=report.best_epoch,
         )
 

@@ -683,6 +683,15 @@ def _repeat(name: str):
     return edit
 
 
+def _add(name: str):
+    """Add an array ``name``, a copy of ``sfa_ridge``."""
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc[name] = doc["sfa_ridge"]
+        return json.dumps(doc)
+    return edit
+
+
 def _drop(name: str):
     def edit(text: str) -> str:
         doc = json.loads(text)
@@ -738,6 +747,12 @@ ARTIFACT_CORRUPTIONS = [
      "channel_mask must be 1-D, got shape (1, 6)"),
     ("missing_ridge", "evaluate", "features.json", _drop("sfa_ridge"),
      "missing array sfa_ridge"),
+    # an array the chain does not define used to be ignored, and train
+    # and evaluate exited 0
+    ("extra_array_train", "train", "features.json", _add("sfa_ridge_old"),
+     "unexpected array sfa_ridge_old"),
+    ("extra_array_evaluate", "evaluate", "features.json", _add("sfa_ridge_old"),
+     "unexpected array sfa_ridge_old"),
     # json.loads alone keeps the last entry, and evaluate exited 0
     ("duplicate_bias", "evaluate", "checkpoint.json", _repeat("fnn.0.bias"),
      "duplicate key fnn.0.bias"),

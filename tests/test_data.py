@@ -374,7 +374,7 @@ def test_synthetic_spec_validation():
 def milling_csv(tmp_path):
     """Thirteen cases of three cuts at the protocol's 90 samples per cut:
     cases 1-10 of the first material and 11-13 of the second, so the
-    protocol split trains on cases 1-9, 11 and 12.  Cases 1-3 have gaps
+    protocol split trains on cases 1-9, 11 and 12.  Cases 1-4 have gaps
     in the wear column."""
     rng = np.random.default_rng(0)
     lines = [",".join(D.MILLING_COLUMNS)]
@@ -382,6 +382,7 @@ def milling_csv(tmp_path):
         1: [0.1, None, 0.5],
         2: [0.2, 0.3, 0.4],          # never exceeds the threshold
         3: [None, 0.5, None],
+        4: [0.2, None, 0.8],
     }
     for case in range(1, 14):
         wears = wear_plan.get(case, [0.1, 0.2 + 0.01 * case, 0.6])
@@ -399,26 +400,28 @@ def milling_csv(tmp_path):
 def test_load_milling_fills_wear_and_labels(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="slowcaps.data"):
         out = D.load_milling(milling_csv(tmp_path))
-    runs = out["runs"]
-    assert len(runs) == 39
-    assert runs[0].unit_id == "c01r01"
-    assert all(r.sensors.shape == (90, 6) for r in runs)
+    cuts = sorted(out["train"] + out["test"], key=lambda s: s.unit_id)
+    assert len(cuts) == 39
+    assert cuts[0].unit_id == "c01r01"
+    assert all(s.sensors.shape == (90, 6) and s.settings is None for s in cuts)
     by_case = {}
-    for r in runs:
-        by_case.setdefault(r.case_id, []).append(r)
-    # interpolation matches the numpy reference on the gappy case
-    np.testing.assert_allclose(
-        [r.wear_filled for r in by_case[1]],
-        np.interp([0, 1, 2], [0, 2], [0.1, 0.5]),
-    )
-    assert [r.rul for r in by_case[1]] == [2.0, 1.0, 0.0]  # exceeds at run 3
+    for s in cuts:
+        by_case.setdefault(int(s.unit_id[1:3]), []).append(s)
+    assert [s.unit_id for s in by_case[2]] == ["c02r01", "c02r02", "c02r03"]
+    # interpolated wear 0.1, 0.3, 0.5 exceeds at cut 3; filling the gap
+    # backward from 0.5 would exceed at cut 2
+    assert [s.true_rul for s in by_case[1]] == [2.0, 1.0, 0.0]
+    # interpolated wear 0.2, 0.5, 0.8 exceeds at cut 2; filling the gap
+    # forward from 0.2 would exceed at cut 3
+    assert [s.true_rul for s in by_case[4]] == [1.0, 0.0, 0.0]
     # clamped flat interpolation from a single measurement
-    np.testing.assert_allclose([r.wear_filled for r in by_case[3]], 0.5)
-    assert [r.rul for r in by_case[3]] == [0.0, 0.0, 0.0]
+    assert [s.true_rul for s in by_case[3]] == [0.0, 0.0, 0.0]
     # a case that never exceeds the threshold labels from the end and warns
-    assert [r.rul for r in by_case[2]] == [3.0, 2.0, 1.0]
+    assert [s.true_rul for s in by_case[2]] == [3.0, 2.0, 1.0]
     assert any("never exceeds" in r.message for r in caplog.records)
-    assert [r.is_normal for r in by_case[1]] == [True, False, False]
+    # the first cut of a case is all normal stage, a later cut all wear
+    assert [s.change_point for s in by_case[1]] == [90, 0, 0]
+    assert all(s.change_point == (90 if s.unit_id.endswith("r01") else 0) for s in cuts)
 
 
 def test_load_milling_validation(tmp_path):
@@ -471,16 +474,47 @@ def test_loaders_reject_non_finite_values(tmp_path, token):
         D.load_milling(milling)
 
 
+def _milling_cases(path, keep):
+    """Copy of the milling CSV at ``path`` holding the cases ``keep``
+    picks."""
+    header, *rows = path.read_text().splitlines()
+    out = path.with_name("kept.csv")
+    out.write_text("\n".join([header] + [r for r in rows if keep(int(r.split(",")[0]))]) + "\n")
+    return out
+
+
 def test_milling_protocol_split(tmp_path):
-    runs = D.load_milling(milling_csv(tmp_path))["runs"]
-    train, test = D.milling_protocol_split(runs)
-    assert sorted({r.case_id for r in train}) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
-    assert sorted({r.case_id for r in test}) == [10, 13]
-    assert len(train) == 33 and len(test) == 6
+    path = milling_csv(tmp_path)
+    out = D.load_milling(path)
+    assert [s.unit_id for s in out["train"]] == [
+        f"c{c:02d}r{r:02d}" for c in (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12) for r in (1, 2, 3)]
+    assert [s.unit_id for s in out["test"]] == [
+        f"c{c:02d}r{r:02d}" for c in (10, 13) for r in (1, 2, 3)]
+    assert [s.change_point for s in out["test"]] == [90, 0, 0, 90, 0, 0]
+    assert [s.true_rul for s in out["test"]] == [2.0, 1.0, 0.0] * 2
     # 8 cases of the first material, or 1 of the second
-    for few in ([r for r in runs if r.case_id > 2], [r for r in runs if r.case_id < 12]):
-        with pytest.raises(ValueError, match="fewer"):
-            D.milling_protocol_split(few)
-    single = [r for r in runs if r.material == 1]
-    with pytest.raises(ValueError, match="two materials"):
-        D.milling_protocol_split(single)
+    for keep, message in ((lambda c: c > 2, "material 1 has 8 cases, fewer than the 9"),
+                          (lambda c: c < 12, "material 2 has 1 cases, fewer than the 2")):
+        with pytest.raises(ValueError, match=message):
+            D.load_milling(_milling_cases(path, keep))
+    with pytest.raises(ValueError, match="two materials, got \\[1\\]"):
+        D.load_milling(_milling_cases(path, lambda c: c <= 10))
+
+
+def test_load_milling_rejects_a_case_of_two_materials(tmp_path):
+    """A case counted toward both materials' quotas used to move case 12
+    from the training side to the test side without a word."""
+    lines = milling_csv(tmp_path).read_text().splitlines()
+    # case 1's second cut starts at line 92 of the file
+    relabelled = [line.replace(",1,1.5,", ",2,1.5,", 1) if 91 <= i < 181 else line
+                  for i, line in enumerate(lines)]
+    path = tmp_path / "two.csv"
+    path.write_text("\n".join(relabelled) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:92: case 1 is material 2 here, "
+                       "material 1 at line 2"):
+        D.load_milling(path)
+    # one row is enough
+    lines[149] = lines[149].replace(",1,1.5,", ",2,1.5,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:150: case 1 is material 2"):
+        D.load_milling(path)

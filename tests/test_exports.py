@@ -1,5 +1,5 @@
-"""Every exported name of the package and its modules resolves, and every
-autodiff op has a caller."""
+"""Every exported name of the package and its modules resolves, every
+autodiff op has a caller, and every import sits at module level."""
 
 import ast
 import importlib
@@ -49,3 +49,15 @@ def test_every_tensor_op_has_a_caller():
     files = [p for p in (ROOT / "src" / "slowcaps").glob("*.py") if p.name != "tensor.py"]
     used = set().union(*map(_tensor_references, files + list((ROOT / "perfbench").glob("*.py"))))
     assert sorted(set(tensor.__all__) - used) == []
+
+
+def test_no_function_imports():
+    """An import inside a function hides a dependency between modules
+    (a cycle, say) from the module's header: none is kept."""
+    found = []
+    for path in sorted((ROOT / "src" / "slowcaps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert found == []

@@ -1,11 +1,14 @@
 """Feature chain: slow directions vs oracle, ACF window rule, framing."""
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from slowcaps import data as D
 from slowcaps import features as F
+from slowcaps import pipeline as P
 
 import oracles
 
@@ -282,51 +285,59 @@ def test_piecewise_labels_validation():
 # ---------------------------------------------------------------- framing
 
 
-def test_fuse_and_slice_layout():
-    k = 6
-    x = np.arange(k * 2, dtype=np.float64).reshape(k, 2)
-    s = np.arange(k, dtype=np.float64).reshape(k, 1) * 10
-    labels = np.arange(k, dtype=np.float64) + 100
-    hybrid = np.hstack([x, s])
-    batch = F.fuse_and_slice(hybrid, window=3, labels=labels, unit_id="u7")
-    assert batch.frames.shape == (4, 3, 3)
-    np.testing.assert_array_equal(batch.frames[0], hybrid[0:3])
-    np.testing.assert_array_equal(batch.frames[3], hybrid[3:6])
-    # the label follows each frame's last row
-    np.testing.assert_array_equal(batch.labels, labels[[2, 3, 4, 5]])
-    assert set(batch.unit_ids) == {"u7"}
+def raw_rows(rng, k):
+    """``k`` raw rows in the layout :func:`fitted_pipeline` reads."""
+    return np.column_stack([rng.normal(size=(k, 4)), np.full(k, 7.0)])
 
 
-def test_fuse_and_slice_short_segment_returns_none(caplog):
-    with caplog.at_level(logging.WARNING, logger="slowcaps.features"):
-        out = F.fuse_and_slice(np.hstack([np.zeros((2, 3)), np.zeros((2, 1))]), window=5,
-                               labels=np.zeros(2), unit_id="tiny")
-    assert out is None
-    assert any("tiny" in r.message for r in caplog.records)
+def test_fuse_and_slice_layout(rng):
+    pipe = dataclasses.replace(fitted_pipeline(rng), window=3)
+    raw = raw_rows(rng, 8)
+    hybrid = pipe.transform(raw)
+    for change_point in (0, 2):
+        unit = D.RunToFailureSeries(unit_id="u7", sensors=raw, change_point=change_point)
+        batch = P.build_frames([unit], pipe, rul_max=100.0)
+        # frames start at the first degradation row, stride 1
+        n = 8 - change_point - 3 + 1
+        assert batch.frames.shape == (n, 3, pipe.frame_channels)
+        np.testing.assert_array_equal(batch.frames[0], hybrid[change_point : change_point + 3])
+        np.testing.assert_array_equal(batch.frames[-1], hybrid[5:8])
+        # the label follows each frame's last row
+        labels = F.piecewise_rul_labels(8, change_point, 100.0)
+        np.testing.assert_array_equal(batch.labels, labels[change_point + 2 :])
+        assert set(batch.unit_ids) == {"u7"}
 
 
-def test_fuse_and_slice_validation():
-    with pytest.raises(ValueError, match="2-D"):
-        F.fuse_and_slice(np.zeros((5, 2, 1)), 3, np.zeros(5))
-    with pytest.raises(ValueError):
-        F.fuse_and_slice(np.hstack([np.zeros((5, 2)), np.zeros((5, 1))]), 3, np.zeros(4))
-    with pytest.raises(ValueError):
-        F.fuse_and_slice(np.hstack([np.zeros((5, 2)), np.zeros((5, 1))]), 0, np.zeros(5))
+def test_fuse_and_slice_validation(rng):
+    pipe = fitted_pipeline(rng)
+    with pytest.raises(ValueError, match="nonempty matrix"):
+        D.RunToFailureSeries(unit_id="u", sensors=np.zeros((5, 2, 1)), change_point=0)
+    with pytest.raises(ValueError, match="settings rows do not match sensors"):
+        D.RunToFailureSeries(unit_id="u", sensors=np.zeros((5, 5)), change_point=0,
+                             settings=np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        dataclasses.replace(pipe, window=0)
+    narrow = D.RunToFailureSeries(unit_id="u", sensors=np.zeros((9, 3)), change_point=0)
+    with pytest.raises(ValueError, match="raw channel count 3 does not match mask"):
+        P.build_frames([narrow], pipe, rul_max=10.0)
 
 
 def test_concat_batches(rng):
-    x = rng.normal(size=(6, 2))
-    s = rng.normal(size=(6, 1))
-    y = np.arange(6.0)
-    b1 = F.fuse_and_slice(np.hstack([x, s]), 3, y, unit_id="a")
-    b2 = F.fuse_and_slice(np.hstack([x + 1, s]), 3, y, unit_id="b")
-    merged = F.concat_batches([b1, None, b2])
+    pipe = dataclasses.replace(fitted_pipeline(rng), window=3)
+    raw = raw_rows(rng, 6)
+    a = D.RunToFailureSeries(unit_id="a", sensors=raw, change_point=0, true_rul=5.0)
+    b = D.RunToFailureSeries(unit_id="b", sensors=raw + 1, change_point=0, true_rul=2.0)
+    short = D.RunToFailureSeries(unit_id="short", sensors=raw[:2], change_point=0,
+                                 true_rul=1.0)
+    merged = P.build_frames_milling([a, short, b], pipe)
     assert len(merged) == 8
     assert merged.units() == ["a", "b"]
     np.testing.assert_array_equal(np.flatnonzero(merged.unit_ids == "b"), np.arange(4, 8))
-    np.testing.assert_array_equal(merged.frames[4:], b2.frames)
-    with pytest.raises(ValueError):
-        F.concat_batches([None])
+    alone = P.build_frames_milling([b], pipe)
+    np.testing.assert_array_equal(merged.frames[4:], alone.frames)
+    np.testing.assert_array_equal(merged.labels, [5.0] * 4 + [2.0] * 4)
+    with pytest.raises(ValueError, match="longer than every unit's cut"):
+        P.build_frames_milling([short], pipe)
 
 
 # ----------------------------------------------------- pipeline round trip

@@ -14,6 +14,8 @@ from slowcaps import network as N
 from slowcaps import pipeline as P
 from slowcaps.training import TrainConfig
 
+from test_data import milling_csv
+
 
 def planted_series(seed=17, units=8):
     spec = D.SyntheticSpec(units=units, channels=5, latents=2,
@@ -139,7 +141,7 @@ def test_build_frames_rejects_a_window_no_unit_fills(caplog):
             P.build_frames(series, wide, rul_max=8.0)
     assert not caplog.records  # no warning per unit first
     assert len(P.build_frames(series, dataclasses.replace(pipe, window=longest), 8.0)) >= 1
-    cuts = [P.milling_run_series(r) for r in milling_runs()]
+    cuts = milling_runs()
     cut_pipe, _, _ = P.fit_features(cuts, P.FeatureSettings(num_slow=2, window=61))
     with pytest.raises(ValueError, match="window 61 is longer than every unit's cut "
                        "\\(at most 60 rows\\)"):
@@ -281,6 +283,8 @@ def test_per_condition_pipeline_round_trip_and_variant():
 
 
 def milling_runs(cases=3, runs_per_case=3, samples=60):
+    """Cuts as ``data.load_milling`` returns them: the first cut of each
+    case all normal stage, every later cut all wear."""
     rng = np.random.default_rng(7)
     out = []
     for c in range(1, cases + 1):
@@ -290,33 +294,31 @@ def milling_runs(cases=3, runs_per_case=3, samples=60):
                 np.sin(2 * np.pi * t / (20.0 + 3 * ch)) for ch in range(4)
             ], axis=1)
             sensors = base + rng.normal(0, 0.3, size=(samples, 4))
-            out.append(D.MillingRun(
-                case_id=c, run_id=r, material=1 + (c % 2),
-                params=np.array([1.5, 0.5, 200.0]), sensors=sensors,
-                wear=0.1 * r, wear_filled=0.1 * r,
-                rul=float(runs_per_case - r), is_normal=r == 1,
+            out.append(D.RunToFailureSeries(
+                unit_id=f"c{c:02d}r{r:02d}", sensors=sensors,
+                change_point=samples if r == 1 else 0,
+                true_rul=float(runs_per_case - r),
             ))
     return out
 
 
 def test_fit_features_milling_and_frames():
-    runs = milling_runs()
-    series = [P.milling_run_series(r) for r in runs]
+    series = milling_runs()
     pipe, _, _ = P.fit_features(series, P.FeatureSettings(num_slow=2, window=10))
     assert pipe.num_slow == 2 and pipe.window == 10
     assert pipe.frame_channels == 4 + 2
     # only the first cut of each case feeds the normal-stage statistics
-    stats = F.fit_normalizer([r.sensors for r in runs if r.is_normal])
+    stats = F.fit_normalizer([s.sensors for s in series if s.change_point])
     np.testing.assert_allclose(pipe.stats.mean, stats.mean, rtol=0, atol=1e-12)
     np.testing.assert_allclose(pipe.stats.std, stats.std, rtol=0, atol=1e-12)
     batch = P.build_frames_milling(series, pipe)
-    assert set(batch.unit_ids) == {r.unit_id for r in runs}
-    for r in runs[:3]:
+    assert set(batch.unit_ids) == {s.unit_id for s in series}
+    for s in series[:3]:
         # every row of the cut, the normal first cut included
-        sel = np.flatnonzero(batch.unit_ids == r.unit_id)
+        sel = np.flatnonzero(batch.unit_ids == s.unit_id)
         assert sel.size == 60 - 10 + 1
-        np.testing.assert_array_equal(batch.labels[sel], r.rul)
-        hybrid = pipe.transform(r.sensors)
+        np.testing.assert_array_equal(batch.labels[sel], s.true_rul)
+        hybrid = pipe.transform(s.sensors)
         for end, frame in zip(range(10, 61), batch.frames[sel]):
             np.testing.assert_allclose(frame, hybrid[end - 10 : end], rtol=0, atol=1e-12)
     # automatic window selection from the degraded cuts stays sane and
@@ -328,25 +330,80 @@ def test_fit_features_milling_and_frames():
 
 
 def test_fit_features_milling_validation():
-    runs = milling_runs()
+    series = milling_runs()
     with pytest.raises(ValueError, match="window"):
-        P.fit_features([P.milling_run_series(r) for r in runs],
-                       P.FeatureSettings(num_slow=1, window=0))
-    for r in runs:
-        r.is_normal = False
+        P.fit_features(series, P.FeatureSettings(num_slow=1, window=0))
+    worn = [dataclasses.replace(s, change_point=0) for s in series]
     with pytest.raises(ValueError, match="normal"):
-        P.fit_features([P.milling_run_series(r) for r in runs],
-                       P.FeatureSettings(num_slow=1, window=5))
+        P.fit_features(worn, P.FeatureSettings(num_slow=1, window=5))
 
 
-def test_milling_run_series_wrapper():
-    first, run = milling_runs()[:2]
-    assert first.is_normal and not run.is_normal
-    s = P.milling_run_series(run)
-    assert s.unit_id == run.unit_id
-    assert s.change_point == 0  # a worn cut is all degradation
-    assert s.true_rul == run.rul
-    assert P.milling_run_series(first).change_point == first.sensors.shape[0]
+def test_milling_run_series_wrapper(tmp_path):
+    """The cuts ``data.load_milling`` returns feed the feature chain as
+    they are: the first cut of a case is all normal stage, a worn cut
+    all degradation, and every frame of a cut carries its residual
+    life."""
+    train = D.load_milling(milling_csv(tmp_path))["train"]
+    first, worn = train[:2]
+    assert (first.unit_id, worn.unit_id) == ("c01r01", "c01r02")
+    assert first.change_point == first.length and worn.change_point == 0
+    assert (first.true_rul, worn.true_rul) == (2.0, 1.0)
+    pipe, _, _ = P.fit_features(train, P.FeatureSettings(num_slow=2, window=10))
+    stats = F.fit_normalizer([s.sensors[:, pipe.channel_mask] for s in train
+                              if s.unit_id.endswith("r01")])
+    np.testing.assert_allclose(pipe.stats.mean, stats.mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pipe.stats.std, stats.std, rtol=0, atol=1e-12)
+    batch = P.build_frames_milling([first, worn], pipe)
+    for s in (first, worn):
+        sel = np.flatnonzero(batch.unit_ids == s.unit_id)
+        assert sel.size == s.length - 10 + 1
+        np.testing.assert_array_equal(batch.labels[sel], s.true_rul)
+
+
+def test_build_frames_cuts_each_unit_in_order():
+    """Both builders cut each unit's rows, from its first framed row on,
+    into stride-1 frames labeled at their last row, one unit after the
+    other in the order given."""
+    cuts = milling_runs()[:4]
+    pipe, _, _ = P.fit_features(cuts, P.FeatureSettings(num_slow=2, window=7))
+    series = planted_series(units=3)
+    order = [series[2], series[0], series[1]]
+    series_pipe, _, _ = P.fit_features(series, P.FeatureSettings(rul_max=30.0, num_slow=1,
+                                                                 window=5))
+    for batch, units, firsts, labels, p in (
+        (P.build_frames_milling(cuts[::-1], pipe), cuts[::-1], [0] * 4,
+         [np.full(s.length, s.true_rul) for s in cuts[::-1]], pipe),
+        (P.build_frames(order, series_pipe, 30.0), order, [s.change_point for s in order],
+         [F.piecewise_rul_labels(s.length, s.change_point, 30.0) for s in order],
+         series_pipe),
+    ):
+        assert batch.units() == [s.unit_id for s in units]
+        lo = 0
+        for s, first, y in zip(units, firsts, labels):
+            n = s.length - first - p.window + 1
+            np.testing.assert_array_equal(np.flatnonzero(batch.unit_ids == s.unit_id),
+                                          np.arange(lo, lo + n))
+            cols = p.transform(s.sensors, s.settings)
+            for i in range(n):
+                np.testing.assert_array_equal(batch.frames[lo + i],
+                                              cols[first + i : first + i + p.window])
+            np.testing.assert_array_equal(batch.labels[lo : lo + n], y[first + p.window - 1 :])
+            lo += n
+        assert len(batch) == lo and batch.frames.shape[1:] == (p.window, p.frame_channels)
+    # a pipeline's window is at least one row
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        dataclasses.replace(pipe, window=0)
+
+
+def test_build_frames_milling_skips_a_short_cut(caplog):
+    cuts = milling_runs()
+    pipe, _, _ = P.fit_features(cuts, P.FeatureSettings(num_slow=2, window=10))
+    stub = dataclasses.replace(cuts[1], unit_id="stub", sensors=cuts[1].sensors[:9])
+    with caplog.at_level(logging.WARNING):
+        batch = P.build_frames_milling(cuts[:1] + [stub] + cuts[1:], pipe)
+    assert batch.units() == [s.unit_id for s in cuts]
+    assert [r.getMessage() for r in caplog.records] == [
+        "unit stub: segment of 9 samples is shorter than window 10; skipped"]
 
 
 # --------------------------------------------------------------- ablation
