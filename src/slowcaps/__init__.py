@@ -38,7 +38,6 @@ from .network import ModelConfig, init_parameters, model_forward, predict, squas
 from .optim import Adam
 from .pipeline import (
     FeatureSettings,
-    ablation_run,
     build_frames,
     fit_features,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "squash",
     "Adam",
     "FeatureSettings",
-    "ablation_run",
     "build_frames",
     "fit_features",
     "Tensor",

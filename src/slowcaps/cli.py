@@ -202,19 +202,50 @@ def _load_features(raw: str) -> F.FeaturePipeline:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _training_frames(cfg: dict, data_dir: Path, pipe: F.FeaturePipeline,
-                     features: str) -> F.FrameBatch:
-    """Labelled frames of the training units: every row of a milling cut,
-    the degradation stage of a run-to-failure unit.  A unit that does not
-    fit ``pipe`` (a window longer than every stage, say) is an error of
-    the features file."""
-    units = _units(cfg, data_dir, "train")
+def _training_frames(cfg: dict, units: list[D.RunToFailureSeries], pipe: F.FeaturePipeline,
+                     features: str | None) -> F.FrameBatch:
+    """Labelled frames of the training ``units``: every row of a milling
+    cut, the degradation stage of a run-to-failure unit.  A unit that does
+    not fit ``pipe`` (a window longer than every stage, say) is an error
+    of the ``features`` file, where the pipe came from one."""
     try:
         if cfg["dataset"] == "milling":
             return P.build_frames_milling(units, pipe)
         return P.build_frames(units, pipe, float(cfg["rul_max"]))
     except ValueError as exc:
+        if features is None:
+            raise
         raise ValueError(f"{_features_path(features)}: {exc}") from None
+
+
+def _train_variant(cfg: dict, pipe: F.FeaturePipeline, variant: str,
+                   units: list[D.RunToFailureSeries], train_cfg: T.TrainConfig,
+                   features: str | None = None):
+    """Train ``variant`` on the frames of the training ``units``, cut by
+    ``pipe`` without its slow columns for the no-sfa variants.  Returns
+    the variant's pipe, its ``_model_config``, the trained parameters and
+    the train report."""
+    include_slow, _ = P.variant_flags(variant)
+    pipe_v = pipe if include_slow else pipe.without_slow()
+    batch = _training_frames(cfg, units, pipe_v, features)
+    model_cfg = _model_config(cfg, pipe_v, variant)
+    params, report = T.train(model_cfg, batch, train_cfg)
+    return pipe_v, model_cfg, params, report
+
+
+def _score(cfg: dict, params, model_cfg: network.ModelConfig, pipe_v: F.FeaturePipeline,
+           series: list[D.RunToFailureSeries], label_scale: float, *, variant: str,
+           seed: int | None, clip: bool = True, where: Path | None = None) -> E.EvaluationReport:
+    """The report of one prediction per unit of ``series`` at its last
+    cycle, clipped into [0, rul_max] unless ``clip`` is off; ``where``
+    names the file of the model for a memory refusal."""
+    steps = model_cfg.sequence_length
+    _check_host_memory(8 * len(series) * steps * model_cfg.window_length * model_cfg.in_channels,
+                       f"the last-point sequences of {len(series)} units, {steps} frames each",
+                       where)
+    ids, preds = E.last_point_predictions(params, model_cfg, pipe_v, series, label_scale)
+    return E.build_report(ids, [s.true_rul for s in series], preds, variant=variant, seed=seed,
+                          clip=clip, rul_max=float(cfg["rul_max"]) if clip else None)
 
 
 # ---------------------------------------------------------------- commands
@@ -292,12 +323,10 @@ def cmd_fit_features(args) -> int:
 def cmd_train(args) -> int:
     cfg, out = _setup(args)
     pipe = _load_features(args.features)
-    include_slow, _ = P.variant_flags(args.variant)
-    pipe_v = pipe if include_slow else pipe.without_slow()
-    batch = _training_frames(cfg, Path(args.data_dir), pipe_v, args.features)
-    model_cfg = _model_config(cfg, pipe_v, args.variant)
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
-    params, report = T.train(model_cfg, batch, train_cfg)
+    _, model_cfg, params, report = _train_variant(
+        cfg, pipe, args.variant, _units(cfg, Path(args.data_dir), "train"), train_cfg,
+        args.features)
 
     ckpt.save_arrays(out / "checkpoint.json", ckpt.tensors_to_arrays(params))
     _write_json(out / "model_config.json", {
@@ -353,21 +382,12 @@ def cmd_evaluate(args) -> int:
             f"model_config.json ({model_cfg.window_length}x{model_cfg.in_channels})")
 
     series = _units(cfg, Path(args.data_dir), "test")
-    truths = [s.true_rul for s in series]
-    steps = model_cfg.sequence_length
-    _check_host_memory(8 * len(series) * steps * model_cfg.window_length * model_cfg.in_channels,
-                       f"the last-point sequences of {len(series)} units, {steps} frames each",
-                       path)
-    ids, preds = E.last_point_predictions(params, model_cfg, pipe_v, series, label_scale)
-    clip = not args.no_clip
-    report = E.build_report(
-        ids, truths, preds, variant=variant, seed=model_doc.get("seed"),
-        clip=clip, rul_max=float(cfg["rul_max"]) if clip else None,
-    )
+    report = _score(cfg, params, model_cfg, pipe_v, series, label_scale, variant=variant,
+                    seed=model_doc.get("seed"), clip=not args.no_clip, where=path)
     E.emit_report(report, out, stem="report")
     _write_manifest(out, "evaluate", cfg, args.seed,
                     ["report.json", "report_predictions.csv"],
-                    variant=variant, units=len(ids),
+                    variant=variant, units=len(series),
                     rmse=report.rmse, score=report.score)
     return 0
 
@@ -375,7 +395,8 @@ def cmd_evaluate(args) -> int:
 def cmd_tune(args) -> int:
     cfg, out = _setup(args)
     pipe = _load_features(args.features)
-    batch = _training_frames(cfg, Path(args.data_dir), pipe, args.features)
+    batch = _training_frames(cfg, _units(cfg, Path(args.data_dir), "train"), pipe,
+                             args.features)
 
     def config_for(filters: int, lstm_units: int) -> network.ModelConfig:
         cell = copy.deepcopy(cfg)
@@ -408,29 +429,29 @@ def cmd_ablate(args) -> int:
     data_dir = Path(args.data_dir)
     train_units = _units(cfg, data_dir, "train")
     test_units = _units(cfg, data_dir, "test")
-    settings = C.feature_settings_from(cfg)
     variants = tuple(args.variant) if args.variant else P.ABLATION_VARIANTS
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
-    result = P.ablation_run(
-        train_units, test_units, settings,
-        lambda pipe, variant: _model_config(cfg, pipe, variant), train_cfg,
-        variants=variants,
-    )
-    artifacts = ["ablation_summary.csv"]
+    # one feature fit for every variant, and no file until all are scored
+    pipe, _, _ = P.fit_features(train_units, C.feature_settings_from(cfg))
+    runs = []
     for variant in variants:
+        pipe_v, model_cfg, params, treport = _train_variant(cfg, pipe, variant, train_units,
+                                                            train_cfg)
+        report = _score(cfg, params, model_cfg, pipe_v, test_units, train_cfg.label_scale,
+                        variant=variant, seed=args.seed)
+        runs.append((variant, report, treport))
+    artifacts = ["ablation_summary.csv"]
+    for variant, report, treport in runs:
         vdir = out / variant
         vdir.mkdir(parents=True, exist_ok=True)
-        E.emit_report(result.reports[variant], vdir, stem="report")
-        _write_json(vdir / "train_report.json", asdict(result.train_reports[variant]))
+        E.emit_report(report, vdir, stem="report")
+        _write_json(vdir / "train_report.json", asdict(treport))
         artifacts += [f"{variant}/report.json",
                       f"{variant}/report_predictions.csv",
                       f"{variant}/train_report.json"]
-    _write_csv(
-        out / "ablation_summary.csv",
-        ["variant", "rmse", "score", "parameters", "best_epoch"],
-        [[r["variant"], r["rmse"], r["score"], r["parameters"], r["best_epoch"]]
-         for r in result.summary_rows],
-    )
+    _write_csv(out / "ablation_summary.csv",
+               ["variant", "rmse", "score", "parameters", "best_epoch"],
+               [[v, r.rmse, r.score, t.parameter_count, t.best_epoch] for v, r, t in runs])
     _write_manifest(out, "ablate", cfg, args.seed, artifacts,
                     variants=list(variants), eval_mode="last_point")
     return 0

@@ -319,7 +319,7 @@ def load_milling(csv_path) -> dict:
                                  f"expected {MILLING_SAMPLES_PER_RUN}")
         measured = [(i, wear) for i, (_, (_, wear)) in enumerate(cuts) if wear is not None]
         if not measured:
-            raise ValueError(f"case {case}: no wear measurements at all")
+            raise ValueError(f"{path}: case {case}: no wear measurements at all")
         filled = np.interp(np.arange(len(cuts), dtype=np.float64),
                            np.asarray([m[0] for m in measured], dtype=np.float64),
                            np.asarray([m[1] for m in measured], dtype=np.float64))

@@ -401,19 +401,16 @@ def sequence_index(unit_ids: np.ndarray, length: int) -> np.ndarray:
     if length < 1:
         raise ValueError("sequence length must be >= 1")
     unit_ids = np.asarray(unit_ids)
-    starts = []
-    i = 0
     n = unit_ids.shape[0]
-    while i < n:
-        j = i
-        while j < n and unit_ids[j] == unit_ids[i]:
-            j += 1
+    # first frame of each unit's run, and the end of the last run
+    edges = [0, *(np.flatnonzero(unit_ids[1:] != unit_ids[:-1]) + 1).tolist(), n] if n else []
+    starts = []
+    for i, j in zip(edges, edges[1:]):
         if j - i >= length:
             starts.extend(range(i, j - length + 1))
         else:
             log.debug("unit %s has %d frames, fewer than sequence length %d",
                       unit_ids[i], j - i, length)
-        i = j
     if not starts:
         raise ValueError(f"no unit has {length} consecutive frames")
     return np.asarray(starts, dtype=np.int64)[:, None] + np.arange(length)

@@ -1,4 +1,4 @@
-"""End-to-end orchestration shared by the CLI and the test harness.
+"""The feature fit and the frame cutter shared by the CLI and the tests.
 
 Fitting order: optionally standardize per operating condition, drop
 flat channels, fit z-score statistics on pooled normal segments, extract
@@ -17,18 +17,14 @@ to one cutter, which applies one window rule to both.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import features as F
-from . import network
 from .data import RunToFailureSeries
-from .evaluation import EvaluationReport, build_report, last_point_predictions, \
-    sequence_predictions
 from .features import FeaturePipeline, FrameBatch
-from .training import TrainConfig, TrainReport, train
 
 __all__ = [
     "FeatureSettings",
@@ -38,7 +34,6 @@ __all__ = [
     "build_frames_milling",
     "ABLATION_VARIANTS",
     "variant_flags",
-    "ablation_run",
 ]
 
 log = logging.getLogger("slowcaps.pipeline")
@@ -200,77 +195,3 @@ def variant_flags(variant: str) -> tuple[bool, bool]:
     if variant not in table:
         raise ValueError(f"unknown variant {variant!r}; pick from {ABLATION_VARIANTS}")
     return table[variant]
-
-
-@dataclass
-class AblationResult:
-    reports: dict[str, EvaluationReport]
-    train_reports: dict[str, TrainReport]
-    summary_rows: list[dict] = field(default_factory=list)
-
-
-def ablation_run(
-    train_series: Sequence[RunToFailureSeries],
-    test_series: Sequence[RunToFailureSeries],
-    settings: FeatureSettings,
-    make_config: Callable[[FeaturePipeline, str], network.ModelConfig],
-    train_cfg: TrainConfig,
-    variants: Sequence[str] = ABLATION_VARIANTS,
-    eval_mode: str = "last_point",
-) -> AblationResult:
-    """Train and evaluate the architecture variants under shared seeds.
-
-    The feature chain is fitted once; the no-sfa variants drop the slow
-    feature columns from the frames but keep the window, normalization
-    and data splits identical, so differences isolate the architecture
-    change.  ``make_config(pipe, variant)`` supplies the model for each
-    variant (the pipe exposes frame channels, slow count and window);
-    ``eval_mode`` picks the per-unit last-point protocol or dense
-    per-sequence scoring on the held-out units.
-    """
-    if eval_mode not in ("last_point", "dense"):
-        raise ValueError(f"unknown eval mode {eval_mode!r}")
-    pipe_full, _, _ = fit_features(train_series, settings)
-
-    def run_variant(variant: str):
-        include_slow, use_lstm = variant_flags(variant)
-        pipe = pipe_full if include_slow else pipe_full.without_slow()
-        batch = build_frames(train_series, pipe, settings.rul_max)
-        config = make_config(pipe, variant)
-        if config.use_lstm != use_lstm:
-            raise ValueError(f"config factory disagrees with variant {variant}")
-        params, treport = train(config, batch, train_cfg)
-        label_scale = train_cfg.label_scale
-        if eval_mode == "last_point":
-            ids, preds = last_point_predictions(
-                params, config, pipe, list(test_series), label_scale,
-            )
-            truths = [s.true_rul for s in test_series]
-            if any(t is None for t in truths):
-                raise ValueError("last-point evaluation needs true residual life")
-        else:
-            test_batch = build_frames(test_series, pipe, settings.rul_max)
-            preds, truths, ids = sequence_predictions(
-                params, config, test_batch.frames, test_batch.labels,
-                test_batch.unit_ids, config.sequence_length, label_scale,
-            )
-        report = build_report(
-            ids, truths, preds, variant=variant, seed=train_cfg.seed,
-            clip=True, rul_max=settings.rul_max,
-        )
-        return report, treport
-
-    reports: dict[str, EvaluationReport] = {}
-    train_reports: dict[str, TrainReport] = {}
-    rows = []
-    for variant in variants:
-        report, treport = run_variant(variant)
-        reports[variant] = report
-        train_reports[variant] = treport
-        rows.append({
-            "variant": variant, "rmse": report.rmse, "score": report.score,
-            "parameters": treport.parameter_count,
-            "best_epoch": treport.best_epoch,
-        })
-    return AblationResult(reports=reports, train_reports=train_reports,
-                          summary_rows=rows)

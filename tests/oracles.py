@@ -218,3 +218,21 @@ def score_oracle(diffs) -> float:
 def rmse_oracle(diffs) -> float:
     d = np.asarray(diffs, dtype=np.float64).ravel()
     return math.sqrt(sum(x * x for x in d) / d.size)
+
+
+def sequence_index_oracle(unit_ids, length: int):
+    """Start frames of every run of ``length`` frames within a unit, by
+    walking the frames one at a time, and the (unit, frame count) of
+    each unit too short for one."""
+    starts, short = [], []
+    i, n = 0, len(unit_ids)
+    while i < n:
+        j = i
+        while j < n and unit_ids[j] == unit_ids[i]:
+            j += 1
+        if j - i >= length:
+            starts.extend(range(i, j - length + 1))
+        else:
+            short.append((unit_ids[i], j - i))
+        i = j
+    return starts, short

@@ -41,10 +41,13 @@ def test_judge_needs_nine_wins_in_ten_and_a_gap_above_the_iqr():
 
 
 FAKE_RUN = """
-import json, sys
+import json, os, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
-with open("runs.log", "a") as fh:
+with open(os.path.join(LOGS, "runs.log"), "a") as fh:
     fh.write(f"{seed}\\n")
+with open(os.path.join(LOGS, "env.log"), "a") as fh:
+    fh.write(json.dumps([os.environ.get("PYTHONDONTWRITEBYTECODE"), os.getcwd(),
+                         os.path.exists("__pycache__")]) + "\\n")
 value = SCALE * (1.0 + 0.01 * seed)
 walls = [RAW * (1.0 + 0.01 * seed) + d for d in (0.02, -0.01, 0.0)]
 print(json.dumps({"environment": {"numpy": "x"},
@@ -64,7 +67,10 @@ def fake_pairs(tmp_path, monkeypatch, change_raw, change_probe):
         root.mkdir()
         scale = 1.0 if side == "parent" else 0.9
         (root / "fake_run.py").write_text(FAKE_RUN.replace("SCALE", str(scale))
-                                          .replace("RAW", str(raw)).replace("PROBE", str(probe)))
+                                          .replace("RAW", str(raw)).replace("PROBE", str(probe))
+                                          .replace("LOGS", repr(str(root))))
+        (root / "__pycache__").mkdir()  # bytecode a run must not see
+        (root / "__pycache__" / "stale.pyc").write_bytes(b"")
         (root / "BENCHMARK.json").write_text(json.dumps(
             {"command": [sys.executable, "fake_run.py"], "end_to_end": [SPEC]}))
     out = tmp_path / "out"
@@ -89,8 +95,19 @@ def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
     assert [round(x, 12) for x in raw["parent"]["samples"]] == [1.05, 1.06, 1.07]
     assert raw["wins"] == 3 and raw["gain_holds"]
     assert doc["probe_loop_s"]["parent"]["samples"] == [0.06, 0.06, 0.06]
+    copies = []
     for side in ("parent", "change"):
-        assert (tmp_path / side / "runs.log").read_text().split() == ["5", "6", "7"]
+        root = tmp_path / side
+        assert (root / "runs.log").read_text().split() == ["5", "6", "7"]
+        # every run writes no bytecode, in a copy of the checkout without
+        # its __pycache__, which is gone after the run
+        env = [json.loads(line) for line in (root / "env.log").read_text().splitlines()]
+        assert [(flag, cache) for flag, _, cache in env] == [("1", False)] * 3
+        copies += [Path(cwd) for _, cwd, _ in env]
+        assert sorted(p.name for p in root.iterdir()) == [
+            "BENCHMARK.json", "__pycache__", "env.log", "fake_run.py", "runs.log"]
+    assert len(set(copies)) == 6
+    assert not any(p.exists() for p in copies)
 
 
 def test_a_scaled_gain_needs_a_raw_gain_too(tmp_path, monkeypatch, capsys):

@@ -24,7 +24,8 @@ from slowcaps import pipeline as P
 from slowcaps import tensor as T
 from slowcaps import training as TR
 from slowcaps.cli import main
-from slowcaps.evaluation import last_point_predictions, rmse, scoring_function
+from slowcaps.evaluation import build_report, last_point_predictions, rmse, \
+    scoring_function, sequence_predictions
 from slowcaps.tensor import Tensor, backward
 
 import oracles
@@ -255,31 +256,45 @@ def test_criterion_06_slow_features_improve_mean_rmse():
             lstm_units=6, sequence_length=3 if use_lstm else 1,
             use_lstm=use_lstm, fnn_widths=(12, 1), dropout=0.1)
 
+    pipe_full, _, _ = P.fit_features(train_series, settings)
+
+    def dense_rmses(cfg, variants):
+        """Each variant's RMSE and parameter count, the RMSE over every
+        frame sequence of the held-out units."""
+        out = {}
+        for variant in variants:
+            include_slow, _ = P.variant_flags(variant)
+            pipe = pipe_full if include_slow else pipe_full.without_slow()
+            config = make_config(pipe, variant)
+            params, treport = TR.train(
+                config, P.build_frames(train_series, pipe, settings.rul_max), cfg)
+            held = P.build_frames(test_series, pipe, settings.rul_max)
+            preds, truths, ids = sequence_predictions(
+                params, config, held.frames, held.labels, held.unit_ids,
+                config.sequence_length, cfg.label_scale)
+            report = build_report(ids, truths, preds, variant=variant, seed=cfg.seed,
+                                  clip=True, rul_max=settings.rul_max)
+            out[variant] = (report.rmse, treport.parameter_count)
+        return out
+
     full_scores, reduced_scores = [], []
     for seed in range(5):
         cfg = TR.TrainConfig(epochs=20, batch_size=64, learning_rate=5e-3,
                              validation_fraction=0.25, seed=seed,
                              label_scale=60.0, patience=8, min_delta=1e-5)
-        result = P.ablation_run(train_series, test_series, settings,
-                                make_config, cfg,
-                                variants=("full", "no-sfa"),
-                                eval_mode="dense")
-        full_scores.append(result.reports["full"].rmse)
-        reduced_scores.append(result.reports["no-sfa"].rmse)
+        result = dense_rmses(cfg, ("full", "no-sfa"))
+        full_scores.append(result["full"][0])
+        reduced_scores.append(result["no-sfa"][0])
     assert np.mean(full_scores) <= np.mean(reduced_scores), (
         full_scores, reduced_scores)
 
     cfg = TR.TrainConfig(epochs=20, batch_size=64, learning_rate=5e-3,
                          validation_fraction=0.25, seed=0, label_scale=60.0,
                          patience=8, min_delta=1e-5)
-    table = P.ablation_run(
-        train_series, test_series, settings, make_config, cfg,
-        variants=("full", "no-sfa", "no-lstm", "plain-capsnet"),
-        eval_mode="dense")
-    assert [r["variant"] for r in table.summary_rows] == [
-        "full", "no-sfa", "no-lstm", "plain-capsnet"]
-    for row in table.summary_rows:
-        assert np.isfinite(row["rmse"]) and row["parameters"] > 0
+    table = dense_rmses(cfg, ("full", "no-sfa", "no-lstm", "plain-capsnet"))
+    assert list(table) == ["full", "no-sfa", "no-lstm", "plain-capsnet"]
+    for rmse_v, parameters in table.values():
+        assert np.isfinite(rmse_v) and parameters > 0
     assert time.monotonic() - start < 1800.0
 
 

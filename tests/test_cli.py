@@ -333,10 +333,19 @@ def test_ablate_smoke(workspace):
     assert rc == 0
     summary = (out / "ablation_summary.csv").read_text().splitlines()
     assert summary[0] == "variant,rmse,score,parameters,best_epoch"
-    assert [line.split(",")[0] for line in summary[1:]] == ["full", "no-sfa"]
-    for variant in ("full", "no-sfa"):
-        assert (out / variant / "report.json").exists()
-        assert (out / variant / "train_report.json").exists()
+    rows = [line.split(",") for line in summary[1:]]
+    assert [row[0] for row in rows] == ["full", "no-sfa"]
+    test_units = json.loads((workspace / "data" / "manifest.json").read_text())["test_units"]
+    counts = {}
+    for variant, row in zip(("full", "no-sfa"), rows):
+        report = json.loads((out / variant / "report.json").read_text())
+        assert report["variant"] == variant
+        assert len(report["rows"]) == test_units
+        counts[variant] = json.loads(
+            (out / variant / "train_report.json").read_text())["parameter_count"]
+        assert int(row[3]) == counts[variant]
+    # slow-feature columns change the input width, hence the size
+    assert counts["full"] != counts["no-sfa"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["variants"] == ["full", "no-sfa"]
 
@@ -1234,6 +1243,26 @@ def test_fit_features_milling(tmp_path):
     assert "acf.csv" in manifest["artifacts"]
     acf = (tmp_path / "auto" / "acf.csv").read_text().splitlines()
     assert acf[0] == "lag,acf" and acf[1] == "0,1.0"
+
+
+def test_milling_case_without_wear_exits_1_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "milling.csv"
+    write_milling_csv(path, cases_material=((1, 10), (2, 3)))
+    lines = path.read_text().splitlines()
+    lines = [line if line.split(",")[0] != "5" else line.rsplit(",", 1)[0] + ","
+             for line in lines]  # case 5's wear column left blank
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "feat"
+    capsys.readouterr()
+    assert main(["fit-features", "--out", str(out), "--data-dir", str(data),
+                 "--set", "dataset=milling"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert json.loads(err[0]) == {
+        "error": "ValueError", "message": f"{path}: case 5: no wear measurements at all"}
+    assert not (out / "features.json").exists()
 
 
 def test_milling_chain(tmp_path):

@@ -340,6 +340,31 @@ def test_concat_batches(rng):
         P.build_frames_milling([short], pipe)
 
 
+@pytest.mark.parametrize("unit_ids,length", [
+    (np.zeros(7, dtype=np.int64), 3),                            # one unit
+    (np.array([4, 4, 4, 4, 9, 9, 5, 5, 5]), 3),                  # one unit too short
+    (np.array([1, 1, 2, 3, 3, 3]), 1),                           # S = 1
+    (np.array([1, 1, 1, 2, 2, 1, 1, 1, 1]), 2),                  # unit 1 recurs
+    (np.array(["a", "a", "a", "bb", "c", "c", "c"], dtype=object), 3),  # string ids
+])
+def test_sequence_index_matches_the_frame_walk(unit_ids, length, caplog):
+    starts, short = oracles.sequence_index_oracle(unit_ids.tolist(), length)
+    with caplog.at_level(logging.DEBUG, logger="slowcaps.features"):
+        idx = F.sequence_index(unit_ids, length)
+    assert idx.dtype == np.int64
+    np.testing.assert_array_equal(idx, np.asarray(starts)[:, None] + np.arange(length))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"unit {u} has {k} frames, fewer than sequence length {length}" for u, k in short]
+
+
+def test_sequence_index_needs_one_full_run():
+    for unit_ids in (np.array([1, 1, 2, 2, 1]), np.array([], dtype=object)):
+        with pytest.raises(ValueError, match="no unit has 3 consecutive frames"):
+            F.sequence_index(unit_ids, 3)
+    with pytest.raises(ValueError, match="sequence length must be >= 1"):
+        F.sequence_index(np.zeros(4), 0)
+
+
 # ----------------------------------------------------- pipeline round trip
 
 

@@ -1,5 +1,5 @@
 """Feature-chain orchestration, per-condition normalization, milling
-adapters, and the architecture ablation driver."""
+adapters, and the ablation variants' flags."""
 
 import dataclasses
 import logging
@@ -10,9 +10,7 @@ import pytest
 from slowcaps import checkpoint as ckpt
 from slowcaps import data as D
 from slowcaps import features as F
-from slowcaps import network as N
 from slowcaps import pipeline as P
-from slowcaps.training import TrainConfig
 
 from test_data import milling_csv
 
@@ -406,7 +404,7 @@ def test_build_frames_milling_skips_a_short_cut(caplog):
         "unit stub: segment of 9 samples is shorter than window 10; skipped"]
 
 
-# --------------------------------------------------------------- ablation
+# --------------------------------------------------------------- variants
 
 
 def test_variant_flags():
@@ -416,69 +414,3 @@ def test_variant_flags():
     assert P.variant_flags("plain-capsnet") == (False, False)
     with pytest.raises(ValueError, match="variant"):
         P.variant_flags("half")
-
-
-def ablation_inputs():
-    series = planted_series(seed=23, units=6)
-    train, test = series[:4], []
-    for s in series[4:]:
-        keep = s.length - 15
-        test.append(D.RunToFailureSeries(
-            unit_id=s.unit_id, sensors=s.sensors[:keep],
-            change_point=min(s.change_point, keep),
-            settings=s.settings[:keep], true_rul=15.0,
-        ))
-    settings = P.FeatureSettings(rul_max=20.0, num_slow=2, window=6)
-
-    def make_config(pipe, variant):
-        _, use_lstm = P.variant_flags(variant)
-        return N.ModelConfig(
-            window_length=pipe.window, in_channels=pipe.frame_channels,
-            conv_filters=8, conv_kernel=(1, 2), conv_stride=(1, 2),
-            caps_dim=4, num_advanced=2, advanced_dim=6,
-            routing_iterations=2, lstm_units=5,
-            sequence_length=3 if use_lstm else 1, use_lstm=use_lstm,
-            fnn_widths=(7, 1), dropout=0.1,
-        )
-
-    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=5e-3,
-                      validation_fraction=0.25, seed=5)
-    return train, test, settings, make_config, cfg
-
-
-def test_ablation_run_serial():
-    train, test, settings, make_config, cfg = ablation_inputs()
-    variants = ("full", "no-sfa", "no-lstm")
-    result = P.ablation_run(train, test, settings, make_config, cfg,
-                            variants=variants)
-    assert list(result.reports) == list(variants)
-    assert [row["variant"] for row in result.summary_rows] == list(variants)
-    for v in variants:
-        rep = result.reports[v]
-        assert rep.variant == v
-        assert len(rep.rows) == len(test)
-        assert np.isfinite(rep.rmse)
-        assert result.summary_rows[list(variants).index(v)]["parameters"] == \
-            result.train_reports[v].parameter_count
-    # slow-feature columns change the input width, hence the size
-    assert result.train_reports["full"].parameter_count != \
-        result.train_reports["no-sfa"].parameter_count
-
-
-def test_ablation_run_dense_mode_and_validation():
-    train, test, settings, make_config, cfg = ablation_inputs()
-    result = P.ablation_run(train, test, settings, make_config, cfg,
-                            variants=("full",), eval_mode="dense")
-    # dense scoring yields one row per frame sequence, not per unit
-    assert len(result.reports["full"].rows) > len(test)
-    with pytest.raises(ValueError, match="eval mode"):
-        P.ablation_run(train, test, settings, make_config, cfg,
-                       variants=("full",), eval_mode="sparse")
-
-    def bad_config(pipe, variant):
-        cfgm = make_config(pipe, "full")  # always claims an LSTM head
-        return cfgm
-
-    with pytest.raises(ValueError, match="disagrees"):
-        P.ablation_run(train, test, settings, bad_config, cfg,
-                       variants=("no-lstm",))

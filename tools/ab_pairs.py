@@ -7,7 +7,10 @@ Run from anywhere::
 
 Each checkout runs its own ``BENCHMARK.json`` command (``python3
 perfbench/run.py``) with ``--workload W --seed S --seconds T --trace 0``
-in its own directory.  Pair i uses seed S0 + i on both sides; the
+in a fresh copy of the checkout without ``.git`` and ``__pycache__``,
+with ``PYTHONDONTWRITEBYTECODE=1``: as on a host that runs each commit
+in a new directory, every run compiles the checkout's sources, and no
+run leaves bytecode behind.  Pair i uses seed S0 + i on both sides; the
 parent runs first in even pairs and the change first in odd ones, so a
 drift of the host's speed falls on both sides alike.
 
@@ -32,9 +35,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # the end-to-end metrics perfbench derives from wall-clock samples
@@ -49,7 +55,14 @@ def run_once(checkout: Path, workload: str, seed: int,
     command = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["command"]
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    # a checkout holding a warm __pycache__ would skip compiling and read a
+    # lower setup_s; a fresh PYTHONPYCACHEPREFIX would compile numpy and
+    # the standard library too (about 0.6 s a process)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        root = shutil.copytree(checkout, Path(tmp) / checkout.name,
+                               ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_pairs: {' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
