@@ -421,6 +421,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    variants = tuple(args.variant or P.ABLATION_VARIANTS)
+    if repeated := sorted({v for v in variants if variants.count(v) > 1}):
+        raise C.ConfigError([f"--variant {v} is given more than once" for v in repeated])
     cfg, out = _setup(args)
     if cfg["dataset"] == "milling":
         raise C.ConfigError(
@@ -429,7 +432,6 @@ def cmd_ablate(args) -> int:
     data_dir = Path(args.data_dir)
     train_units = _units(cfg, data_dir, "train")
     test_units = _units(cfg, data_dir, "test")
-    variants = tuple(args.variant) if args.variant else P.ABLATION_VARIANTS
     train_cfg = C.train_config_from(cfg, args.seed, args.epochs)
     # one feature fit for every variant, and no file until all are scored
     pipe, _, _ = P.fit_features(train_units, C.feature_settings_from(cfg))

@@ -135,9 +135,8 @@ def build_report(
         preds = np.clip(preds, 0.0, float(rul_max))
     d = preds - truths
     rows = [
-        {"unit": str(u), "true_rul": float(t), "predicted_rul": float(p),
-         "error": float(p - t)}
-        for u, t, p in zip(ids, truths, preds)
+        {"unit": str(u), "true_rul": t, "predicted_rul": p, "error": p - t}
+        for u, t, p in zip(ids, truths.tolist(), preds.tolist())
     ]
     metrics = {"rmse": rmse(preds, truths), "score": scoring_function(preds, truths)}
     for name, value in metrics.items():

@@ -13,13 +13,10 @@ Routing coefficients are recomputed from zero logits on every forward
 pass and are treated as constants by the backward pass: gradients flow
 from the final weighted sum into the basic capsules and the routing
 transforms, not through the softmax that produced the coupling.  Routing
-never builds the (N, I, J, A) votes W u.  Logits, kept relative to the
-last advanced capsule, and coupling are (J, N, I), so the softmax
-reduces over the outer axis.  Every round, the recorded last one too,
-scales the capsules by the coupling of the free capsules only: one GEMM
-gives their sums and, as the coupling sums to 1, the last capsule's,
-which the backward's weight gradient takes the same way; the agreements
-are one GEMM with the transposed transforms.
+never builds the (N, I, J, A) votes W u: :func:`routing_coefficients`
+runs every round as GEMMs on logits relative to the last advanced
+capsule, and the backward's weight gradient takes that capsule's terms
+from the coupling summing to 1 too.
 """
 
 from __future__ import annotations
@@ -299,10 +296,15 @@ def _squash_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gs
 
 
-def _softmax_np(b: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(b - b.max(axis=axis, keepdims=True))
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+def _coupling_np(d: np.ndarray) -> np.ndarray:
+    """Softmax (J, N, I) of logits with last row 0, from the others d:
+    c_J-1 = 1 / (1 + sum_j e_j), c_j = e_j c_J-1, e = exp(min(d, 700)); the
+    clamp keeps exp and its sum (J < 17,000) finite, c_j within 1e-304 of 1."""
+    c = np.empty((d.shape[0] + 1, *d.shape[1:]))
+    e = np.exp(np.minimum(d, 700.0, out=c[:-1]), out=c[:-1])
+    np.divide(1.0, 1.0 + e.sum(axis=0), out=c[-1])
+    e *= c[-1]
+    return c
 
 
 def capsule_transform(u: Tensor, w: Tensor, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,13 +338,16 @@ def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int,
     The coupling is the softmax of the logits over the advanced
     capsules, which ignores a shift shared by all of them, so the logits
     are kept relative to the last capsule: b_j - b_J-1, whose last row
-    is 0.  They start at zero.  A round forms x_j = c_j * uf only for
-    the J - 1 free capsules; one GEMM of x_j on [wj[j] | wj[J-1]] gives
-    s_j and x_j @ wj[J-1], and since the coupling sums to 1 the last
-    capsule's sum is s_J-1 = uf @ wj[J-1] - sum_j x_j @ wj[J-1].  uf @ wj
-    is one GEMM on the (I*D, J*A) layout; divided by J it is the sums of
-    the uniform first round.  Every round but the last squashes its sums
-    to v and adds each free capsule's agreement relative to the last,
+    is 0 (the coupling is :func:`_coupling_np` of the others).  They
+    start at zero.  A round forms x_j = c_j * uf only for the J - 1 free
+    capsules; one GEMM of x_j on [wj[j] | wj[J-1]] gives s_j and
+    x_j @ wj[J-1], and since the coupling sums to 1 the last capsule's
+    sum is s_J-1 = uf @ wj[J-1] - sum_j x_j @ wj[J-1].  uf @ wj is one
+    GEMM on the (I*D, J*A) layout; divided by J it is the sums of the
+    uniform first round.  At one iteration only uf @ wj[J-1] is formed,
+    given coupling or not, so a held coupling repeats the free sums' bits.
+    Every round but the last squashes its sums to v and adds each free
+    capsule's agreement relative to the last,
     <W_ij uf_i, v_j> - <W_i,J-1 uf_i, v_J-1>, to its logit: one GEMM
     [v_j, -v_J-1] @ [wj[j] | wj[J-1]]^T into x_j's buffer, contracted with
     uf over D.  The last round is the one :func:`dynamic_routing`
@@ -357,7 +362,8 @@ def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int,
     j, _, a = wj.shape
     x = np.empty((j - 1, n, i, d))
     xf = x.reshape(j - 1, n, i * d)
-    uw = uf.reshape(n, i * d) @ wj.transpose(1, 0, 2).reshape(i * d, j * a)
+    uw = uf.reshape(n, i * d) @ (wj.transpose(1, 0, 2).reshape(i * d, j * a)
+                                 if iterations > 1 else wj[-1])
     pair = np.concatenate((wj[:-1], np.broadcast_to(wj[-1:], wj[:-1].shape)), axis=2)
 
     def sums(c):
@@ -365,18 +371,17 @@ def routing_coefficients(uf: np.ndarray, wj: np.ndarray, iterations: int,
         sp = np.matmul(xf, pair)
         return np.concatenate((sp[..., :a], (uw[:, -a:] - sp[..., a:].sum(axis=0))[None]))
 
-    b, c = (np.zeros((j, n, i)) if coupling is None else None), coupling
+    b = np.zeros((j, n, i)) if coupling is None else None
     vv = np.empty((j - 1, n, 2 * a))
-    for r in range(iterations - 1 if c is None else 0):
-        s = uw.reshape(n, j, a).transpose(1, 0, 2) * (1.0 / j) if r == 0 else sums(c)
+    for r in range(iterations - 1 if b is not None else 0):
+        s = sums(_coupling_np(b[:-1])) if r else uw.reshape(n, j, a).transpose(1, 0, 2) * (1.0 / j)
         v = _squash_np(s)
         _check_finite(v, "routed capsules")
         vv[..., :a] = v[:-1]
         np.negative(v[-1], out=vv[..., a:])
         np.matmul(vv, pair.transpose(0, 2, 1), out=xf)
         b[:-1] += np.einsum("jnid,nid->jni", x, uf)
-        c = _softmax_np(b, axis=0)
-    c = _softmax_np(b, axis=0) if c is None else c
+    c = coupling if b is None else _coupling_np(b[:-1])
     return c, b, x, sums(c)
 
 
@@ -403,11 +408,20 @@ def capsule_row_patches(frames: np.ndarray, config: ModelConfig) -> tuple[np.nda
     runs = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, : s * hc : s]
     rows = np.ascontiguousarray(runs.transpose(0, 1, 3, 2)).reshape(f * hc, k * channels)
     bits = rows.view(np.int64)
-    _, first, inverse = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
+    first, inverse = _distinct(_row_keys(bits))
     if not np.array_equal(bits[first[inverse]], bits):
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = _distinct(rows.view(np.dtype((np.void, 8 * k * channels))).ravel())
     return rows[first].reshape(-1, k, channels), inverse.reshape(f, hc)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_index=True, return_inverse=True)[1:] from an unstable argsort."""
+    order = np.argsort(keys)
+    new = np.ones(len(keys), bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return np.minimum.reduceat(order, np.flatnonzero(new)), inverse
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:

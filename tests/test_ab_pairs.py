@@ -82,8 +82,12 @@ def fake_pairs(tmp_path, monkeypatch, change_raw, change_probe):
     return json.loads((out / "BENCH_w.json").read_text())
 
 
-def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch):
-    doc = fake_pairs(tmp_path, monkeypatch, change_raw=0.9, change_probe=0.06)
+def test_runs_alternate_and_write_the_bench_file(tmp_path, monkeypatch, capsys):
+    doc = fake_pairs(tmp_path, monkeypatch, change_raw=0.9, change_probe=0.07)
+    # each pair's line carries both sides' probe medians
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"pair {i}/3 seed {4 + i}: chain_s {1.04 + 0.01 * i:.4g} -> "
+                   f"{0.9 * (1.04 + 0.01 * i):.4g}  probe 0.06 -> 0.07 s" for i in (1, 2, 3)]
     assert doc["order"] == ["parent,change", "change,parent", "parent,change"]
     assert doc["seeds"] == [5, 6, 7]
     assert doc["environment"] == {"numpy": "x"}

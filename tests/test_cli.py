@@ -350,6 +350,21 @@ def test_ablate_smoke(workspace):
     assert manifest["variants"] == ["full", "no-sfa"]
 
 
+def test_ablate_refuses_a_repeated_variant(workspace, tmp_path, capsys):
+    """A variant named twice would be trained twice and listed twice in
+    the summary and the manifest: exit 2 naming it, before any file."""
+    out = tmp_path / "ablate"
+    capsys.readouterr()
+    assert main(["ablate", "--out", str(out), "--data-dir", str(workspace / "data"),
+                 "--variant", "full", "--variant", "no-sfa", "--variant", "full",
+                 "--epochs", "1", *SET]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err == {"error": "config", "problems": ["--variant full is given more than once"]}
+    assert not out.exists()
+
+
 def test_ablate_scores_like_train_and_evaluate(workspace, tmp_path):
     """Each ablation variant writes the report, predictions and train
     report that ``train --variant`` followed by ``evaluate`` write."""

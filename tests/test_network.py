@@ -484,7 +484,7 @@ def test_routing_matches_oracle_at_config_geometry(rng, frames, caps, dim, advan
         # logits relative to the last capsule, whose own row is exactly 0
         np.testing.assert_allclose(b.transpose(1, 2, 0), ob - ob[..., -1:], rtol=0, atol=1e-10)
         np.testing.assert_array_equal(b[-1], 0.0)
-        np.testing.assert_array_equal(c, N._softmax_np(b, axis=0))
+        np.testing.assert_array_equal(c, N._coupling_np(b[:-1]))
         # one advanced capsule takes the whole coupling
         c1 = N.routing_coefficients(uf1, wj1, r)[0]
         np.testing.assert_array_equal(c1, 1.0)
@@ -495,6 +495,71 @@ def test_routing_validation(rng):
                                  Tensor(rng.normal(size=(4, 2, 5, 3))), np.zeros((1, 1), int))
     with pytest.raises(ValueError):
         N.routing_coefficients(uf, wj, 0)
+
+
+@pytest.mark.parametrize("j", [2, 3, 5])
+def test_coupling_is_the_softmax_of_the_free_rows_and_zero(rng, j):
+    d = rng.normal(0.0, 4.0, size=(j - 1, 7, 11))
+    c = N._coupling_np(d)
+    want = scipy.special.softmax(np.concatenate((d, np.zeros((1, 7, 11)))), axis=0)
+    np.testing.assert_allclose(c, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+def test_coupling_of_one_capsule_is_exactly_one():
+    c = N._coupling_np(np.empty((0, 3, 4)))
+    assert c.shape == (1, 3, 4)
+    np.testing.assert_array_equal(c, 1.0)
+
+
+def test_coupling_saturates_exactly_without_warnings():
+    """Logits far past exp's range: the clamp at 700 keeps exp and the
+    sum finite, so the coupling reaches exactly 0 and 1 with no
+    floating-point warning (pytest turns any into an error), and the
+    last capsule's share at the clamp is below 1e-304."""
+    d = np.array([1e308, -1e308, 800.0, -800.0, 745.0, -745.0, 0.0])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        free, last = N._coupling_np(d[None, :, None])[:, :, 0]
+        four = N._coupling_np(np.full((4, 1, 1), 1e308))[:, 0, 0]
+    assert np.isfinite(free).all() and np.isfinite(last).all()
+    np.testing.assert_array_equal(free[[0, 2, 4]], 1.0)
+    np.testing.assert_array_equal(free[[1, 3]], 0.0)
+    np.testing.assert_array_equal(last[[1, 3, 5]], 1.0)
+    assert (0.0 < last[[0, 2, 4]]).all() and (last[[0, 2, 4]] < 1e-304).all()
+    assert 0.0 <= free[5] <= 5e-324
+    np.testing.assert_array_equal([free[6], last[6]], 0.5)
+    assert np.isfinite(four).all() and abs(four.sum() - 1.0) <= 1e-15
+    np.testing.assert_allclose(four[:-1], 0.25, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("caps, dim, advanced, adim", [
+    (224, 8, 2, 16),  # FD001
+    (448, 4, 3, 17),  # FD003
+    (56, 3, 5, 6),  # milling
+])
+def test_one_iteration_forms_only_the_last_capsules_product(rng, caps, dim, advanced, adim):
+    """With one iteration no agreement round reads the free capsules'
+    columns of uf @ W, so only uf @ W_J-1 is formed.  Against a held
+    uniform coupling at two iterations, which forms the full product:
+    the same coupling and free capsules' sums, and the last capsule's
+    sum within the two products' rounding bound, 2 K eps |uf| |W_J-1|
+    for K = I * D terms (the two GEMMs may add in different orders).  A
+    coupling held at one iteration gives the free routing's bits."""
+    u = N._squash_np(rng.normal(size=(5, caps, dim)))
+    w = rng.normal(0.0, 0.2, size=(caps, advanced, adim, dim))
+    uf, wj = N.capsule_transform(Tensor(u), Tensor(w), np.arange(5)[:, None])
+    uniform = np.full((advanced, 5, caps), 1.0 / advanced)
+    c_full, _, _, s_full = N.routing_coefficients(uf, wj, 2, uniform)
+    c, b, _, s = N.routing_coefficients(uf, wj, 1)
+    np.testing.assert_array_equal(b, 0.0)
+    np.testing.assert_array_equal(c, c_full)
+    np.testing.assert_array_equal(s[:-1], s_full[:-1])
+    ufl = uf.reshape(5, -1)
+    bound = 2 * ufl.shape[1] * np.finfo(float).eps * (np.abs(ufl) @ np.abs(wj[-1]))
+    assert (np.abs(s[-1] - s_full[-1]) <= bound).all()
+    c_held, _, _, s_held = N.routing_coefficients(uf, wj, 1, uniform)
+    np.testing.assert_array_equal(c_held, c)
+    np.testing.assert_array_equal(s_held, s)
 
 
 def test_dynamic_routing_forward_and_override(rng):
@@ -1102,6 +1167,59 @@ def test_capsule_row_patches_tell_negative_zero_apart():
     assert len({index[0, 0], index[2, 0], index[1, 4]}) == 3
     bits = patches[index].view(np.uint64)
     np.testing.assert_array_equal(bits, frames[..., None, :].view(np.uint64))
+
+
+def unique_patches(frames, cfg):
+    """(patches, index) as ``np.unique(return_index=True,
+    return_inverse=True)`` finds them, the reference for
+    capsule_row_patches' argsort: the same int64 row keys, with the
+    byte-compare fallback on a key shared by two distinct patches."""
+    x = np.asarray(frames, dtype=np.float64)
+    f, _, channels = x.shape
+    k = cfg.conv_kernel[0] + (cfg.caps_kernel[0] - 1) * cfg.conv_stride[0]
+    s, hc = cfg.conv_stride[0] * cfg.caps_stride[0], cfg.caps_out_hw[0]
+    runs = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)[:, : s * hc : s]
+    rows = np.ascontiguousarray(runs.transpose(0, 1, 3, 2)).reshape(f * hc, k * channels)
+    bits = rows.view(np.int64)
+    _, first, inverse = np.unique(N._row_keys(bits), return_index=True, return_inverse=True)
+    if not np.array_equal(bits[first[inverse]], bits):
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first].reshape(-1, k, channels), inverse.reshape(f, hc)
+
+
+def assert_patches_match_unique(frames, cfg):
+    patches, index = N.capsule_row_patches(frames, cfg)
+    want_patches, want_index = unique_patches(frames, cfg)
+    assert patches.shape == want_patches.shape and index.dtype == want_index.dtype
+    np.testing.assert_array_equal(patches.view(np.uint64), want_patches.view(np.uint64))
+    np.testing.assert_array_equal(index, want_index)
+    return patches, index
+
+
+@pytest.mark.parametrize("geometry", [{}] + TIME_MIXING)
+def test_capsule_row_patches_match_np_unique(geometry, monkeypatch):
+    """Repeated rows, 0.0 against -0.0 rows, key collisions that reach
+    the byte-compare fallback, and zero frames: the argsort dedup gives
+    np.unique's patches and index bit for bit."""
+    cfg = tiny_config(**geometry)
+    rng = np.random.default_rng(31)
+    # rows drawn from four values, so runs of rows repeat within and across frames
+    frames = rng.choice([0.0, -0.0, 1.5, -2.0], size=(6, cfg.window_length, cfg.in_channels))
+    frames[3] = frames[1]
+    frames[4] = -0.0
+    frames[5] = 0.0
+    _, index = assert_patches_match_unique(frames, cfg)
+    assert index[4, 0] != index[5, 0]
+    assert_patches_match_unique(sliding_frames(rng.normal(
+        size=(2, cfg.window_length + 9, cfg.in_channels)), cfg.window_length), cfg)
+    assert_patches_match_unique(np.empty((0, cfg.window_length, cfg.in_channels)), cfg)
+    # a key that only reads the first column: groups collide, and the
+    # bit check falls back to the bytes
+    monkeypatch.setattr(N, "_row_keys", lambda bits: bits[:, 0].copy())
+    patches, index = assert_patches_match_unique(frames, cfg)
+    assert patches.shape[0] > np.unique(N._row_keys(
+        patches.reshape(len(patches), -1).view(np.int64))).size
 
 
 @pytest.mark.parametrize("geometry", TIME_MIXING)

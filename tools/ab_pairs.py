@@ -140,7 +140,9 @@ def main(argv=None) -> int:
         order.append(",".join(sides))
         print(f"pair {i + 1}/{args.pairs} seed {seed}: "
               + "  ".join(f"{s['name']} {runs['parent'][-1][s['name']]:.4g} -> "
-                          f"{runs['change'][-1][s['name']]:.4g}" for s in specs),
+                          f"{runs['change'][-1][s['name']]:.4g}" for s in specs)
+              + f"  probe {raws['parent'][-1]['probe_s']:.4g} -> "
+                f"{raws['change'][-1]['probe_s']:.4g} s",
               file=sys.stderr, flush=True)
 
     metrics = {}
